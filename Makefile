@@ -1,4 +1,4 @@
-.PHONY: build test check bench bench-smoke bench-cert bench-robust bench-obs bench-parallel bench-serve bench-count bench-ladder fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke fmt clean
+.PHONY: build test check bench bench-smoke bench-cert bench-robust bench-obs bench-parallel bench-serve bench-count bench-ladder fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke perfbench-smoke fmt clean
 
 build:
 	dune build
@@ -11,7 +11,7 @@ test:
 # one end-to-end certified verdict, an instrumented profile run whose
 # metrics snapshot must self-validate, and the parallel-engine
 # no-regression gate (work stealing, warm sessions, portfolio).
-check: build test fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke bench-parallel
+check: build test fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke bench-parallel perfbench-smoke
 
 # Differential fuzzing subset for CI (< 10 s): 200 random cases, fixed
 # seed, fails with a shrunk reproducer on any backend disagreement.
@@ -97,6 +97,21 @@ count-smoke:
 # assertion.
 ladder-smoke:
 	dune exec bench/main.exe -- --ladder --smoke
+
+# Repository-benchmark smoke (~30 s): each perfbench workload for 2 s
+# untraced, then certify-cold traced so its layer-coverage gate runs.
+# Fails unless every result line reports "correct": true and "failed": 0.
+PERFBENCH_OK = python3 -c 'import json, sys; r = json.loads(sys.stdin.read().splitlines()[-1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
+
+perfbench-smoke:
+	@for run in paper-batch:0 certify-cold:0 serve-hot:0 serve-churn:0 certify-cold:1; do \
+	  w=$${run%:*}; tr=$${run#*:}; \
+	  echo "perfbench-smoke: $$w --trace $$tr"; \
+	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace $$tr) \
+	    || { echo "FAIL: perfbench $$w --trace $$tr did not finish"; exit 1; }; \
+	  printf '%s\n' "$$out" | $(PERFBENCH_OK) \
+	    || { echo "FAIL: perfbench $$w --trace $$tr is not correct or has failures"; exit 1; }; \
+	done
 
 # Full evaluation suite (E1-E17 + Bechamel timings); takes minutes.
 bench:

@@ -11,11 +11,11 @@
     This module is the trusted core of the certificate subsystem. It is a
     from-scratch forward checker in the style of drat-trim's
     backward-compatible mode and deliberately shares {e no} code with
-    {!Sat.Solver}: clauses are plain DIMACS integer lists, propagation is
-    an independent two-watched-literal loop, and there is no conflict
-    analysis, no heuristics, no restarts — roughly a tenth of the solver's
-    code, which is the point of the trusted-code-base argument (see
-    DESIGN.md).
+    {!Sat.Solver}: clauses arrive as plain DIMACS integer lists and live
+    in the checker's own flat arena, propagation is an independent
+    two-watched-literal loop, and there is no conflict analysis, no
+    heuristics, no restarts — under half the solver's code, which is the
+    point of the trusted-code-base argument (see DESIGN.md).
 
     Literals use DIMACS conventions: variables are [1..n_vars], negative
     integers are negated literals, [0] never appears inside a clause. *)
@@ -38,7 +38,8 @@ val check_unsat :
     previously learned clauses, minus deletions), and after the last step
     unit propagation must have derived a contradiction. Returns
     [Error reason] on the first failing step, a malformed literal, or a
-    proof that never reaches the empty clause.
+    proof that never reaches the empty clause. Never raises: memory is
+    sized by the literals present, not by the declared [n_vars].
 
     Deletion of a clause currently forcing a unit (at most one non-false
     literal) is skipped rather than performed, mirroring how solvers never

@@ -54,9 +54,7 @@ let int_list_json l = J.List (List.map (fun n -> J.Int n) l)
 
 let int_list j = List.map as_int (as_list j)
 
-(* Cert.Verdict codec — same shape as the wire protocol's, duplicated
-   here because lib/count sits below lib/serve in the dependency order
-   and the certificate must be self-contained. *)
+(* Cert.Verdict codec, shared with the wire protocol and the journal. *)
 let verdict_json (c : Cert.Verdict.t) =
   let clauses cnf = J.List (List.map int_list_json cnf) in
   match c with
@@ -87,7 +85,7 @@ let verdict_json (c : Cert.Verdict.t) =
           ("proof", J.List (List.map step_json proof));
         ]
 
-let verdict_of_json j : Cert.Verdict.t =
+let verdict_of_json_exn j : Cert.Verdict.t =
   let n_vars = as_int (field "n_vars" j) in
   let cnf = List.map int_list (as_list (field "cnf" j)) in
   let assumptions = int_list (field "assumptions" j) in
@@ -114,6 +112,9 @@ let verdict_of_json j : Cert.Verdict.t =
       Cert.Verdict.Refutation
         { n_vars; cnf; assumptions; proof = List.map step (as_list (field "proof" j)) }
   | s -> bad "unknown verdict kind %S" s
+
+let verdict_of_json j =
+  try Ok (verdict_of_json_exn j) with Bad e -> Error e
 
 let ranges_json rs =
   J.List
@@ -143,8 +144,8 @@ let proof_to_json = function
 
 let proof_of_json_exn j =
   match as_string (field "kind" j) with
-  | "unsat" -> Unsat_cube (verdict_of_json (field "cert" j))
-  | "full" -> Full_cube (verdict_of_json (field "cert" j))
+  | "unsat" -> Unsat_cube (verdict_of_json_exn (field "cert" j))
+  | "full" -> Full_cube (verdict_of_json_exn (field "cert" j))
   | "enum" ->
       Enum_cube
         {
@@ -152,7 +153,7 @@ let proof_of_json_exn j =
             List.map
               (fun w -> Array.of_list (int_list w))
               (as_list (field "witnesses" j));
-          completion = verdict_of_json (field "cert" j);
+          completion = verdict_of_json_exn (field "cert" j);
         }
   | s -> bad "unknown cube kind %S" s
 

@@ -60,6 +60,13 @@ val to_json : t -> Util.Json.t
 
 val of_json : Util.Json.t -> (t, string) result
 
+val verdict_json : Cert.Verdict.t -> Util.Json.t
+(** The JSON form of one [lib/cert] certificate, as it appears inside a
+    cube. The wire protocol and the verdict journal encode certified
+    exists-flip answers with the same pair. *)
+
+val verdict_of_json : Util.Json.t -> (Cert.Verdict.t, string) result
+
 val proof_to_json : proof -> Util.Json.t
 (** Exposed for checkpoint payloads, which persist decided cubes. *)
 

@@ -133,12 +133,8 @@ let int_array j = Array.of_list (List.map as_int (as_list j))
 
 let int_array_json a = J.List (Array.to_list (Array.map (fun n -> J.Int n) a))
 
-let int_list_json l = J.List (List.map (fun n -> J.Int n) l)
-
-let int_list j = List.map as_int (as_list j)
-
 (* ------------------------------------------------------------------ *)
-(* Leaf codecs: backend, spec, vector, reason, verdict, certificate    *)
+(* Leaf codecs: backend, spec, vector, reason, verdict                 *)
 (* ------------------------------------------------------------------ *)
 
 let rec backend_json (b : Fannet.Backend.t) =
@@ -224,67 +220,6 @@ let verdict_of_json j : Fannet.Backend.verdict =
   | "flip" -> Fannet.Backend.Flip (vector_of_json (field "vector" j))
   | "unknown" -> Fannet.Backend.Unknown (reason_of_json (field "reason" j))
   | s -> bad "unknown verdict %S" s
-
-let clauses_json cnf = J.List (List.map int_list_json cnf)
-
-let clauses_of_json j = List.map int_list (as_list j)
-
-let cert_json (c : Cert.Verdict.t) =
-  match c with
-  | Cert.Verdict.Model { n_vars; cnf; assumptions; model } ->
-      J.Obj
-        [
-          ("kind", J.String "model");
-          ("n_vars", J.Int n_vars);
-          ("cnf", clauses_json cnf);
-          ("assumptions", int_list_json assumptions);
-          ( "model",
-            J.List
-              (Array.to_list
-                 (Array.map (fun b -> J.Int (if b then 1 else 0)) model)) );
-        ]
-  | Cert.Verdict.Refutation { n_vars; cnf; assumptions; proof } ->
-      let step_json (s : Cert.Rup.step) =
-        match s with
-        | Cert.Rup.Learn c -> J.List [ J.String "l"; int_list_json c ]
-        | Cert.Rup.Delete c -> J.List [ J.String "d"; int_list_json c ]
-      in
-      J.Obj
-        [
-          ("kind", J.String "refutation");
-          ("n_vars", J.Int n_vars);
-          ("cnf", clauses_json cnf);
-          ("assumptions", int_list_json assumptions);
-          ("proof", J.List (List.map step_json proof));
-        ]
-
-let cert_of_json j : Cert.Verdict.t =
-  let n_vars = as_int (field "n_vars" j) in
-  let cnf = clauses_of_json (field "cnf" j) in
-  let assumptions = int_list (field "assumptions" j) in
-  match as_string (field "kind" j) with
-  | "model" ->
-      let model =
-        Array.of_list
-          (List.map
-             (fun v ->
-               match as_int v with
-               | 0 -> false
-               | 1 -> true
-               | n -> bad "model bit %d" n)
-             (as_list (field "model" j)))
-      in
-      Cert.Verdict.Model { n_vars; cnf; assumptions; model }
-  | "refutation" ->
-      let step_of_json s : Cert.Rup.step =
-        match as_list s with
-        | [ J.String "l"; c ] -> Cert.Rup.Learn (int_list c)
-        | [ J.String "d"; c ] -> Cert.Rup.Delete (int_list c)
-        | _ -> bad "malformed proof step"
-      in
-      let proof = List.map step_of_json (as_list (field "proof" j)) in
-      Cert.Verdict.Refutation { n_vars; cnf; assumptions; proof }
-  | s -> bad "unknown certificate kind %S" s
 
 (* ------------------------------------------------------------------ *)
 (* Query codec                                                         *)
@@ -518,7 +453,10 @@ let answer_json = function
         [
           ("a", J.String "certified");
           ("verdict", verdict_json verdict);
-          ("cert", match cert with None -> J.Null | Some c -> cert_json c);
+          ( "cert",
+            match cert with
+            | None -> J.Null
+            | Some c -> Count.Certificate.verdict_json c );
         ]
   | Counted (Ok { flips; total; count_cert }) ->
       J.Obj
@@ -566,7 +504,10 @@ let answer_of_json j =
           cert =
             (match field "cert" j with
             | J.Null -> None
-            | c -> Some (cert_of_json c));
+            | c -> (
+                match Count.Certificate.verdict_of_json c with
+                | Ok cert -> Some cert
+                | Error e -> bad "certificate: %s" e));
         }
   | "count" -> (
       match opt_field "error" j with

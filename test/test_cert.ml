@@ -46,6 +46,17 @@ let check_rejected what = function
   | Ok () -> Alcotest.failf "%s: corrupted certificate accepted" what
   | Error _ -> ()
 
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let check_error_mentions what sub = function
+  | Ok () -> Alcotest.failf "%s: accepted" what
+  | Error e ->
+      if not (contains e sub) then
+        Alcotest.failf "%s: error %S does not mention %S" what e sub
+
 let unsat_cert what s trace =
   match V.of_trace_unsat ~n_vars:(S.nvars s) trace with
   | Ok c -> c
@@ -191,6 +202,152 @@ let prop_random_unsat_under_assumptions_certifies =
           | S.Sat | S.Unknown -> true)
       | S.Unsat | S.Unknown -> true)
 
+(* ---------- brute-force soundness of the checker ---------- *)
+
+(* Random 3-CNF over 3-10 variables at 3-6 clauses per variable, around
+   the satisfiability threshold: about a third of the formulas are
+   unsatisfiable and most of those need lemmas, because unit propagation
+   alone does not refute them (shorter clauses would make load-time
+   propagation settle nearly every case). *)
+let small_cnf_gen =
+  let open QCheck.Gen in
+  let* n_vars = int_range 3 10 in
+  let* n_clauses = int_range (3 * n_vars) (6 * n_vars) in
+  let clause =
+    list_size (return 3)
+      (map2 (fun v pos -> if pos then v else -v) (int_range 1 n_vars) bool)
+  in
+  let* cnf = list_size (return n_clauses) clause in
+  return (n_vars, cnf)
+
+(* Enumerate every assignment. *)
+let brute_unsat n_vars cnf =
+  let sat_under bits =
+    let lit_true l = (bits lsr (abs l - 1)) land 1 = (if l > 0 then 1 else 0) in
+    List.for_all (List.exists lit_true) cnf
+  in
+  let rec go bits = bits >= 1 lsl n_vars || ((not (sat_under bits)) && go (bits + 1)) in
+  go 0
+
+(* The solver's logged certificate for [cnf]. On a satisfiable formula
+   the logged lemmas plus the empty clause are still a well-formed (and
+   necessarily wrong) refutation for the checker to face. *)
+let solver_refutation n_vars cnf =
+  let r, _, trace =
+    traced_solve n_vars
+      (List.map (List.map (fun l -> (abs l - 1, l > 0))) cnf)
+  in
+  let proof = ref [] in
+  P.iter
+    (function
+      | P.Learn lits -> proof := R.Learn lits :: !proof
+      | P.Delete lits -> proof := R.Delete lits :: !proof
+      | P.Input _ | P.Empty _ -> ())
+    trace;
+  (r, List.rev (R.Learn [] :: !proof))
+
+let cnf_print (n_vars, cnf) =
+  Printf.sprintf "%d vars: %s" n_vars
+    (String.concat " "
+       (List.map
+          (fun c -> "{" ^ String.concat " " (List.map string_of_int c) ^ "}")
+          cnf))
+
+let prop_checker_matches_enumeration =
+  QCheck.Test.make ~name:"solver proofs accepted exactly on unsat formulas"
+    ~count:300
+    (QCheck.make ~print:cnf_print small_cnf_gen)
+    (fun (n_vars, cnf) ->
+      let r, proof = solver_refutation n_vars cnf in
+      let unsat = brute_unsat n_vars cnf in
+      let accepted = R.check_unsat ~n_vars ~cnf ~assumptions:[] ~proof = Ok () in
+      r = (if unsat then S.Unsat else S.Sat) && accepted = unsat)
+
+type mutation =
+  | Drop_lemma of int
+  | Drop_literal of int * int
+  | Negate_literal of int * int
+  | Early_delete of int * int  (* insert at, copy of clause *)
+  | Forged_lemma of int * int list  (* insert at, arbitrary clause *)
+  | Drop_input of int
+
+let mutate ~cnf ~proof m =
+  let lemma_edit i f =
+    List.mapi
+      (fun k step ->
+        match step with R.Learn lits when k = i -> R.Learn (f lits) | s -> s)
+      proof
+  in
+  let edit_nth j f lits = List.mapi (fun k l -> if k = j then f l else l) lits in
+  match m with
+  | Drop_lemma i -> (cnf, List.filteri (fun k _ -> k <> i) proof)
+  | Drop_literal (i, j) -> (cnf, lemma_edit i (List.filteri (fun k _ -> k <> j)))
+  | Negate_literal (i, j) -> (cnf, lemma_edit i (edit_nth j (fun l -> -l)))
+  | Early_delete (i, c) ->
+      let clauses =
+        cnf @ List.filter_map (function R.Learn l -> Some l | R.Delete _ -> None) proof
+      in
+      let victim = List.nth clauses (c mod List.length clauses) in
+      let before = List.filteri (fun k _ -> k < i) proof in
+      let after = List.filteri (fun k _ -> k >= i) proof in
+      (cnf, before @ (R.Delete victim :: after))
+  | Forged_lemma (i, lits) ->
+      (cnf, List.filteri (fun k _ -> k < i) proof
+            @ (R.Learn lits :: List.filteri (fun k _ -> k >= i) proof))
+  | Drop_input c -> (List.filteri (fun k _ -> k <> c) cnf, proof)
+
+let mutation_gen ~n_vars ~cnf ~proof =
+  let open QCheck.Gen in
+  let n = List.length proof and m = List.length cnf in
+  let lemma_width i = match List.nth proof i with R.Learn l -> List.length l | _ -> 0 in
+  let literal_site =
+    let* i = int_bound (n - 1) in
+    let* j = int_bound (max 0 (lemma_width i - 1)) in
+    return (i, j)
+  in
+  oneof
+    [
+      map (fun i -> Drop_lemma i) (int_bound (n - 1));
+      map (fun (i, j) -> Drop_literal (i, j)) literal_site;
+      map (fun (i, j) -> Negate_literal (i, j)) literal_site;
+      map2 (fun i c -> Early_delete (i, c)) (int_bound n) (int_bound 1000);
+      map2
+        (fun i lits -> Forged_lemma (i, lits))
+        (int_bound n)
+        (list_size (int_range 1 3)
+           (map2 (fun v pos -> if pos then v else -v) (int_range 1 n_vars) bool));
+      map (fun c -> Drop_input c) (int_bound (m - 1));
+    ]
+
+let mutation_to_string = function
+  | Drop_lemma i -> Printf.sprintf "drop lemma %d" i
+  | Drop_literal (i, j) -> Printf.sprintf "drop literal %d of lemma %d" j i
+  | Negate_literal (i, j) -> Printf.sprintf "negate literal %d of lemma %d" j i
+  | Early_delete (i, c) -> Printf.sprintf "delete clause #%d before step %d" c i
+  | Forged_lemma (i, lits) ->
+      Printf.sprintf "insert lemma {%s} before step %d"
+        (String.concat " " (List.map string_of_int lits)) i
+  | Drop_input c -> Printf.sprintf "drop input clause %d" c
+
+let prop_mutated_proofs_stay_sound =
+  let gen =
+    let open QCheck.Gen in
+    let* n_vars, cnf = small_cnf_gen in
+    let _, proof = solver_refutation n_vars cnf in
+    let* m = mutation_gen ~n_vars ~cnf ~proof in
+    return ((n_vars, cnf), proof, m)
+  in
+  QCheck.Test.make ~name:"mutated proofs are only accepted on unsat formulas"
+    ~count:1000
+    (QCheck.make
+       ~print:(fun (f, _, m) -> cnf_print f ^ "; " ^ mutation_to_string m)
+       gen)
+    (fun ((n_vars, cnf), proof, m) ->
+      let cnf', proof' = mutate ~cnf ~proof m in
+      match R.check_unsat ~n_vars ~cnf:cnf' ~assumptions:[] ~proof:proof' with
+      | Ok () -> brute_unsat n_vars cnf'
+      | Error _ -> true)
+
 (* ---------- mutation tests: corrupted proofs are rejected ---------- *)
 
 let test_mutation_dropped_literal () =
@@ -246,21 +403,9 @@ let test_mutation_delete_then_use () =
        ~proof:[ R.Delete [ -1; 3 ]; R.Learn [ 3 ]; R.Learn [] ])
 
 let test_mutation_unknown_deletion () =
-  match
-    R.check_unsat ~n_vars:3 ~cnf:[ [ 1; 2 ] ] ~assumptions:[]
-      ~proof:[ R.Delete [ 1; 3 ] ]
-  with
-  | Ok () -> Alcotest.fail "deleting a clause never added was accepted"
-  | Error e ->
-      Alcotest.(check bool) "error mentions the deletion" true
-        (String.length e >= 5
-        &&
-        let lower = String.lowercase_ascii e in
-        let rec contains i =
-          i + 5 <= String.length lower
-          && (String.sub lower i 5 = "delet" || contains (i + 1))
-        in
-        contains 0)
+  check_error_mentions "deleting a clause never added" "delet"
+    (R.check_unsat ~n_vars:3 ~cnf:[ [ 1; 2 ] ] ~assumptions:[]
+       ~proof:[ R.Delete [ 1; 3 ] ])
 
 let test_mutation_out_of_range_literal () =
   check_rejected "literal out of range"
@@ -282,6 +427,70 @@ let test_mutation_model_flip () =
     (R.model_check ~n_vars:2 ~cnf ~assumptions:[] ~model:[| true; false |]);
   check_rejected "assumption violated"
     (R.model_check ~n_vars:2 ~cnf ~assumptions:[ -2 ] ~model)
+
+let test_oversized_n_vars () =
+  (* The declared variable count must not size the checker's arrays:
+     absurd counts are answered, never raised. *)
+  let cnf = [ [ 1; 2 ]; [ 1; -2 ]; [ -1; 2 ]; [ -1; -2 ] ] in
+  List.iter
+    (fun n_vars ->
+      let what = Printf.sprintf "n_vars = %d" n_vars in
+      check_ok what
+        (R.check_unsat ~n_vars ~cnf ~assumptions:[] ~proof:[ R.Learn [ 1 ] ]);
+      check_rejected (what ^ ", no proof")
+        (R.check_unsat ~n_vars ~cnf ~assumptions:[] ~proof:[]);
+      check_rejected (what ^ ", model")
+        (V.check
+           (V.Model { n_vars; cnf = [ [ 1 ] ]; assumptions = []; model = [| true |] })))
+    [ max_int; 1 lsl 40 ];
+  (* Huge but in-range variables are renumbered, not allocated. *)
+  let big = 1 lsl 40 in
+  check_ok "sparse huge variables"
+    (R.check_unsat ~n_vars:max_int
+       ~cnf:[ [ big; 3 ]; [ -big; 3 ] ]
+       ~assumptions:[ -3 ] ~proof:[]);
+  check_rejected "sparse huge variables, sat"
+    (R.check_unsat ~n_vars:max_int ~cnf:[ [ big; 3 ] ] ~assumptions:[ -3 ] ~proof:[]);
+  (* min_int has no in-range negation. *)
+  check_error_mentions "min_int literal" "out of range"
+    (R.check_unsat ~n_vars:max_int ~cnf:[ [ min_int ] ] ~assumptions:[] ~proof:[]);
+  check_error_mentions "min_int model literal" "out of range"
+    (R.model_check ~n_vars:2 ~cnf:[ [ min_int ] ] ~assumptions:[]
+       ~model:[| true; true |])
+
+let test_deletion_index () =
+  (* Clauses 5-8 are refuted by the lemma [1]; the rest exercise the
+     deletion index, which is only built at the first deletion. [-5]
+     forces 6 through the reason clause {5 6}. *)
+  let cnf =
+    [ [ 8; 9; 9 ]; [ 3; 4 ]; [ 3; 4 ]; [ -5 ]; [ 5; 6 ];
+      [ 1; 2 ]; [ 1; -2 ]; [ -1; 2 ]; [ -1; -2 ] ]
+  in
+  let run proof = R.check_unsat ~n_vars:9 ~cnf ~assumptions:[] ~proof in
+  check_ok "deletions then refutation"
+    (run
+       [
+         R.Delete [ 9; 8 ] (* input clause, duplicate literal normalised *);
+         R.Delete [ 3; 4 ];
+         R.Delete [ 4; 3 ] (* the second copy *);
+         R.Learn [ 1; 3 ];
+         R.Delete [ 3; 1 ] (* a lemma added after the index was built *);
+         R.Learn [ 1 ];
+       ]);
+  check_error_mentions "input clause deleted twice" "already-deleted"
+    (run [ R.Delete [ 8; 9 ]; R.Delete [ 9; 8; 9 ] ]);
+  check_error_mentions "both copies deleted, then a third" "already-deleted"
+    (run [ R.Delete [ 3; 4 ]; R.Delete [ 3; 4 ]; R.Delete [ 3; 4 ] ]);
+  check_error_mentions "lemma deleted twice" "already-deleted"
+    (run [ R.Delete [ 3; 4 ]; R.Learn [ 1; 3 ]; R.Delete [ 1; 3 ]; R.Delete [ 1; 3 ] ]);
+  check_error_mentions "never added" "never added" (run [ R.Delete [ 3; 9 ] ]);
+  check_error_mentions "never added, first step" "step 0" (run [ R.Delete [ 3; 9 ] ]);
+  check_ok "tautology deletions are ignored"
+    (run [ R.Delete [ 7; -7 ]; R.Delete [ 9; 8; -9 ]; R.Learn [ 1 ] ]);
+  (* The reason clause {5 6} is never really deleted, so deleting it
+     again is not an already-deleted error. *)
+  check_ok "reason deletion skipped"
+    (run [ R.Delete [ 5; 6 ]; R.Delete [ 6; 5 ]; R.Delete [ 5; 6 ]; R.Learn [ 1 ] ])
 
 (* ---------- drup / dimacs output ---------- *)
 
@@ -503,6 +712,8 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_random_cnf_certifies;
           QCheck_alcotest.to_alcotest prop_random_unsat_under_assumptions_certifies;
+          QCheck_alcotest.to_alcotest prop_checker_matches_enumeration;
+          QCheck_alcotest.to_alcotest prop_mutated_proofs_stay_sound;
         ] );
       ( "mutations",
         [
@@ -515,6 +726,8 @@ let () =
           Alcotest.test_case "bad literals" `Quick test_mutation_out_of_range_literal;
           Alcotest.test_case "incomplete proof" `Quick test_mutation_incomplete_proof;
           Alcotest.test_case "corrupted model" `Quick test_mutation_model_flip;
+          Alcotest.test_case "oversized n_vars" `Quick test_oversized_n_vars;
+          Alcotest.test_case "deletion index" `Quick test_deletion_index;
         ] );
       ( "formats",
         [

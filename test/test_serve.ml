@@ -1228,6 +1228,17 @@ let test_store_torn_tail () =
   Alcotest.(check int) "no further truncation" 0
     (Serve.Store.stats t3).Serve.Store.truncated_bytes
 
+(* Append one record with a correct length and checksum, whatever its
+   payload. *)
+let append_framed path payload =
+  let record =
+    Printf.sprintf "%d %016Lx\n%s\n" (String.length payload)
+      (Resil.Ckpt.fnv1a64 payload) payload
+  in
+  let oc = Out_channel.open_gen [ Open_append; Open_binary ] 0o644 path in
+  Out_channel.output_string oc record;
+  Out_channel.close oc
+
 let test_store_invalid_record_dropped () =
   with_store_path @@ fun path ->
   let net = toy_qnet () in
@@ -1239,14 +1250,7 @@ let test_store_invalid_record_dropped () =
      but whose payload is not a valid key/answer document. Framing
      integrity and semantic validity are independent defences: this one
      must be dropped individually, not treated as a torn tail. *)
-  let payload = {|{"key":"kbad","answer":{"kind":"from-the-future"}}|} in
-  let record =
-    Printf.sprintf "%d %016Lx\n%s\n" (String.length payload)
-      (Resil.Ckpt.fnv1a64 payload) payload
-  in
-  let oc = Out_channel.open_gen [ Open_append; Open_binary ] 0o644 path in
-  Out_channel.output_string oc record;
-  Out_channel.close oc;
+  append_framed path {|{"key":"kbad","answer":{"kind":"from-the-future"}}|};
   let t2, recovered = ok (Serve.Store.open_ ~path) in
   Fun.protect ~finally:(fun () -> Serve.Store.close t2) @@ fun () ->
   Alcotest.(check int) "good records survive" 3 (List.length recovered);
@@ -1255,6 +1259,34 @@ let test_store_invalid_record_dropped () =
   Alcotest.(check int) "not torn" 0 st.Serve.Store.truncated_bytes;
   Alcotest.(check bool) "dropped key absent" true
     (not (List.mem_assoc "kbad" recovered))
+
+let test_store_oversized_cert_dropped () =
+  with_store_path @@ fun path ->
+  let net = toy_qnet () in
+  let entries = store_entries net in
+  let t, _ = ok (Serve.Store.open_ ~path) in
+  List.iter (fun (k, a) -> Serve.Store.append t ~key:k a) entries;
+  Serve.Store.close t;
+  (* Well-framed certified answers whose certificates declare absurd
+     variable counts: re-checking them on recovery must reject them, not
+     raise out of [open_]. *)
+  let append_record key n_vars =
+    let cert =
+      Cert.Verdict.Refutation
+        { n_vars; cnf = [ [ 1; 2 ]; [ -1 ] ]; assumptions = []; proof = [] }
+    in
+    let answer = P.Certified { verdict = B.Robust; cert = Some cert } in
+    append_framed path
+      (J.to_string (J.Obj [ ("key", J.String key); ("answer", P.answer_json answer) ]))
+  in
+  append_record "kmax" max_int;
+  append_record "k2^40" (1 lsl 40);
+  let t2, recovered = ok (Serve.Store.open_ ~path) in
+  Fun.protect ~finally:(fun () -> Serve.Store.close t2) @@ fun () ->
+  Alcotest.(check int) "good records survive" 3 (List.length recovered);
+  let st = Serve.Store.stats t2 in
+  Alcotest.(check int) "both records dropped" 2 st.Serve.Store.dropped;
+  Alcotest.(check int) "not torn" 0 st.Serve.Store.truncated_bytes
 
 let test_store_torn_faultpoint () =
   with_clean_faults @@ fun () ->
@@ -1455,6 +1487,8 @@ let () =
           Alcotest.test_case "torn tail truncated" `Quick test_store_torn_tail;
           Alcotest.test_case "framed-but-invalid dropped" `Quick
             test_store_invalid_record_dropped;
+          Alcotest.test_case "oversized n_vars certificate dropped" `Quick
+            test_store_oversized_cert_dropped;
           Alcotest.test_case "serve.store.torn faultpoint" `Quick
             test_store_torn_faultpoint;
           Alcotest.test_case "self-compaction" `Quick test_store_compaction;

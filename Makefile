@@ -98,13 +98,15 @@ count-smoke:
 ladder-smoke:
 	dune exec bench/main.exe -- --ladder --smoke
 
-# Repository-benchmark smoke (~30 s): each perfbench workload for 2 s
-# untraced, then certify-cold traced so its layer-coverage gate runs.
+# Repository-benchmark smoke (~35 s): each perfbench workload for 2 s
+# untraced, then certify-cold traced so its layer-coverage gate runs and
+# serve-hot traced so its in-process Protocol/Json replay and its hit
+# ratio gate run.
 # Fails unless every result line reports "correct": true and "failed": 0.
 PERFBENCH_OK = python3 -c 'import json, sys; r = json.loads(sys.stdin.read().splitlines()[-1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 
 perfbench-smoke:
-	@for run in paper-batch:0 certify-cold:0 serve-hot:0 serve-churn:0 certify-cold:1; do \
+	@for run in paper-batch:0 certify-cold:0 serve-hot:0 serve-churn:0 certify-cold:1 serve-hot:1; do \
 	  w=$${run%:*}; tr=$${run#*:}; \
 	  echo "perfbench-smoke: $$w --trace $$tr"; \
 	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace $$tr) \

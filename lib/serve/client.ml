@@ -36,15 +36,7 @@ let close c =
     try Unix.close c.fd with _ -> ()
   end
 
-let send_raw c s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      let w = try Unix.write c.fd b off (n - off) with Unix.Unix_error (EINTR, _, _) -> 0 in
-      go (off + w)
-  in
-  go 0
+let send_raw c s = Wire.write_all c.fd s
 
 let read_reply c =
   match Wire.read_frame c.fd with

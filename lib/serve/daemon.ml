@@ -57,7 +57,7 @@ type t = {
   unlink_path : string option;
   compute : compute;
   store : Store.t option;
-  cache : Protocol.answer Lru.t;
+  cache : string Lru.t;  (* query key -> encoded answer sub-document *)
   nets : (string, Nn.Qnet.t) Hashtbl.t;
   nets_lock : Mutex.t;
   stop_token : Resil.Budget.token;
@@ -155,32 +155,33 @@ let find_net t digest =
   Mutex.unlock t.nets_lock;
   r
 
-(* Weigh cache entries by the bytes of the encoded answer sub-document —
-   the thing a cache hit actually holds on to (certificates dominate). *)
-let answer_weight answer =
-  String.length (Util.Json.to_string (Protocol.answer_json answer))
+(* A query's reply before framing. An answer travels as its encoded
+   sub-document ([Protocol.encode_answer], rendered once), which is what
+   the cache holds and what [Protocol.encode_answer_reply] splices into
+   the envelope. *)
+type outcome = Encoded of { cached : bool; answer : string } | Reply of Protocol.reply
 
-(* A decided answer enters the LRU and, write-through, the journal. *)
-let cache_answer t key answer =
-  if Protocol.answer_decided answer then begin
-    Lru.add ~weight:(answer_weight answer) t.cache key answer;
-    match t.store with Some s -> Store.append s ~key answer | None -> ()
-  end
-
+(* A decided answer enters the LRU and, write-through, the journal, as
+   the bytes its reply carries. Entries weigh their byte length:
+   certificates dominate. *)
 let served_answer t key answer =
-  cache_answer t key answer;
+  let bytes = Protocol.encode_answer answer in
+  if Protocol.answer_decided answer then begin
+    Lru.add ~weight:(String.length bytes) t.cache key bytes;
+    match t.store with Some s -> Store.append_encoded s ~key bytes | None -> ()
+  end;
   Atomic.incr t.served;
   Obs.Metrics.incr m_served;
-  Protocol.Answer { cached = false; answer }
+  Encoded { cached = false; answer = bytes }
 
 let failed_reply t reply =
   Atomic.incr t.failed;
   Obs.Metrics.incr m_failed;
-  reply
+  Reply reply
 
 (* Run one admitted query on the compute backend and account for the
    outcome. *)
-let compute_query t ~key ~digest ~query ~budget net : Protocol.reply =
+let compute_query t ~key ~digest ~query ~budget net =
   let since = Obs.Clock.now_ns () in
   match t.compute with
   | In_process pool -> (
@@ -215,7 +216,7 @@ let compute_query t ~key ~digest ~query ~budget net : Protocol.reply =
              server error the client may retry — never a dead daemon *)
           failed_reply t (Protocol.Server_error msg))
 
-let handle_query t ~digest ~query ~budget : Protocol.reply =
+let handle_query t ~digest ~query ~budget =
   Atomic.incr t.submitted;
   Obs.Metrics.incr m_submitted;
   match find_net t digest with
@@ -227,7 +228,7 @@ let handle_query t ~digest ~query ~budget : Protocol.reply =
           Obs.Metrics.incr m_cache_hits;
           Atomic.incr t.served;
           Obs.Metrics.incr m_served;
-          Protocol.Answer { cached = true; answer }
+          Encoded { cached = true; answer }
       | None ->
           Obs.Metrics.incr m_cache_misses;
           (* Admission: claim a slot before touching the compute backend
@@ -238,7 +239,7 @@ let handle_query t ~digest ~query ~budget : Protocol.reply =
             Atomic.decr t.in_flight;
             Atomic.incr t.rejected;
             Obs.Metrics.incr m_rejected;
-            Protocol.Overloaded { in_flight = n; cap = t.cfg.cap }
+            Reply (Protocol.Overloaded { in_flight = n; cap = t.cfg.cap })
           end
           else
             Fun.protect
@@ -263,7 +264,7 @@ let handle_load t ~network : Protocol.reply =
 
 (* ---------- connection handling ---------- *)
 
-let send fd (env : Protocol.reply_envelope) =
+let send_payload fd payload =
   if Resil.Faultpoint.hit "serve.conn.reset" then begin
     (* chaos: the client connection drops just before the reply goes
        out — the daemon-side accounting already happened, the client
@@ -271,17 +272,14 @@ let send fd (env : Protocol.reply_envelope) =
     (try Unix.shutdown fd Unix.SHUTDOWN_ALL with _ -> ());
     raise (Unix.Unix_error (Unix.ECONNRESET, "send", "injected serve.conn.reset"))
   end;
-  Wire.write_frame fd (Protocol.encode_reply env)
+  Wire.write_frame fd payload
 
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go off =
-    if off < n then
-      let w = try Unix.write fd b off (n - off) with Unix.Unix_error (EINTR, _, _) -> 0 in
-      go (off + w)
-  in
-  go 0
+let send fd (env : Protocol.reply_envelope) = send_payload fd (Protocol.encode_reply env)
+
+let send_outcome fd rid = function
+  | Encoded { cached; answer } ->
+      send_payload fd (Protocol.encode_answer_reply ~rid ~cached answer)
+  | Reply reply -> send fd { rid; reply }
 
 (* Flush our side (FIN) and briefly drain whatever the peer still has in
    flight before the caller closes the fd: closing with unread bytes in
@@ -307,7 +305,7 @@ let http_scrape t fd =
       s.cache_len s.in_flight s.networks
       (Obs.Metrics.text_report ())
   in
-  write_all fd
+  Wire.write_all fd
     (Printf.sprintf
        "HTTP/1.0 200 OK\r\nContent-Type: text/plain\r\nContent-Length: %d\r\n\
         Connection: close\r\n\r\n%s"
@@ -328,7 +326,7 @@ let dispatch t fd rid (request : Protocol.request) =
       send fd { rid; reply = handle_load t ~network };
       true
   | Protocol.Query { digest; query; budget } ->
-      send fd { rid; reply = handle_query t ~digest ~query ~budget };
+      send_outcome fd rid (handle_query t ~digest ~query ~budget);
       true
   | Protocol.Metrics ->
       send fd
@@ -492,12 +490,14 @@ let run cfg =
         | Error _ -> None (* an unreadable journal must not block serving *)
         | Ok (s, recovered) ->
             (* warm the cache with recovered answers: every one of them
-               was re-validated by Store (certificates through lib/cert),
-               and re-encodes bit-identically because the cache stores
-               the decoded value and the codec is deterministic *)
+               was re-validated by Store (certificates through lib/cert).
+               The cache holds each answer's encoded bytes, which the
+               deterministic codec makes bit-identical to the cold
+               reply's, and hits splice them into the reply envelope *)
             List.iter
               (fun (key, answer) ->
-                Lru.add ~weight:(answer_weight answer) cache key answer)
+                let bytes = Protocol.encode_answer answer in
+                Lru.add ~weight:(String.length bytes) cache key bytes)
               recovered;
             let st = Store.stats s in
             Obs.Metrics.add m_store_recovered st.Store.recovered;

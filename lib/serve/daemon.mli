@@ -15,11 +15,14 @@
     with its cancellation token linked to the daemon's shutdown token —
     [stop] cancels stragglers cooperatively after the drain grace.
 
-    Cached answers are returned byte-identically: the cache stores the
-    decoded {!Protocol.answer} value and every reply is re-encoded by
-    the same deterministic codec, so a hit's [answer] sub-document
+    Cached answers are returned byte-identically: the cache stores each
+    decided answer's encoded sub-document ({!Protocol.encode_answer},
+    rendered once on the miss that computed it, whose own reply carries
+    the same bytes), and
+    a hit splices those bytes into the reply envelope with
+    {!Protocol.encode_answer_reply} — so a hit's [answer] sub-document
     equals the cold one's bit for bit (the E20 bench asserts this for
-    certificates).
+    certificates) and costs no re-encode.
 
     The same socket also answers an HTTP-style scrape: a connection
     whose first bytes are ["GET "] receives the plain-text metrics

@@ -7,8 +7,10 @@
     O(1) amortised (hash table + intrusive doubly-linked recency list).
 
     Weights default to 1, so a caller that never passes [?weight] gets
-    plain entry-count semantics. The daemon weighs entries by encoded
-    payload bytes — certificates dominate memory, not entry count.
+    plain entry-count semantics. The daemon stores each answer's encoded
+    bytes (the [answer] sub-document of its reply) and weighs an entry by
+    their length — certificates dominate memory, not entry count — and
+    serves a hit by splicing those bytes into the reply frame.
 
     Hit/miss/eviction counts are kept per cache (not process-wide) so
     tests and the metrics endpoint can report exact figures. *)

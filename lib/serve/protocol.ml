@@ -613,6 +613,25 @@ let reply_of_json j =
 let encode_reply { rid; reply } =
   J.to_string (envelope_json ~tag:"rep" ~rid (reply_json reply))
 
+let encode_answer answer = J.to_string (answer_json answer)
+
+(* The bytes [encode_reply] produces for an [Answer], around an answer
+   sub-document that is already encoded: the envelope's fields are
+   fixed, so only [rid], [cached] and the answer bytes vary. *)
+let answer_reply_head = "{\"v\":" ^ J.to_string (J.String version) ^ ",\"id\":"
+
+let encode_answer_reply ~rid ~cached answer =
+  String.concat ""
+    [
+      answer_reply_head;
+      string_of_int rid;
+      ",\"rep\":{\"op\":\"answer\",\"cached\":";
+      string_of_bool cached;
+      ",\"answer\":";
+      answer;
+      "}}";
+    ]
+
 let decode_reply s =
   total "reply" (fun j ->
       let rid, body = check_envelope ~tag:"rep" j in
@@ -650,6 +669,6 @@ let query_equal a b = J.to_string (query_json a) = J.to_string (query_json b)
 
 let request_equal a b = encode_request a = encode_request b
 
-let answer_equal a b = J.to_string (answer_json a) = J.to_string (answer_json b)
+let answer_equal a b = encode_answer a = encode_answer b
 
 let reply_equal a b = encode_reply a = encode_reply b

@@ -138,6 +138,16 @@ val decode_request : string -> (req_envelope, string) result
 val encode_reply : reply_envelope -> string
 val decode_reply : string -> (reply_envelope, string) result
 
+val encode_answer : answer -> string
+(** [Util.Json.to_string (answer_json answer)]: the answer sub-document
+    as its reply and its journal record carry it. *)
+
+val encode_answer_reply : rid:int -> cached:bool -> string -> string
+(** [encode_answer_reply ~rid ~cached (encode_answer answer)] is
+    byte-identical to [encode_reply { rid; reply = Answer { cached;
+    answer } }] without re-encoding the answer: the daemon's cache holds
+    those bytes, so a hit is this splice plus one frame write. *)
+
 val answer_json : answer -> Util.Json.t
 (** The [answer] sub-document exactly as [encode_reply] embeds it — the
     bytes the bench compares for cache-hit bit-identity. *)

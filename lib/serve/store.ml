@@ -36,9 +36,10 @@ let frame payload =
   Printf.sprintf "%d %016Lx\n%s\n" (String.length payload)
     (Resil.Ckpt.fnv1a64 payload) payload
 
+(* [J.to_string (Obj [("key", String key); ("answer", answer_json a)])],
+   around answer bytes that are already encoded. *)
 let payload_of ~key answer =
-  J.to_string
-    (J.Obj [ ("key", J.String key); ("answer", Protocol.answer_json answer) ])
+  String.concat "" [ "{\"key\":"; J.to_string (J.String key); ",\"answer\":"; answer; "}" ]
 
 (* One semantic gate for both recovery and compaction: the payload must
    decode, the answer must be cacheable, and a certified answer must
@@ -204,7 +205,8 @@ let compact_locked t oc =
   let tc = open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp in
   output_string tc header;
   List.iter
-    (fun (key, a, _) -> output_string tc (frame (payload_of ~key a)))
+    (fun (key, a, _) ->
+      output_string tc (frame (payload_of ~key (Protocol.encode_answer a))))
     live_records;
   close_out tc;
   Unix.rename tmp t.path;
@@ -215,7 +217,7 @@ let compact_locked t oc =
 let compaction_due t =
   t.file_bytes > max 65536 (2 * t.live_bytes)
 
-let append t ~key answer =
+let append_encoded t ~key answer =
   Mutex.lock t.lock;
   (match t.oc with
   | None -> ()  (* closed or disabled: daemon keeps serving from memory *)
@@ -251,6 +253,8 @@ let append t ~key answer =
         | None -> ());
         t.oc <- None));
   Mutex.unlock t.lock
+
+let append t ~key answer = append_encoded t ~key (Protocol.encode_answer answer)
 
 let close t =
   Mutex.lock t.lock;

@@ -63,6 +63,11 @@ val append : t -> key:string -> Protocol.answer -> unit
     failure (disk full, armed fault) disables the store — the daemon
     keeps serving from memory. *)
 
+val append_encoded : t -> key:string -> string -> unit
+(** [append_encoded t ~key (Protocol.encode_answer answer)] is
+    [append t ~key answer]: the same record, from the bytes the daemon
+    already encoded. *)
+
 val close : t -> unit
 (** Flush and close the journal. Idempotent, and serialised against
     in-flight appends and compaction, so closing mid-compaction can

@@ -41,7 +41,8 @@ let encode payload =
   Bytes.blit_string magic 0 b 0 4;
   be32_put b 4 n;
   Bytes.blit_string payload 0 b header_len n;
-  Bytes.to_string b
+  (* [b] never escapes or changes again: hand it out without a copy. *)
+  Bytes.unsafe_to_string b
 
 let decode buf =
   let len = String.length buf in
@@ -66,7 +67,7 @@ let decode buf =
 let really_read fd n =
   let b = Bytes.create n in
   let rec go off =
-    if off = n then `Ok (Bytes.to_string b)
+    if off = n then `Ok (Bytes.unsafe_to_string b)
     else
       match Unix.read fd b off (n - off) with
       | 0 -> `Eof off
@@ -108,14 +109,16 @@ let read_frame_after ~first fd =
     | `Eof _ -> Error Truncated
     | `Ok rest -> read_rest fd (first ^ rest)
 
-let write_frame fd payload =
-  let s = encode payload in
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
+let write_all fd s =
+  let n = String.length s in
   let rec go off =
     if off < n then
-      match Unix.write fd b off (n - off) with
+      match Unix.write_substring fd s off (n - off) with
       | k -> go (off + k)
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
+
+(* Header and payload leave in one buffer, through one write loop: a
+   separate header write would invite Nagle/delayed-ACK stalls. *)
+let write_frame fd payload = write_all fd (encode payload)

@@ -51,6 +51,10 @@ val read_frame_after : first:string -> Unix.file_descr -> (string, error) result
     the header while sniffing the connection type (the daemon reads 4
     bytes to distinguish frames from [GET ] scrapes). *)
 
+val write_all : Unix.file_descr -> string -> unit
+(** Write every byte of the string (handles short writes and [EINTR]).
+    Raises [Unix.Unix_error] on a broken pipe. *)
+
 val write_frame : Unix.file_descr -> string -> unit
 (** Write one complete frame (handles short writes). Raises
     [Unix.Unix_error] on a broken pipe — callers own the socket. *)

@@ -36,7 +36,9 @@ let rec emit buf ~indent ~level v =
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int n -> Buffer.add_string buf (string_of_int n)
-  | Float f -> Buffer.add_string buf (float_repr f)
+  | Float f ->
+      (* JSON has no infinities or NaN: emit what [of_string] reads back. *)
+      Buffer.add_string buf (if Float.is_finite f then float_repr f else "null")
   | String s ->
       Buffer.add_char buf '"';
       Buffer.add_string buf (escape s);
@@ -90,12 +92,21 @@ let pretty v = render ~indent:true v
 
 exception Parse_error of int * string
 
+(* Longest digit run the fast path reads straight into an [Int]: every
+   18-digit decimal is below [max_int] (about 4.6e18), so the
+   accumulator cannot overflow. *)
+let max_fast_digits = 18
+
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
 let of_string s =
   let len = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < len then Some s.[!pos] else None in
   let advance () = incr pos in
+  let at c = !pos < len && s.[!pos] = c in
   let skip_ws () =
     while
       !pos < len
@@ -104,11 +115,7 @@ let of_string s =
       advance ()
     done
   in
-  let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
+  let expect c = if at c then advance () else fail (Printf.sprintf "expected %C" c) in
   let literal word value =
     let n = String.length word in
     if !pos + n <= len && String.sub s !pos n = word then begin
@@ -162,13 +169,10 @@ let of_string s =
     loop ();
     Buffer.contents buf
   in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
+  (* Every number that is not a plain integer of at most
+     [max_fast_digits] digits, and every malformed one. *)
+  let parse_number_text start =
+    pos := start;
     while !pos < len && is_num_char s.[!pos] do
       advance ()
     done;
@@ -182,25 +186,47 @@ let of_string s =
       | Some n -> Int n
       | None -> fail (Printf.sprintf "bad number %S" text)
   in
+  (* Fast path: an optional '-' and 1 to [max_fast_digits] digits, ended
+     by end of input or a character that cannot continue a number, are
+     accumulated directly — no substring, no [int_of_string_opt]. *)
+  let parse_number () =
+    let start = !pos in
+    let neg = at '-' in
+    let first = if neg then start + 1 else start in
+    let i = ref first and acc = ref 0 in
+    while
+      !i < len
+      && !i - first < max_fast_digits
+      && match s.[!i] with '0' .. '9' -> true | _ -> false
+    do
+      acc := (10 * !acc) + (Char.code (s.[!i]) - Char.code '0');
+      incr i
+    done;
+    if !i > first && (!i >= len || not (is_num_char (s.[!i]))) then begin
+      pos := !i;
+      Int (if neg then - !acc else !acc)
+    end
+    else parse_number_text start
+  in
   let rec parse_value () =
     skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '"' -> String (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some '[' ->
+    if !pos >= len then fail "unexpected end of input";
+    match s.[!pos] with
+    | '"' -> String (parse_string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | '[' ->
         advance ();
         skip_ws ();
-        if peek () = Some ']' then begin
+        if at ']' then begin
           advance ();
           List []
         end
         else begin
           let items = ref [ parse_value () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             advance ();
             items := parse_value () :: !items;
             skip_ws ()
@@ -208,10 +234,10 @@ let of_string s =
           expect ']';
           List (List.rev !items)
         end
-    | Some '{' ->
+    | '{' ->
         advance ();
         skip_ws ();
-        if peek () = Some '}' then begin
+        if at '}' then begin
           advance ();
           Obj []
         end
@@ -225,7 +251,7 @@ let of_string s =
           in
           let fields = ref [ field () ] in
           skip_ws ();
-          while peek () = Some ',' do
+          while at ',' do
             advance ();
             fields := field () :: !fields;
             skip_ws ()
@@ -233,8 +259,8 @@ let of_string s =
           expect '}';
           Obj (List.rev !fields)
         end
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected %C" c)
+    | '-' | '0' .. '9' -> parse_number ()
+    | c -> fail (Printf.sprintf "unexpected %C" c)
   in
   match
     let v = parse_value () in

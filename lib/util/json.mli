@@ -16,14 +16,18 @@ type t =
   | Obj of (string * t) list
 
 val to_string : t -> string
-(** Compact single-line rendering. *)
+(** Compact single-line rendering. A non-finite [Float] (infinity, NaN)
+    has no JSON form and renders as [null], so {!of_string} reads every
+    rendering back. *)
 
 val pretty : t -> string
 (** Two-space-indented rendering for committed/benchmark artefacts. *)
 
 val of_string : string -> (t, string) result
 (** Parse a complete JSON document; the error string carries the failing
-    byte offset. Rejects trailing garbage. *)
+    byte offset. Rejects trailing garbage. An integer of at most 18
+    digits is read without allocating a substring; longer or malformed
+    numbers take the general path, with the same results and errors. *)
 
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] on other constructors. *)

@@ -521,6 +521,95 @@ let test_counted_cert_roundtrip () =
       Alcotest.(check string) "byte-identical after roundtrip" bytes (P.encode_reply e')
   | Error err -> Alcotest.failf "decode failed: %s" err
 
+(* The daemon serves an answer by splicing its cached encoded bytes into
+   the reply envelope; the splice must reproduce [encode_reply] exactly. *)
+let splice_matches ~rid ~cached answer =
+  P.encode_answer_reply ~rid ~cached (J.to_string (P.answer_json answer))
+  = P.encode_reply { P.rid; reply = P.Answer { cached; answer } }
+
+let prop_answer_reply_splice =
+  QCheck.Test.make ~name:"protocol: encode_answer_reply = encode_reply on Answer"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (rid, cached, a) ->
+         P.encode_reply { P.rid; reply = P.Answer { cached; answer = a } })
+       QCheck.Gen.(
+         triple
+           (oneof [ oneofl [ 0; 1; max_int ]; 0 -- 1_000_000; map abs int ])
+           bool gen_answer))
+    (fun (rid, cached, a) -> splice_matches ~rid ~cached a)
+
+(* Every answer form, each with the rids and flags at the edges,
+   including a real certificate of each kind and a real count
+   certificate. *)
+let test_answer_reply_splice_every_form () =
+  let net = toy_qnet () in
+  let label_of input = Nn.Qnet.predict net input in
+  let certified input delta =
+    let spec = N.symmetric ~delta ~bias_noise:false in
+    let cv = B.certified_exists_flip net spec ~input ~label:(label_of input) in
+    P.Certified { verdict = cv.B.cv_verdict; cert = cv.B.cv_cert }
+  in
+  (* [100; 100] is robust at ±2; [112; 87] sits next to the boundary. *)
+  let refutation = certified [| 100; 100 |] 2 in
+  let model = certified [| 112; 87 |] 2 in
+  (match (refutation, model) with
+  | ( P.Certified { cert = Some (Cert.Verdict.Refutation _); _ },
+      P.Certified { cert = Some (Cert.Verdict.Model _); _ } ) ->
+      ()
+  | _ -> Alcotest.fail "expected one refutation and one model certificate");
+  let counted =
+    let input = [| 112; 87 |] in
+    let r =
+      Fannet.Robustness.probability
+        ~mode:(Fannet.Robustness.Exact_mode { certify = true })
+        net (N.symmetric ~delta:2 ~bias_noise:false) ~input ~label:(label_of input)
+    in
+    Alcotest.(check bool) "count certificate present" true
+      (r.Fannet.Robustness.certificate <> None);
+    P.Counted
+      (Ok
+         {
+           P.flips = r.Fannet.Robustness.flips;
+           total = r.Fannet.Robustness.total;
+           count_cert = r.Fannet.Robustness.certificate;
+         })
+  in
+  let forms =
+    [
+      ("verdict robust", P.Verdict B.Robust);
+      ("verdict flip", P.Verdict (B.Flip { N.bias = -3; inputs = [| 4; -5 |] }));
+      ("verdict unknown", P.Verdict (B.Unknown Resil.Budget.Deadline));
+      ("min-flip ok", P.Min_flip (Ok (Some 7)));
+      ("min-flip none", P.Min_flip (Ok None));
+      ("min-flip error", P.Min_flip (Error Resil.Budget.Conflicts));
+      ( "sidedness",
+        P.Sidedness
+          (Ok
+             [|
+               { Fannet.Sensitivity.fs_node = 0; positive_flip = true; negative_flip = false };
+             |]) );
+      ("sidedness error", P.Sidedness (Error Resil.Budget.Memory));
+      ("certified refutation", refutation);
+      ("certified model", model);
+      ("certified none", P.Certified { verdict = B.Robust; cert = None });
+      ("counted with certificate", counted);
+      ("counted error", P.Counted (Error Resil.Budget.Deadline));
+    ]
+  in
+  List.iter
+    (fun (name, a) ->
+      List.iter
+        (fun rid ->
+          List.iter
+            (fun cached ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s, rid %d, cached %b" name rid cached)
+                true (splice_matches ~rid ~cached a))
+            [ false; true ])
+        [ 0; 1; max_int ])
+    forms
+
 (* ================================================================== *)
 (* LRU cache                                                           *)
 (* ================================================================== *)
@@ -1204,6 +1293,20 @@ let test_store_roundtrip () =
         (answer_bytes (List.assoc k recovered)))
     [ "k2"; "k3" ]
 
+let test_store_append_encoded_same_bytes () =
+  let net = toy_qnet () in
+  let entries = store_entries net in
+  let journal append =
+    with_store_path @@ fun path ->
+    let t, _ = ok (Serve.Store.open_ ~path) in
+    List.iter (fun (k, a) -> append t k a) entries;
+    Serve.Store.close t;
+    In_channel.with_open_bin path In_channel.input_all
+  in
+  Alcotest.(check string) "append_encoded writes append's record"
+    (journal (fun t key a -> Serve.Store.append t ~key a))
+    (journal (fun t key a -> Serve.Store.append_encoded t ~key (answer_bytes a)))
+
 let test_store_torn_tail () =
   with_store_path @@ fun path ->
   let net = toy_qnet () in
@@ -1342,6 +1445,84 @@ let test_store_compaction () =
     (answer_bytes (List.assoc "k" recovered))
 
 (* ================================================================== *)
+(* Raw reply frames: cache hits are the miss's bytes, spliced           *)
+(* ================================================================== *)
+
+let raw_connect d =
+  let domain, sockaddr =
+    match D.address d with
+    | D.Tcp (host, port) -> (Unix.PF_INET, Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
+    | D.Unix_path p -> (Unix.PF_UNIX, Unix.ADDR_UNIX p)
+  in
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  Unix.connect fd sockaddr;
+  fd
+
+(* One request, one reply payload exactly as it came off the socket. *)
+let raw_rpc fd rid request =
+  W.write_frame fd (P.encode_request { P.rid; request });
+  match W.read_frame fd with
+  | Ok payload -> payload
+  | Error e -> Alcotest.failf "raw reply frame: %s" (W.error_to_string e)
+
+(* The part of an Answer reply payload after its rid and cached flag,
+   checking that everything before it has the fixed envelope shape. *)
+let answer_tail ~rid ~cached payload =
+  let head =
+    Printf.sprintf {|{"v":"fannet-wire/1","id":%d,"rep":{"op":"answer","cached":%b,"answer":|}
+      rid cached
+  in
+  let n = String.length head in
+  if String.length payload < n || String.sub payload 0 n <> head then
+    Alcotest.failf "reply %d (cached %b) does not start with the answer envelope: %s" rid
+      cached
+      (String.sub payload 0 (min 120 (String.length payload)));
+  String.sub payload n (String.length payload - n)
+
+(* A robust certified query: its reply carries a DRUP refutation. *)
+let raw_certified_frames d ~rids =
+  let net = toy_qnet () in
+  let input = [| 100; 100 |] in
+  let label = Nn.Qnet.predict net input in
+  let fd = raw_connect d in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let digest =
+    match P.decode_reply (raw_rpc fd 1 (P.Load { network = Nn.Qnet.to_string net })) with
+    | Ok { P.reply = P.Loaded { digest }; _ } -> digest
+    | _ -> Alcotest.fail "load failed"
+  in
+  let q = P.Certify { spec = N.symmetric ~delta:2 ~bias_noise:false; input; label } in
+  List.map
+    (fun rid -> raw_rpc fd rid (P.Query { digest; query = q; budget = P.no_budget }))
+    rids
+
+let test_daemon_raw_frames_hit_is_spliced_miss () =
+  with_store_path @@ fun path ->
+  let miss_tail =
+    with_daemon ~store_path:path @@ fun d ->
+    match raw_certified_frames d ~rids:[ 11; 12 ] with
+    | [ miss; hit ] ->
+        let miss_tail = answer_tail ~rid:11 ~cached:false miss in
+        Alcotest.(check bool) "a certified answer with a refutation" true
+          (String.starts_with ~prefix:{|{"a":"certified"|} miss_tail
+          && contains miss_tail {|"kind":"refutation"|});
+        Alcotest.(check string) "hit = miss but for rid and cached"
+          miss_tail (answer_tail ~rid:12 ~cached:true hit);
+        miss_tail
+    | _ -> assert false
+  in
+  (* A restarted daemon serves the same bytes from its recovered journal. *)
+  with_daemon ~store_path:path @@ fun d ->
+  (match D.store_stats d with
+  | Some st -> Alcotest.(check int) "journal recovered" 1 st.Serve.Store.recovered
+  | None -> Alcotest.fail "store stats must be exposed");
+  match raw_certified_frames d ~rids:[ max_int ] with
+  | [ recovered ] ->
+      Alcotest.(check string) "recovered hit = miss but for rid and cached" miss_tail
+        (answer_tail ~rid:max_int ~cached:true recovered)
+  | _ -> assert false
+
+(* ================================================================== *)
 (* Supervised daemon + persistent store                                *)
 (* ================================================================== *)
 
@@ -1468,6 +1649,9 @@ let () =
           qc prop_request_roundtrip;
           qc prop_reply_roundtrip;
           qc prop_decode_total;
+          qc prop_answer_reply_splice;
+          Alcotest.test_case "answer splice, every form" `Quick
+            test_answer_reply_splice_every_form;
           Alcotest.test_case "version rejected" `Quick test_protocol_version_rejected;
           Alcotest.test_case "explicit limit survives" `Quick test_explicit_limit_survives;
           Alcotest.test_case "query_key ignores budget" `Quick test_query_key_ignores_budget;
@@ -1484,6 +1668,8 @@ let () =
       ( "store",
         [
           Alcotest.test_case "journal roundtrip, last-wins" `Quick test_store_roundtrip;
+          Alcotest.test_case "append_encoded = append" `Quick
+            test_store_append_encoded_same_bytes;
           Alcotest.test_case "torn tail truncated" `Quick test_store_torn_tail;
           Alcotest.test_case "framed-but-invalid dropped" `Quick
             test_store_invalid_record_dropped;
@@ -1507,6 +1693,8 @@ let () =
             test_daemon_unsupported_shape_typed_error;
           Alcotest.test_case "budget answers not cached" `Quick
             test_daemon_budget_answers_not_cached;
+          Alcotest.test_case "raw hit frames splice the miss bytes" `Quick
+            test_daemon_raw_frames_hit_is_spliced_miss;
         ] );
       ( "differential",
         [

@@ -487,6 +487,99 @@ let test_json_file_roundtrip () =
       | Ok v -> Alcotest.(check bool) "file roundtrip" true (v = sample_json)
       | Error e -> Alcotest.fail e)
 
+(* Pinned parser results: integers of up to 18 digits take a fast path
+   that must agree with the general one on every value and error. *)
+let test_json_numbers_pinned () =
+  let open Util.Json in
+  let shown = function
+    | Ok v -> "Ok " ^ to_string v
+    | Error e -> "Error " ^ e
+  in
+  let check input expected =
+    Alcotest.(check string) (Printf.sprintf "of_string %S" input) (shown expected)
+      (shown (of_string input))
+  in
+  let err at msg = Error (Printf.sprintf "JSON parse error at byte %d: %s" at msg) in
+  check "0" (Ok (Int 0));
+  check "-0" (Ok (Int 0));
+  check "007" (Ok (Int 7));
+  check "-" (err 1 {|bad number "-"|});
+  check "--1" (err 3 {|bad number "--1"|});
+  check "+1" (err 0 "unexpected '+'");
+  check "1-2" (err 3 {|bad number "1-2"|});
+  check "12a" (err 2 "trailing garbage");
+  check "1e3" (Ok (Float 1000.));
+  check "1.5" (Ok (Float 1.5));
+  check "-1.5e-3" (Ok (Float (-1.5e-3)));
+  check (string_of_int max_int) (Ok (Int max_int));
+  check (string_of_int min_int) (Ok (Int min_int));
+  check "4611686018427387904" (err 19 {|bad number "4611686018427387904"|});
+  check "123456789012345678" (Ok (Int 123456789012345678));
+  check "-999999999999999999" (Ok (Int (-999999999999999999)));
+  check "1234567890123456789" (Ok (Int 1234567890123456789));
+  check "-1234567890123456789" (Ok (Int (-1234567890123456789)));
+  check "12345678901234567890" (err 20 {|bad number "12345678901234567890"|});
+  check "[1,-2]" (Ok (List [ Int 1; Int (-2) ]));
+  check {|{"a":-12}|} (Ok (Obj [ ("a", Int (-12)) ]));
+  check "[3,4 ,5]" (Ok (List [ Int 3; Int 4; Int 5 ]));
+  check " 42 " (Ok (Int 42));
+  check "[7\n,8\t]" (Ok (List [ Int 7; Int 8 ]));
+  check "[9\r]" (Ok (List [ Int 9 ]))
+
+(* JSON has no infinities or NaN: they render as null, which parses. *)
+let test_json_non_finite_floats () =
+  let open Util.Json in
+  List.iter
+    (fun f ->
+      let v = Obj [ ("x", Float f); ("l", List [ Float f; Int 1 ]) ] in
+      Alcotest.(check string) (Printf.sprintf "%h renders null" f)
+        {|{"x":null,"l":[null,1]}|} (to_string v);
+      match of_string (pretty v) with
+      | Ok v' ->
+          Alcotest.(check bool) "reads back as null" true
+            (v' = Obj [ ("x", Null); ("l", List [ Null; Int 1 ]) ])
+      | Error e -> Alcotest.failf "own rendering rejected: %s" e)
+    [ infinity; neg_infinity; nan ]
+
+(* Trees whose every leaf [to_string] renders exactly: integers over the
+   whole [int] range, dyadic floats, arbitrary bytes in strings and
+   keys. *)
+let gen_json =
+  QCheck.Gen.(
+    let int_leaf =
+      oneof
+        [ int; oneofl [ 0; 1; -1; max_int; min_int; max_int - 1; min_int + 1 ]; -1000 -- 1000 ]
+    in
+    let leaf =
+      oneof
+        [
+          return Util.Json.Null;
+          map (fun b -> Util.Json.Bool b) bool;
+          map (fun n -> Util.Json.Int n) int_leaf;
+          map (fun k -> Util.Json.Float (float_of_int k /. 8.)) (-100_000 -- 100_000);
+          map (fun s -> Util.Json.String s) (string_size (0 -- 8));
+        ]
+    in
+    sized_size (0 -- 6)
+    @@ fix (fun self n ->
+           if n = 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun l -> Util.Json.List l) (list_size (0 -- 5) (self (n - 1))));
+                 ( 1,
+                   map
+                     (fun l -> Util.Json.Obj l)
+                     (list_size (0 -- 4) (pair (string_size (0 -- 6)) (self (n - 1)))) );
+               ]))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: of_string (to_string v) = Ok v" ~count:500
+    (QCheck.make ~print:Util.Json.to_string gen_json) (fun v ->
+      Util.Json.of_string (Util.Json.to_string v) = Ok v
+      && Util.Json.of_string (Util.Json.pretty v) = Ok v)
+
 (* ---------- Bigcount ---------- *)
 
 module Bc = Util.Bigcount
@@ -621,6 +714,9 @@ let () =
           Alcotest.test_case "member" `Quick test_json_member;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "file roundtrip" `Quick test_json_file_roundtrip;
+          Alcotest.test_case "numbers pinned" `Quick test_json_numbers_pinned;
+          Alcotest.test_case "non-finite floats" `Quick test_json_non_finite_floats;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
       ( "bigcount",
         [

@@ -32,13 +32,19 @@ certify-smoke:
 
 # Fault-injection smoke (~seconds): the full resilience suite (budget
 # exhaustion, cancellation, torn checkpoints, kill-and-resume, the
-# FANNET_FAULTS matrix), then two CLI runs under injected faults and a
-# tiny --timeout, asserting a typed exit 2 and a clean message - never
-# a crash or an uncaught exception.
+# FANNET_FAULTS matrix), then CLI runs under injected faults and a tiny
+# --timeout, asserting a typed exit 2 and a clean message - never a
+# crash or an uncaught exception. A solver OOM stops even an unbudgeted
+# sweep (no silent "0 misclassified"), and with no budget to double
+# --retries must not re-run it.
 faults-smoke:
 	dune exec test/test_resil.exe -- -q
 	dune exec bin/fannet_cli.exe -- tolerance --timeout 0.05; [ $$? -eq 2 ]
 	FANNET_FAULTS=backend.unknown dune exec bin/fannet_cli.exe -- tolerance; 	  [ $$? -eq 2 ]
+	FANNET_FAULTS=sat.oom dune exec bin/fannet_cli.exe -- sweep --backend smt; 	  [ $$? -eq 2 ]
+	FANNET_FAULTS=sat.oom dune exec bin/fannet_cli.exe -- sweep --backend smt \
+	  --retries 3 2>faults_smoke.err; rc=$$?; ! grep -q retrying faults_smoke.err; \
+	  ok=$$?; rm -f faults_smoke.err; [ $$rc -eq 2 ] && [ $$ok -eq 0 ]
 
 # Instrumented profile on the fast pipeline (~seconds): runs with the
 # observability registry enabled, prints the metrics table + span tree,

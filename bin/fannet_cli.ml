@@ -133,7 +133,8 @@ let max_mem_arg =
 let retries_arg =
   let doc =
     "Retry a budget-exhausted analysis up to $(docv) more times, doubling \
-     the time/conflict budget each attempt."
+     the time/conflict budget each attempt. Needs $(b,--timeout) or \
+     $(b,--max-mem): without a budget there is nothing to double."
   in
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
@@ -155,28 +156,40 @@ let exit_exhausted r =
     (Resil.Budget.reason_to_string r);
   exit 2
 
-(* Run [f] under the budget, retrying with a doubled budget on a
-   retryable exhaustion; the terminal [Error] exits 2 with the reason. *)
+(* Run [f] under the budget, retrying with a doubled budget when it
+   stops for a retryable reason. Without a budget there is nothing to
+   double, so the stop propagates at once (to [with_clean_errors]). *)
 let with_retries ~retries budget f =
   let rec go attempt budget =
     match f budget with
-    | Ok v -> v
-    | Error r when attempt < retries && Resil.Budget.retryable r ->
+    | v -> v
+    | exception Resil.Budget.Stopped r
+      when attempt < retries && budget <> None && Resil.Budget.retryable r ->
         Printf.eprintf
           "budget exhausted (%s); retrying with a doubled budget (attempt \
            %d/%d)\n%!"
           (Resil.Budget.reason_to_string r) (attempt + 1) retries;
         go (attempt + 1) (Option.map (Resil.Budget.scale ~by:2) budget)
-    | Error r -> exit_exhausted r
   in
   go 0 budget
 
 (* Checkpoint key mismatches surface as [Invalid_argument]: a usage
-   error, reported cleanly rather than as a backtrace. *)
+   error, reported cleanly rather than as a backtrace. A stopped
+   analysis exits 2 with its typed reason. *)
 let with_clean_errors f =
-  try f () with Invalid_argument msg | Failure msg ->
-    Printf.eprintf "error: %s\n%!" msg;
-    exit 2
+  try f () with
+  | Invalid_argument msg | Failure msg ->
+      Printf.eprintf "error: %s\n%!" msg;
+      exit 2
+  | Resil.Budget.Stopped r -> exit_exhausted r
+
+(* The counterexample corpus over every input; a budget stop raises. *)
+let corpus ?budget ~limit net spec ~inputs =
+  match
+    Fannet.Extract.for_inputs ~limit_per_input:limit ?budget net spec ~inputs
+  with
+  | _, Fannet.Extract.Budget r -> raise (Resil.Budget.Stopped r)
+  | cexs, (Fannet.Extract.Complete | Fannet.Extract.Truncated) -> cexs
 
 let pipeline dataset_seed init_seed =
   let config = { Fannet.Pipeline.default_config with dataset_seed; init_seed } in
@@ -271,20 +284,15 @@ let tolerance_cmd =
     let p = pipeline dataset_seed init_seed in
     let inputs = Fannet.Pipeline.analysis_inputs p in
     let bias_noise = bias_flag no_bias_noise in
-    let budget = budget_of timeout max_mem in
     let tol =
-      match (checkpoint, budget) with
-      | None, None ->
-          Fannet.Tolerance.network_tolerance backend p.qnet ~bias_noise
-            ~max_delta ~inputs
-      | Some path, _ ->
-          with_retries ~retries budget (fun budget ->
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          match checkpoint with
+          | None ->
+              Fannet.Tolerance.network_tolerance ?budget backend p.qnet
+                ~bias_noise ~max_delta ~inputs
+          | Some path ->
               Fannet.Tolerance.network_tolerance_ckpt ?budget ~checkpoint:path
                 backend p.qnet ~bias_noise ~max_delta ~inputs)
-      | None, Some _ ->
-          with_retries ~retries budget (fun budget ->
-              Fannet.Tolerance.network_tolerance_b ?budget backend p.qnet
-                ~bias_noise ~max_delta ~inputs)
     in
     Printf.printf "network noise tolerance: +-%d%% (probed up to +-%d%%, %d inputs)\n"
       tol max_delta (Array.length inputs)
@@ -306,12 +314,9 @@ let sweep_cmd =
     let bias_noise = bias_flag no_bias_noise in
     let deltas = [ 5; 10; 15; 20; 25; 30; 35; 40 ] in
     let sweep =
-      match budget_of timeout max_mem with
-      | None -> Fannet.Tolerance.sweep backend p.qnet ~bias_noise ~deltas ~inputs
-      | Some _ as budget ->
-          with_retries ~retries budget (fun budget ->
-              Fannet.Tolerance.sweep_b ?budget backend p.qnet ~bias_noise
-                ~deltas ~inputs)
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          Fannet.Tolerance.sweep ?budget backend p.qnet ~bias_noise ~deltas
+            ~inputs)
     in
     let table = Util.Table.create ~header:[ "noise range"; "misclassified"; "of" ] in
     List.iter
@@ -392,28 +397,10 @@ let sensitivity_cmd =
     let inputs = Fannet.Pipeline.analysis_inputs p in
     let bias_noise = bias_flag no_bias_noise in
     let spec = Fannet.Noise.symmetric ~delta ~bias_noise in
-    let budget = budget_of timeout max_mem in
     let cexs, sides =
-      match budget with
-      | None ->
-          let cexs, _ =
-            Fannet.Extract.for_inputs ~limit_per_input:limit p.qnet spec ~inputs
-          in
-          (cexs, Fannet.Sensitivity.formal_sidedness p.qnet spec ~inputs)
-      | Some _ ->
-          with_retries ~retries budget (fun budget ->
-              match
-                Fannet.Extract.for_inputs ~limit_per_input:limit ?budget p.qnet
-                  spec ~inputs
-              with
-              | _, Fannet.Extract.Budget r -> Error r
-              | cexs, (Fannet.Extract.Complete | Fannet.Extract.Truncated) -> (
-                  match
-                    Fannet.Sensitivity.formal_sidedness_b ?budget p.qnet spec
-                      ~inputs
-                  with
-                  | Error r -> Error r
-                  | Ok sides -> Ok (cexs, sides)))
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          let cexs = corpus ?budget ~limit p.qnet spec ~inputs in
+          (cexs, Fannet.Sensitivity.formal_sidedness ?budget p.qnet spec ~inputs))
     in
     let stats = Fannet.Sensitivity.per_node spec ~n_inputs:5 cexs in
     Array.iter (fun s -> print_endline (Fannet.Sensitivity.stats_to_string s)) stats;
@@ -439,13 +426,9 @@ let boundary_cmd =
     let inputs = Fannet.Pipeline.analysis_inputs p in
     let bias_noise = bias_flag no_bias_noise in
     let points =
-      match budget_of timeout max_mem with
-      | None ->
-          Fannet.Boundary.analyze backend p.qnet ~bias_noise ~max_delta ~inputs
-      | Some _ as budget ->
-          with_retries ~retries budget (fun budget ->
-              Fannet.Boundary.analyze_b ?budget backend p.qnet ~bias_noise
-                ~max_delta ~inputs)
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          Fannet.Boundary.analyze ?budget backend p.qnet ~bias_noise ~max_delta
+            ~inputs)
     in
     let table = Util.Table.create ~header:[ "input"; "true"; "min flip"; "margin" ] in
     Array.iter
@@ -480,18 +463,8 @@ let bias_cmd =
     let inputs = Fannet.Pipeline.analysis_inputs p in
     let spec = Fannet.Noise.symmetric ~delta ~bias_noise:(bias_flag no_bias_noise) in
     let cexs =
-      match budget_of timeout max_mem with
-      | None ->
-          fst (Fannet.Extract.for_inputs ~limit_per_input:limit p.qnet spec ~inputs)
-      | Some _ as budget ->
-          with_retries ~retries budget (fun budget ->
-              match
-                Fannet.Extract.for_inputs ~limit_per_input:limit ?budget p.qnet
-                  spec ~inputs
-              with
-              | _, Fannet.Extract.Budget r -> Error r
-              | cexs, (Fannet.Extract.Complete | Fannet.Extract.Truncated) ->
-                  Ok cexs)
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          corpus ?budget ~limit p.qnet spec ~inputs)
     in
     let report =
       Fannet.Bias.analyze ~n_classes:2
@@ -512,20 +485,17 @@ let minflip_cmd =
     let p = pipeline dataset_seed init_seed in
     let inputs = Fannet.Pipeline.analysis_inputs p in
     let spec = Fannet.Noise.symmetric ~delta ~bias_noise:(bias_flag no_bias_noise) in
-    let min_flip budget ~input ~label =
-      match budget with
-      | None -> Fannet.Bnb.min_l1_flip p.qnet spec ~input ~label
-      | Some _ ->
-          with_retries ~retries budget (fun budget ->
-              Fannet.Bnb.min_l1_flip_b ?budget p.qnet spec ~input ~label)
-    in
     let budget = budget_of timeout max_mem in
+    let min_flip ~input ~label =
+      with_retries ~retries budget (fun budget ->
+          Fannet.Bnb.min_l1_flip ?budget p.qnet spec ~input ~label)
+    in
     let table =
       Util.Table.create ~header:[ "input"; "true"; "min L1 noise"; "cheapest vector" ]
     in
     Array.iteri
       (fun i (input, label) ->
-        match min_flip budget ~input ~label with
+        match min_flip ~input ~label with
         | None ->
             Util.Table.add_row table
               [ string_of_int i; Printf.sprintf "L%d" label; "robust"; "-" ]
@@ -708,14 +678,9 @@ let certify_cmd =
     let budget = budget_of timeout max_mem in
     if bracket then begin
       let b =
-        match budget with
-        | None ->
-            Fannet.Tolerance.certified_min_flip_delta p.qnet ~bias_noise
-              ~max_delta ~input ~label
-        | Some _ ->
-            with_retries ~retries budget (fun budget ->
-                Fannet.Tolerance.certified_min_flip_delta_b ?budget p.qnet
-                  ~bias_noise ~max_delta ~input ~label)
+        with_retries ~retries budget (fun budget ->
+            Fannet.Tolerance.certified_min_flip_delta ?budget p.qnet
+              ~bias_noise ~max_delta ~input ~label)
       in
       (match
          Fannet.Tolerance.check_certified_bracket p.qnet ~bias_noise b ~input ~label
@@ -754,14 +719,11 @@ let certify_cmd =
             (cv, seed)
       in
       let cv, seed =
-        match budget with
-        | None -> certified ()
-        | Some _ ->
-            with_retries ~retries budget (fun budget ->
-                match certified ?budget () with
-                | { Fannet.Backend.cv_verdict = Fannet.Backend.Unknown r; _ }, _ ->
-                    Error r
-                | cv -> Ok cv)
+        with_retries ~retries budget (fun budget ->
+            match certified ?budget () with
+            | { Fannet.Backend.cv_verdict = Fannet.Backend.Unknown r; _ }, _ ->
+                raise (Resil.Budget.Stopped r)
+            | cv -> cv)
       in
       (match Fannet.Backend.check_certified p.qnet spec ~input ~label cv with
       | Ok () -> ()
@@ -1796,8 +1758,8 @@ let count_cmd =
                 ~ckpt_key p.qnet spec ~input ~label
             in
             match r.Fannet.Robustness.status with
-            | Error reason -> Error reason
-            | Ok () -> Ok r)
+            | Error reason -> raise (Resil.Budget.Stopped reason)
+            | Ok () -> r)
       in
       (match r.Fannet.Robustness.certificate with
       | None -> ()

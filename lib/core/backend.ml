@@ -65,8 +65,6 @@ let smt_exists_flip ?budget net spec ~input ~label =
 
 exception Found of Noise.vector
 
-exception Stop of Resil.Budget.reason
-
 let explicit_exists_flip ~limit ?budget net spec ~input ~label =
   let size = Noise.spec_size spec ~n_inputs:(Array.length input) in
   if size > limit then
@@ -76,17 +74,12 @@ let explicit_exists_flip ~limit ?budget net spec ~input ~label =
   try
     Noise.iter_vectors spec ~n_inputs:(Array.length input) (fun v ->
         incr count;
-        (match budget with
-        | Some b when !count land 1023 = 0 -> (
-            match Resil.Budget.check b with
-            | Some r -> raise (Stop r)
-            | None -> ())
-        | Some _ | None -> ());
+        if !count land 1023 = 0 then Resil.Budget.poll budget;
         if Noise.predict net spec ~input v <> label then raise (Found v));
     Robust
   with
   | Found v -> validate_flip net spec ~input ~label v
-  | Stop r -> Unknown r
+  | Resil.Budget.Stopped r -> Unknown r
 
 (* Interval propagation through all layers at the spec's running scale
    (reset to 1 after a Sign layer, whose outputs are scale-free ±1 —

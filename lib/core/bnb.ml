@@ -358,22 +358,11 @@ exception Found of int array
 
 exception Budget_exceeded
 
-exception Stop of Resil.Budget.reason
-
 (* Budget poll at box granularity: one check every 64 boxes (a box
    classification is itself O(neurons * dims) work per layer, so the
    amortized poll cost is negligible — the E18 bench measures it). *)
 let poll_budget budget boxes =
-  match budget with
-  | Some b when boxes land 63 = 0 -> (
-      match Resil.Budget.check b with Some r -> raise (Stop r) | None -> ())
-  | Some _ | None -> ()
-
-let entry_check budget =
-  match budget with
-  | Some b -> (
-      match Resil.Budget.check b with Some r -> raise (Stop r) | None -> ())
-  | None -> ()
+  if boxes land 63 = 0 then Resil.Budget.poll budget
 
 let exists_flip ?box ?max_boxes ?budget net spec ~input ~label =
   let m = build net spec ~input ~label in
@@ -416,7 +405,7 @@ let exists_flip ?box ?max_boxes ?budget net spec ~input ~label =
   in
   let lo, hi = initial_box ?box m spec in
   match
-    entry_check budget;
+    Resil.Budget.poll budget;
     go ~lo ~hi
   with
   | () -> Robust
@@ -425,7 +414,7 @@ let exists_flip ?box ?max_boxes ?budget net spec ~input ~label =
       if Noise.predict net spec ~input v = label then
         failwith "Bnb: witness does not actually misclassify";
       Flip v
-  | exception Stop r -> Unknown r
+  | exception Resil.Budget.Stopped r -> Unknown r
 
 (* Smallest possible L1 norm of a point in the box: per dimension the
    distance of the interval to zero. *)
@@ -440,7 +429,7 @@ let box_l1_lower ~lo ~hi =
 
 let point_l1 point = Array.fold_left (fun acc d -> acc + abs d) 0 point
 
-let min_l1_flip_b ?budget net spec ~input ~label =
+let min_l1_flip ?budget net spec ~input ~label =
   let m = build net spec ~input ~label in
   let boxes = ref 0 in
   (* Best-first over boxes keyed by (L1 lower bound, unique id). *)
@@ -487,21 +476,15 @@ let min_l1_flip_b ?budget net spec ~input ~label =
             end)
   in
   match
-    entry_check budget;
+    Resil.Budget.poll budget;
     search ()
   with
-  | None -> Ok None
+  | None -> None
   | Some point ->
       let v = vector_of_point spec ~n_inputs:(Array.length input) point in
       if Noise.predict net spec ~input v = label then
         failwith "Bnb: witness does not actually misclassify";
-      Ok (Some (v, point_l1 point))
-  | exception Stop r -> Error r
-
-let min_l1_flip net spec ~input ~label =
-  match min_l1_flip_b net spec ~input ~label with
-  | Ok r -> r
-  | Error _ -> assert false (* no budget, no Stop *)
+      Some (v, point_l1 point)
 
 exception Limit_reached
 
@@ -560,7 +543,7 @@ let enumerate_flips_from ?(limit = 10_000) ?budget ?(progress_every = 256)
     | [] -> `Complete
     | (lo, hi) :: rest ->
         incr boxes;
-        (* Poll before the pop: on a Stop the current box stays pending
+        (* Poll before the pop: on a stop the current box stays pending
            and the cursor is exact. *)
         poll_budget budget !boxes;
         pending := rest;
@@ -583,12 +566,12 @@ let enumerate_flips_from ?(limit = 10_000) ?budget ?(progress_every = 256)
   in
   let status =
     match
-      entry_check budget;
+      Resil.Budget.poll budget;
       loop ()
     with
     | s -> s
     | exception Limit_reached -> `Truncated
-    | exception Stop r -> `Budget r
+    | exception Resil.Budget.Stopped r -> `Budget r
   in
   (List.rev !fresh, status, cursor_now ())
 

@@ -119,6 +119,7 @@ val enumerate_flips_from :
     hook; it must not mutate the cursor. *)
 
 val min_l1_flip :
+  ?budget:Resil.Budget.t ->
   Nn.Qnet.t ->
   Noise.spec ->
   input:int array ->
@@ -128,17 +129,10 @@ val min_l1_flip :
     node noises) and its norm — the paper's "minimum noise (Δx)min"
     notion made precise. Best-first branch-and-bound: boxes are explored
     in order of their L1 lower bound, robust boxes pruned, so the first
-    flip found is optimal. [None] when the range is robust. *)
-
-val min_l1_flip_b :
-  ?budget:Resil.Budget.t ->
-  Nn.Qnet.t ->
-  Noise.spec ->
-  input:int array ->
-  label:int ->
-  ((Noise.vector * int) option, Resil.Budget.reason) result
-(** {!min_l1_flip} under a budget: [Error] when the best-first search was
-    stopped before the optimum was proved. *)
+    flip found is optimal. [None] when the range is robust. [budget]
+    (unlimited when omitted) is polled every 64 boxes; raises
+    {!Resil.Budget.Stopped} when the search is stopped before the
+    optimum is proved. *)
 
 val count_flips :
   ?limit:int ->

@@ -18,25 +18,18 @@ type point = {
 
 val analyze :
   ?jobs:int ->
-  Backend.t ->
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  max_delta:int ->
-  inputs:Validate.labelled array ->
-  point array
-
-val analyze_b :
-  ?jobs:int ->
   ?budget:Resil.Budget.t ->
   Backend.t ->
   Nn.Qnet.t ->
   bias_noise:bool ->
   max_delta:int ->
   inputs:Validate.labelled array ->
-  (point array, Resil.Budget.reason) result
-(** {!analyze} under a {!Resil.Budget}: the per-input binary searches stop
-    cooperatively on exhaustion and the call returns [Error] with the
-    first reason observed rather than a partial point set. *)
+  point array
+(** One point per input, in input order, from a per-input
+    {!Tolerance.input_min_flip_delta} fanned out over a {!Util.Parallel}
+    pool. [?budget] (unlimited when omitted) is shared by every search;
+    raises {!Resil.Budget.Stopped} with the first reason observed when
+    any search stops, rather than return a partial point set. *)
 
 val near_boundary : point array -> threshold:int -> point array
 (** Points flipping within ±threshold. *)

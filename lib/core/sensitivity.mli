@@ -49,6 +49,7 @@ type engine =
 val formal_sidedness :
   ?jobs:int ->
   ?engine:engine ->
+  ?budget:Resil.Budget.t ->
   Nn.Qnet.t ->
   Noise.spec ->
   inputs:Validate.labelled array ->
@@ -59,21 +60,14 @@ val formal_sidedness :
     some input has a flipping vector whose [i]-component is >= +1 (other
     nodes range freely). A node with [positive_flip = false] is the
     paper's "extremely insensitive to positive noise" case (its i5).
-    Both engines are complete, so the answer is engine-independent. *)
+    Both engines are complete, so the answer is engine-independent.
 
-val formal_sidedness_b :
-  ?jobs:int ->
-  ?engine:engine ->
-  ?budget:Resil.Budget.t ->
-  Nn.Qnet.t ->
-  Noise.spec ->
-  inputs:Validate.labelled array ->
-  (formal_side array, Resil.Budget.reason) result
-(** {!formal_sidedness} under a budget: the per-node one-sided queries
-    propagate the budget into the branch-and-bound engine and the worker
-    pool stops cooperatively on exhaustion, returning [Error] with the
-    first reason observed instead of a partial (and therefore
-    misleading) sidedness table. *)
+    [?budget] (unlimited when omitted) is propagated into every
+    one-sided query and polled by the pool. Raises
+    {!Resil.Budget.Stopped} with the first reason observed when a query
+    stops — budget exhaustion, cancellation, or (with the [Smt] engine)
+    a solver out of memory, even without a budget — rather than return
+    a partial, and therefore misleading, sidedness table. *)
 
 val formal_side_to_side : formal_side -> side
 

@@ -19,100 +19,29 @@ let note_probe delta =
   Obs.Metrics.incr m_probes;
   Obs.Metrics.set_gauge g_last_delta (float_of_int delta)
 
-(* A budget stop inside a probe unwinds with this local exception; the
-   [_b] entry points catch it and the unbudgeted legacy paths cannot
-   trigger it. *)
-exception Stopped of Resil.Budget.reason
-
-(* The reason to report when a budgeted parallel batch stopped: a reason a
-   worker recorded wins, then whatever the budget itself observed, with
-   [Cancelled] as the only remaining possibility (an external token was
-   pulled between polls). *)
-let first_reason budget (failed : Resil.Budget.reason option Atomic.t) =
-  match Atomic.get failed with
-  | Some r -> r
-  | None -> (
-      match Option.bind budget Resil.Budget.why with
-      | Some r -> r
-      | None -> Resil.Budget.Cancelled)
-
-let budget_stop budget (failed : Resil.Budget.reason option Atomic.t) () =
-  Atomic.get failed <> None
-  || (match budget with Some b -> Resil.Budget.check b <> None | None -> false)
-
-(* Legacy (unbudgeted) entry points can still see a [Stopped] from below:
-   the solver converts a genuine or injected [Out_of_memory] into a typed
-   Unknown even when no budget was supplied. Surface it as a [Failure]
-   (the CLI's clean-error path) rather than leaking the local exception. *)
-let stopped_to_failure f =
-  try f ()
-  with Stopped r ->
-    failwith
-      (Printf.sprintf "Tolerance: analysis stopped (%s); rerun with a budget"
-         (Resil.Budget.reason_to_string r))
-
-let misclassified_at ?jobs backend net ~bias_noise ~delta ~inputs =
+let misclassified_at ?jobs ?budget backend net ~bias_noise ~delta ~inputs =
   let spec = Noise.symmetric ~delta ~bias_noise in
   Obs.Span.with_ (Printf.sprintf "tolerance.misclassified_at ±%d%%" delta) (fun () ->
       note_probe delta;
-      Util.Parallel.filter_mapi ?jobs
+      Resil.Budget.parallel_filter_mapi ?jobs ?budget
         (fun input_index (input, label) ->
-          match Backend.exists_flip backend net spec ~input ~label with
+          match Backend.exists_flip ?budget backend net spec ~input ~label with
           | Backend.Flip vector ->
               let predicted = Noise.predict net spec ~input vector in
               Some { input_index; vector; predicted }
-          | Backend.Robust | Backend.Unknown _ -> None)
+          | Backend.Robust | Backend.Unknown Resil.Budget.Incomplete -> None
+          | Backend.Unknown r -> raise (Resil.Budget.Stopped r))
         inputs)
 
-let misclassified_at_b ?jobs ?budget backend net ~bias_noise ~delta ~inputs =
-  let spec = Noise.symmetric ~delta ~bias_noise in
-  let failed : Resil.Budget.reason option Atomic.t = Atomic.make None in
-  let note r = ignore (Atomic.compare_and_set failed None (Some r)) in
-  Obs.Span.with_ (Printf.sprintf "tolerance.misclassified_at ±%d%%" delta) (fun () ->
-      note_probe delta;
-      match
-        Util.Parallel.filter_mapi_until ?jobs ~stop:(budget_stop budget failed)
-          (fun input_index (input, label) ->
-            Resil.Faultpoint.guard "worker.raise"
-              (Failure "injected fault: tolerance worker raised");
-            match Backend.exists_flip ?budget backend net spec ~input ~label with
-            | Backend.Flip vector ->
-                let predicted = Noise.predict net spec ~input vector in
-                Some { input_index; vector; predicted }
-            | Backend.Robust | Backend.Unknown Resil.Budget.Incomplete -> None
-            | Backend.Unknown r ->
-                note r;
-                None)
-          inputs
-      with
-      | Error () -> Error (first_reason budget failed)
-      | Ok flips -> (
-          match Atomic.get failed with Some r -> Error r | None -> Ok flips))
-
-let sweep ?jobs backend net ~bias_noise ~deltas ~inputs =
+let sweep ?jobs ?budget backend net ~bias_noise ~deltas ~inputs =
   Obs.Span.with_ "tolerance.sweep" (fun () ->
       List.map
         (fun delta ->
-          let flips = misclassified_at ?jobs backend net ~bias_noise ~delta ~inputs in
+          let flips =
+            misclassified_at ?jobs ?budget backend net ~bias_noise ~delta ~inputs
+          in
           { delta; n_misclassified = List.length flips; flips })
         deltas)
-
-let sweep_b ?jobs ?budget backend net ~bias_noise ~deltas ~inputs =
-  Obs.Span.with_ "tolerance.sweep" (fun () ->
-      let rec go acc = function
-        | [] -> Ok (List.rev acc)
-        | delta :: rest -> (
-            match
-              misclassified_at_b ?jobs ?budget backend net ~bias_noise ~delta
-                ~inputs
-            with
-            | Error r -> Error r
-            | Ok flips ->
-                go
-                  ({ delta; n_misclassified = List.length flips; flips } :: acc)
-                  rest)
-      in
-      go [] deltas)
 
 let flips_at ?budget backend net ~bias_noise ~delta ~input ~label =
   let spec = Noise.symmetric ~delta ~bias_noise in
@@ -122,7 +51,7 @@ let flips_at ?budget backend net ~bias_noise ~delta ~input ~label =
   | Backend.Robust -> false
   | Backend.Unknown Resil.Budget.Incomplete ->
       failwith "Tolerance: backend cannot decide; use a complete backend"
-  | Backend.Unknown r -> raise (Stopped r)
+  | Backend.Unknown r -> raise (Resil.Budget.Stopped r)
 
 (* Shared monotone binary search: [flips lo = false], [flips hi = true];
    returns the smallest delta that flips. *)
@@ -151,9 +80,9 @@ let smt_min_flip_delta ?budget ~prefilter net ~bias_noise ~max_delta ~input
     with
     | Ok flips -> flips
     | Error r ->
-        (* Only a budget can interrupt this search (no conflict cap is
-           passed), so an unknown is always a typed stop. *)
-        raise (Stopped r)
+        (* No conflict cap is passed, so an unknown is always a typed
+           stop: the budget, or the solver out of memory. *)
+        raise (Resil.Budget.Stopped r)
   in
   let flips delta =
     note_probe delta;
@@ -180,7 +109,7 @@ type certified_bracket = {
    assumption literals, but with a DRUP trace attached and a certificate
    snapshotted at every probe. No interval prefilter — a prefilter answer
    carries no proof, and the bracket must be certified at both ends. *)
-let certified_min_flip_impl ?budget net ~bias_noise ~max_delta ~input ~label =
+let certified_min_flip_delta ?budget net ~bias_noise ~max_delta ~input ~label =
   if max_delta < 0 then invalid_arg "Tolerance: negative max_delta";
   let spec = Noise.symmetric ~delta:max_delta ~bias_noise in
   let enc = Encode.encode net ~input spec in
@@ -210,7 +139,7 @@ let certified_min_flip_impl ?budget net ~bias_noise ~max_delta ~input ~label =
         (fun () -> Smtlite.Solve.solve_certified ~assumptions ?budget session)
     in
     match outcome with
-    | Smtlite.Solve.Unknown r -> raise (Stopped r)
+    | Smtlite.Solve.Unknown r -> raise (Resil.Budget.Stopped r)
     | (Smtlite.Solve.Unsat | Smtlite.Solve.Sat _) as outcome -> (
         let cert =
           match cert with
@@ -272,15 +201,6 @@ let certified_min_flip_impl ?budget net ~bias_noise ~max_delta ~input ~label =
             in
             go (0, c0) (max_delta, v, cert))
 
-let certified_min_flip_delta net ~bias_noise ~max_delta ~input ~label =
-  stopped_to_failure (fun () ->
-      certified_min_flip_impl net ~bias_noise ~max_delta ~input ~label)
-
-let certified_min_flip_delta_b ?budget net ~bias_noise ~max_delta ~input ~label =
-  match certified_min_flip_impl ?budget net ~bias_noise ~max_delta ~input ~label with
-  | bracket -> Ok bracket
-  | exception Stopped r -> Error r
-
 let check_certified_bracket net ~bias_noise bracket ~input ~label =
   let check_refutation (delta, cert) =
     ignore delta;
@@ -325,7 +245,7 @@ let check_certified_bracket net ~bias_noise bracket ~input ~label =
         check_refutation rc
   | _ -> Error "bracket shape is inconsistent"
 
-let input_min_flip_impl ?budget backend net ~bias_noise ~max_delta ~input
+let input_min_flip_delta ?budget backend net ~bias_noise ~max_delta ~input
     ~label =
   if max_delta < 0 then invalid_arg "Tolerance: negative max_delta";
   match backend with
@@ -348,16 +268,6 @@ let input_min_flip_impl ?budget backend net ~bias_noise ~max_delta ~input
            range (delta 0 never flips a correctly classified input). *)
         Some (bisect flips 0 max_delta)
 
-let input_min_flip_delta backend net ~bias_noise ~max_delta ~input ~label =
-  stopped_to_failure (fun () ->
-      input_min_flip_impl backend net ~bias_noise ~max_delta ~input ~label)
-
-let input_min_flip_delta_b ?budget backend net ~bias_noise ~max_delta ~input
-    ~label =
-  match input_min_flip_impl ?budget backend net ~bias_noise ~max_delta ~input ~label with
-  | v -> Ok v
-  | exception Stopped r -> Error r
-
 let certified_accuracy ?jobs backend net ~bias_noise ~delta ~inputs =
   if Array.length inputs = 0 then invalid_arg "Tolerance.certified_accuracy: empty";
   let spec = Noise.symmetric ~delta ~bias_noise in
@@ -376,7 +286,6 @@ let certified_accuracy ?jobs backend net ~bias_noise ~delta ~inputs =
 
 let paper_iterative_tolerance ?jobs backend net ~bias_noise ~max_delta ~inputs =
   if max_delta < 0 then invalid_arg "Tolerance: negative max_delta";
-  stopped_to_failure @@ fun () ->
   let any_flip delta =
     Util.Parallel.exists ?jobs
       (fun (input, label) -> flips_at backend net ~bias_noise ~delta ~input ~label)
@@ -389,48 +298,16 @@ let paper_iterative_tolerance ?jobs backend net ~bias_noise ~max_delta ~inputs =
   in
   reduce max_delta
 
-let network_tolerance ?jobs backend net ~bias_noise ~max_delta ~inputs =
-  stopped_to_failure @@ fun () ->
+let network_tolerance ?jobs ?budget backend net ~bias_noise ~max_delta ~inputs =
   Obs.Span.with_ "tolerance.network_tolerance" (fun () ->
-      Util.Parallel.map ?jobs
-        (fun (input, label) ->
-          input_min_flip_delta backend net ~bias_noise ~max_delta ~input ~label)
+      Resil.Budget.parallel_mapi ?jobs ?budget
+        (fun _ (input, label) ->
+          input_min_flip_delta ?budget backend net ~bias_noise ~max_delta ~input
+            ~label)
         inputs
       |> Array.fold_left
            (fun acc -> function None -> acc | Some d -> min acc (d - 1))
            max_delta)
-
-let network_tolerance_b ?jobs ?budget backend net ~bias_noise ~max_delta
-    ~inputs =
-  Obs.Span.with_ "tolerance.network_tolerance" (fun () ->
-      let failed : Resil.Budget.reason option Atomic.t = Atomic.make None in
-      let note r = ignore (Atomic.compare_and_set failed None (Some r)) in
-      match
-        Util.Parallel.map_until ?jobs ~stop:(budget_stop budget failed)
-          (fun _ (input, label) ->
-            Resil.Faultpoint.guard "worker.raise"
-              (Failure "injected fault: tolerance worker raised");
-            match
-              input_min_flip_impl ?budget backend net ~bias_noise ~max_delta
-                ~input ~label
-            with
-            | v -> Some v
-            | exception Stopped r ->
-                note r;
-                None)
-          inputs
-      with
-      | Error () -> Error (first_reason budget failed)
-      | Ok per_input -> (
-          match Atomic.get failed with
-          | Some r -> Error r
-          | None ->
-              Ok
-                (Array.fold_left
-                   (fun acc -> function
-                     | Some (Some d) -> min acc (d - 1)
-                     | Some None | None -> acc)
-                   max_delta per_input)))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointed network tolerance (format fannet-ckpt/1, kind          *)
@@ -532,18 +409,13 @@ let network_tolerance_ckpt ?budget ~checkpoint backend net ~bias_noise
     Resil.Ckpt.save ~kind:"tolerance" ~path:checkpoint
       (tol_ckpt_to_json ~key (List.rev !done_rev) !cur)
   in
-  let exception Out of Resil.Budget.reason in
   let probe ~input ~label delta =
-    (match Option.bind budget Resil.Budget.check with
-    | Some r ->
-        save ();
-        raise (Out r)
-    | None -> ());
-    match flips_at ?budget backend net ~bias_noise ~delta ~input ~label with
-    | b -> b
-    | exception Stopped r ->
-        save ();
-        raise (Out r)
+    try
+      Resil.Budget.poll budget;
+      flips_at ?budget backend net ~bias_noise ~delta ~input ~label
+    with Resil.Budget.Stopped _ as stop ->
+      save ();
+      raise stop
   in
   let push r =
     done_rev := r :: !done_rev;
@@ -551,33 +423,28 @@ let network_tolerance_ckpt ?budget ~checkpoint backend net ~bias_noise
     incr i;
     save ()
   in
-  match
-    Obs.Span.with_ "tolerance.network_tolerance" (fun () ->
-        while !i < Array.length inputs do
-          let input, label = inputs.(!i) in
-          match !cur with
-          | Start ->
-              if not (probe ~input ~label max_delta) then push None
-              else if probe ~input ~label 0 then push (Some 0)
-              else begin
-                cur := Bracket (0, max_delta);
-                save ()
-              end
-          | Bracket (lo, hi) ->
-              if hi - lo <= 1 then push (Some hi)
-              else begin
-                let mid = (lo + hi) / 2 in
-                cur :=
-                  (if probe ~input ~label mid then Bracket (lo, mid)
-                   else Bracket (mid, hi));
-                save ()
-              end
-        done)
-  with
-  | () ->
-      if Sys.file_exists checkpoint then Sys.remove checkpoint;
-      Ok
-        (List.fold_left
-           (fun acc -> function None -> acc | Some d -> min acc (d - 1))
-           max_delta (List.rev !done_rev))
-  | exception Out r -> Error r
+  Obs.Span.with_ "tolerance.network_tolerance" (fun () ->
+      while !i < Array.length inputs do
+        let input, label = inputs.(!i) in
+        match !cur with
+        | Start ->
+            if not (probe ~input ~label max_delta) then push None
+            else if probe ~input ~label 0 then push (Some 0)
+            else begin
+              cur := Bracket (0, max_delta);
+              save ()
+            end
+        | Bracket (lo, hi) ->
+            if hi - lo <= 1 then push (Some hi)
+            else begin
+              let mid = (lo + hi) / 2 in
+              cur :=
+                (if probe ~input ~label mid then Bracket (lo, mid)
+                 else Bracket (mid, hi));
+              save ()
+            end
+      done);
+  if Sys.file_exists checkpoint then Sys.remove checkpoint;
+  List.fold_left
+    (fun acc -> function None -> acc | Some d -> min acc (d - 1))
+    max_delta (List.rev !done_rev)

@@ -7,7 +7,15 @@
     The per-sample queries are independent, so every per-input loop here
     fans out over a {!Util.Parallel} domain pool ([?jobs], defaulting to
     the process-wide setting). Each worker builds its own solver session;
-    results are deterministic and identical at every jobs count. *)
+    results are deterministic and identical at every jobs count.
+
+    Every analysis takes an optional {!Resil.Budget} ([?budget],
+    unlimited when omitted) that is propagated into each backend query
+    and polled by the worker pool. An analysis that cannot decide
+    raises {!Resil.Budget.Stopped} with the reason — budget exhaustion,
+    cancellation, or a solver out of memory (reported as [Memory] even
+    without a budget) — once, on the calling domain, after the pool has
+    drained; it never returns a partial answer. *)
 
 type flip = { input_index : int; vector : Noise.vector; predicted : int }
 
@@ -19,6 +27,7 @@ type sweep_point = {
 
 val misclassified_at :
   ?jobs:int ->
+  ?budget:Resil.Budget.t ->
   Backend.t ->
   Nn.Qnet.t ->
   bias_noise:bool ->
@@ -28,25 +37,11 @@ val misclassified_at :
 (** One witness per input that some vector in ±delta flips. With the
     [Interval] backend, inputs that cannot be proven robust are *not*
     reported as flips (it has no witnesses) — use a complete backend for
-    counting. *)
-
-val misclassified_at_b :
-  ?jobs:int ->
-  ?budget:Resil.Budget.t ->
-  Backend.t ->
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  delta:int ->
-  inputs:Validate.labelled array ->
-  (flip list, Resil.Budget.reason) result
-(** {!misclassified_at} under a {!Resil.Budget}: the budget is propagated
-    into every backend query and the worker pool stops cooperatively on
-    exhaustion, returning [Error] with the first reason observed. A
-    backend's own incompleteness ([Unknown Incomplete]) still counts as
-    "no witness", exactly as in the unbudgeted variant. *)
+    counting. Any other [Unknown r] raises [Resil.Budget.Stopped r]. *)
 
 val sweep :
   ?jobs:int ->
+  ?budget:Resil.Budget.t ->
   Backend.t ->
   Nn.Qnet.t ->
   bias_noise:bool ->
@@ -54,22 +49,12 @@ val sweep :
   inputs:Validate.labelled array ->
   sweep_point list
 (** Misclassification counts per noise range — the data behind the paper's
-    Fig. 4 scatter (ranges ±5 ... ±40). *)
-
-val sweep_b :
-  ?jobs:int ->
-  ?budget:Resil.Budget.t ->
-  Backend.t ->
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  deltas:int list ->
-  inputs:Validate.labelled array ->
-  (sweep_point list, Resil.Budget.reason) result
-(** {!sweep} under a budget shared across all deltas; [Error] as soon as
-    one delta's batch exhausts it. *)
+    Fig. 4 scatter (ranges ±5 ... ±40). One budget is shared across all
+    deltas; raises [Resil.Budget.Stopped] as {!misclassified_at} does. *)
 
 val network_tolerance :
   ?jobs:int ->
+  ?budget:Resil.Budget.t ->
   Backend.t ->
   Nn.Qnet.t ->
   bias_noise:bool ->
@@ -81,20 +66,9 @@ val network_tolerance :
     search per input (sound because flip-ability is monotone in Δ), which
     matches the paper's iterative reduce-the-noise procedure but with
     logarithmically many solver queries. Returns [max_delta] when even the
-    full range is safe. *)
-
-val network_tolerance_b :
-  ?jobs:int ->
-  ?budget:Resil.Budget.t ->
-  Backend.t ->
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  max_delta:int ->
-  inputs:Validate.labelled array ->
-  (int, Resil.Budget.reason) result
-(** {!network_tolerance} under a budget: exhaustion anywhere in the
-    per-input binary searches stops the whole pool and yields [Error]
-    (a partial minimum would silently overstate the tolerance). *)
+    full range is safe. Raises [Resil.Budget.Stopped] when any per-input
+    search stops (a partial minimum would overstate the tolerance), and
+    [Failure] when the backend is incomplete ([Interval]). *)
 
 val network_tolerance_ckpt :
   ?budget:Resil.Budget.t ->
@@ -104,7 +78,7 @@ val network_tolerance_ckpt :
   bias_noise:bool ->
   max_delta:int ->
   inputs:Validate.labelled array ->
-  (int, Resil.Budget.reason) result
+  int
 (** {!network_tolerance} with checkpoint/resume: the per-input results and
     the in-flight bisection bracket are persisted to [checkpoint] in
     [fannet-ckpt/1] format (kind ["tolerance"], atomic tmp+rename) after
@@ -112,8 +86,10 @@ val network_tolerance_ckpt :
     network, inputs, range — validated by digest) resumes there, repeating
     at most two probes. The search is sequential; a damaged checkpoint is
     reported on stderr and ignored, one from a different run raises
-    [Invalid_argument]. The file is removed on completion. [Error] on
-    budget exhaustion (state saved — rerun to continue). *)
+    [Invalid_argument]. The file is removed on completion. Raises
+    [Resil.Budget.Stopped] on a stop, after saving the state (rerun to
+    continue). Kept apart from {!network_tolerance} because it is a
+    different algorithm: sequential, and persisted after every probe. *)
 
 val certified_accuracy :
   ?jobs:int ->
@@ -141,7 +117,8 @@ val paper_iterative_tolerance :
     range ±max_delta and reduce the noise one percent at a time until the
     model checker finds no counterexample for any input. Same result as
     {!network_tolerance} (asserted by tests) with linearly many queries —
-    kept for methodological fidelity. *)
+    kept for methodological fidelity. Raises [Resil.Budget.Stopped] when
+    a solver runs out of memory. *)
 
 type certified_bracket = {
   max_delta : int;  (** the search range the bracket covers *)
@@ -157,6 +134,7 @@ type certified_bracket = {
 }
 
 val certified_min_flip_delta :
+  ?budget:Resil.Budget.t ->
   Nn.Qnet.t ->
   bias_noise:bool ->
   max_delta:int ->
@@ -170,18 +148,8 @@ val certified_min_flip_delta :
     proving the flip at [min_flip_delta]. The bracket composes the
     per-delta certificates of the binary-search probes; each can be
     re-checked independently of the solver. No interval prefilter is used
-    (its answers carry no proofs). *)
-
-val certified_min_flip_delta_b :
-  ?budget:Resil.Budget.t ->
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  max_delta:int ->
-  input:int array ->
-  label:int ->
-  (certified_bracket, Resil.Budget.reason) result
-(** {!certified_min_flip_delta} under a budget ([Error] when a probe was
-    stopped before the bracket closed). *)
+    (its answers carry no proofs). Raises [Resil.Budget.Stopped] when a
+    probe stops before the bracket closes. *)
 
 val check_certified_bracket :
   Nn.Qnet.t ->
@@ -197,6 +165,7 @@ val check_certified_bracket :
     under {!Noise.predict} within its probe range. *)
 
 val input_min_flip_delta :
+  ?budget:Resil.Budget.t ->
   Backend.t ->
   Nn.Qnet.t ->
   bias_noise:bool ->
@@ -213,16 +182,5 @@ val input_min_flip_delta :
     one warm solver session, so learnt clauses carry across probes and no
     probe pays a fresh Tseitin encoding. [Cascade Smt] additionally runs
     the interval prefilter per probe. Verdicts are identical to the
-    per-probe re-encoding at every delta. *)
-
-val input_min_flip_delta_b :
-  ?budget:Resil.Budget.t ->
-  Backend.t ->
-  Nn.Qnet.t ->
-  bias_noise:bool ->
-  max_delta:int ->
-  input:int array ->
-  label:int ->
-  (int option, Resil.Budget.reason) result
-(** {!input_min_flip_delta} under a budget ([Error] when a probe was
-    stopped before the binary search converged). *)
+    per-probe re-encoding at every delta. Raises [Resil.Budget.Stopped]
+    when a probe stops before the search converges. *)

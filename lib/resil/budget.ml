@@ -111,3 +111,52 @@ let scale ~by b =
     ?timeout_s:(Option.map (fun s -> s *. float_of_int by) b.timeout_s)
     ?conflicts:(Option.map (fun c -> c * by) b.conflicts)
     ?max_mem_mb:b.max_mem_mb ~token:b.tok ()
+
+exception Stopped of reason
+
+let poll budget =
+  match Option.bind budget check with Some r -> raise (Stopped r) | None -> ()
+
+let catch f = match f () with v -> Ok v | exception Stopped r -> Error r
+
+(* The shared stop protocol of a parallel analysis batch: a worker whose
+   query stopped records the first reason and every worker then drains
+   through the [_until] poll; the stop is raised once, on the calling
+   domain, after the batch. The reason reported is the one a worker
+   recorded, then whatever the budget itself observed, with [Cancelled]
+   as the only remaining possibility (an external token was pulled
+   between polls). *)
+let drain budget run =
+  let failed = Atomic.make None in
+  let stop () =
+    Atomic.get failed <> None || Option.bind budget check <> None
+  in
+  let guard f =
+    Faultpoint.guard "worker.raise"
+      (Failure "injected fault: analysis worker raised");
+    match f () with
+    | v -> v
+    | exception Stopped r ->
+        ignore (Atomic.compare_and_set failed None (Some r));
+        None
+  in
+  match (run ~stop guard, Atomic.get failed) with
+  | Ok v, None -> v
+  | _, Some r -> raise (Stopped r)
+  | Error (), None ->
+      raise
+        (Stopped
+           (match Option.bind budget why with Some r -> r | None -> Cancelled))
+
+let parallel_mapi ?jobs ?budget f arr =
+  drain budget (fun ~stop guard ->
+      Util.Parallel.map_until ?jobs ~stop
+        (fun i x -> guard (fun () -> Some (f i x)))
+        arr)
+  |> Array.map Option.get
+
+let parallel_filter_mapi ?jobs ?budget f arr =
+  drain budget (fun ~stop guard ->
+      Util.Parallel.filter_mapi_until ?jobs ~stop
+        (fun i x -> guard (fun () -> f i x))
+        arr)

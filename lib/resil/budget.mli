@@ -109,3 +109,38 @@ val scale : by:int -> t -> t
     [by] (deadline restarted from now), same memory watermark, {e same}
     cancellation token (cancelling the original still stops retries),
     cleared reason. *)
+
+(** {1 Stopping an analysis} *)
+
+exception Stopped of reason
+(** An analysis was stopped before it could decide: its budget ran out,
+    its token was cancelled, or the solver ran out of memory (which it
+    reports as [Memory] even without a budget). Every budget-aware
+    analysis of the [fannet] library raises this one exception; none
+    returns a partial answer. *)
+
+val poll : t option -> unit
+(** Raise [Stopped r] when {!check} reports [Some r]; no-op without a
+    budget. *)
+
+val catch : (unit -> 'a) -> ('a, reason) result
+(** [catch f] is [Ok (f ())], or [Error r] when [f] raises
+    [Stopped r] — the typed-value form a wire answer or a retry loop
+    carries. *)
+
+val parallel_mapi :
+  ?jobs:int -> ?budget:t -> (int -> 'a -> 'b) -> 'a array -> 'b array
+(** {!Util.Parallel.mapi} for an analysis under an optional budget. A
+    worker whose item raises [Stopped r] records [r] (first reason
+    wins) and the whole batch drains through
+    {!Util.Parallel.map_until}, which also polls [budget] before every
+    item. After the batch, on the calling domain, [Stopped] is raised
+    with the recorded reason, else the budget's own reason, else
+    [Cancelled]. Without a stop the result equals [Array.mapi f arr]
+    at every [jobs]. Each item also passes the ["worker.raise"] fault
+    site. *)
+
+val parallel_filter_mapi :
+  ?jobs:int -> ?budget:t -> (int -> 'a -> 'b option) -> 'a array -> 'b list
+(** {!parallel_mapi} for {!Util.Parallel.filter_mapi}: [Some]-results in
+    input order, or [Stopped] as above. *)

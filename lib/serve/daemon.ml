@@ -108,12 +108,14 @@ let execute net ~budget (q : Protocol.query) : Protocol.answer =
       Protocol.Verdict (Fannet.Backend.exists_flip ~budget backend net spec ~input ~label)
   | Protocol.Tolerance { backend; bias_noise; max_delta; input; label } ->
       Protocol.Min_flip
-        (Fannet.Tolerance.input_min_flip_delta_b ~budget backend net ~bias_noise
-           ~max_delta ~input ~label)
+        (Resil.Budget.catch (fun () ->
+             Fannet.Tolerance.input_min_flip_delta ~budget backend net
+               ~bias_noise ~max_delta ~input ~label))
   | Protocol.Sensitivity { spec; input; label } ->
       Protocol.Sidedness
-        (Fannet.Sensitivity.formal_sidedness_b ~jobs:1 ~budget net spec
-           ~inputs:[| (input, label) |])
+        (Resil.Budget.catch (fun () ->
+             Fannet.Sensitivity.formal_sidedness ~jobs:1 ~budget net spec
+               ~inputs:[| (input, label) |]))
   | Protocol.Certify { spec; input; label } ->
       let cv = Fannet.Backend.certified_exists_flip ~budget net spec ~input ~label in
       Protocol.Certified { verdict = cv.Fannet.Backend.cv_verdict; cert = cv.Fannet.Backend.cv_cert }

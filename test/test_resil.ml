@@ -339,74 +339,174 @@ let test_escalation_never_retries_cancelled () =
   | B.Unknown r -> Alcotest.(check bool) "stays cancelled" true (r = R.Cancelled)
   | B.Robust | B.Flip _ -> Alcotest.fail "decided under cancelled budget"
 
-(* ---------- budgeted analyses: typed errors, no exceptions ---------- *)
+(* ---------- analyses under a budget: one typed stop ---------- *)
 
 let analysis_inputs net =
   labelled_inputs net [| [| 7; 11 |]; [| 20; 5 |]; [| 3; 30 |] |]
 
+let cancelled_budget () =
+  let tok = R.token () in
+  R.cancel tok;
+  R.create ~token:tok ()
+
+(* One row per budget-aware analysis. [run ?jobs ?budget ()] answers a
+   fixed query on [tiny_qnet]; sequential analyses ignore [jobs]. *)
+type analysis =
+  | Analysis : string * (?jobs:int -> ?budget:R.t -> unit -> 'a) -> analysis
+
+let analyses () =
+  let net = tiny_qnet () in
+  let inputs = analysis_inputs net in
+  let input, label = inputs.(0) in
+  let spec = N.symmetric ~delta:10 ~bias_noise:false in
+  let sidedness engine ?jobs ?budget () =
+    Fannet.Sensitivity.formal_sidedness ?jobs ~engine ?budget net spec ~inputs
+  in
+  [
+    Analysis
+      ( "misclassified_at",
+        fun ?jobs ?budget () ->
+          Fannet.Tolerance.misclassified_at ?jobs ?budget B.Bnb net
+            ~bias_noise:false ~delta:20 ~inputs );
+    Analysis
+      ( "sweep",
+        fun ?jobs ?budget () ->
+          Fannet.Tolerance.sweep ?jobs ?budget B.Bnb net ~bias_noise:false
+            ~deltas:[ 2; 10; 20 ] ~inputs );
+    Analysis
+      ( "network_tolerance",
+        fun ?jobs ?budget () ->
+          Fannet.Tolerance.network_tolerance ?jobs ?budget B.Bnb net
+            ~bias_noise:false ~max_delta:20 ~inputs );
+    Analysis
+      ( "network_tolerance_ckpt",
+        fun ?jobs:_ ?budget () ->
+          let checkpoint = tmp_file ".ckpt" in
+          Sys.remove checkpoint;
+          Fun.protect
+            ~finally:(fun () ->
+              if Sys.file_exists checkpoint then Sys.remove checkpoint)
+            (fun () ->
+              Fannet.Tolerance.network_tolerance_ckpt ?budget ~checkpoint B.Bnb
+                net ~bias_noise:false ~max_delta:20 ~inputs) );
+    Analysis
+      ( "certified_min_flip_delta",
+        fun ?jobs:_ ?budget () ->
+          Fannet.Tolerance.certified_min_flip_delta ?budget net
+            ~bias_noise:false ~max_delta:4 ~input ~label );
+    Analysis
+      ( "input_min_flip_delta",
+        fun ?jobs:_ ?budget () ->
+          Fannet.Tolerance.input_min_flip_delta ?budget B.Bnb net
+            ~bias_noise:false ~max_delta:20 ~input ~label );
+    Analysis ("formal_sidedness bnb", sidedness Fannet.Sensitivity.Bnb);
+    Analysis ("formal_sidedness smt", sidedness Fannet.Sensitivity.Smt);
+    Analysis
+      ( "Boundary.analyze",
+        fun ?jobs ?budget () ->
+          Fannet.Boundary.analyze ?jobs ?budget B.Bnb net ~bias_noise:false
+            ~max_delta:20 ~inputs );
+    Analysis
+      ( "Bnb.min_l1_flip",
+        fun ?jobs:_ ?budget () ->
+          Fannet.Bnb.min_l1_flip ?budget net spec ~input ~label );
+  ]
+
+let test_analyses_one_stop () =
+  List.iter
+    (fun (Analysis (name, run)) ->
+      let plain = run () in
+      Alcotest.(check bool)
+        (name ^ ": no budget = unlimited budget") true
+        (plain = run ~budget:(R.unlimited ()) ());
+      Alcotest.(check bool)
+        (name ^ ": jobs 1 = jobs 2") true
+        (run ~jobs:1 () = run ~jobs:2 ());
+      match run ~budget:(cancelled_budget ()) () with
+      | exception R.Stopped r ->
+          Alcotest.(check string) (name ^ ": stop reason") "cancelled"
+            (R.reason_to_string r)
+      | _ -> Alcotest.fail (name ^ ": decided under a cancelled budget"))
+    (analyses ())
+
 let test_tolerance_b_cancelled () =
   let net = tiny_qnet () in
   let inputs = analysis_inputs net in
-  let tok = R.token () in
-  R.cancel tok;
-  let b = R.create ~token:tok () in
-  (match
-     Fannet.Tolerance.network_tolerance_b ~budget:b B.Bnb net ~bias_noise:false
-       ~max_delta:20 ~inputs
-   with
-  | Error R.Cancelled -> ()
-  | Error r -> Alcotest.fail ("wrong reason: " ^ R.reason_to_string r)
-  | Ok _ -> Alcotest.fail "tolerance decided under cancelled budget");
-  match
-    Fannet.Tolerance.network_tolerance_b B.Bnb net ~bias_noise:false
+  let tolerance ?budget () =
+    Fannet.Tolerance.network_tolerance ?budget B.Bnb net ~bias_noise:false
       ~max_delta:20 ~inputs
-  with
-  | Ok t ->
-      let legacy =
-        Fannet.Tolerance.network_tolerance B.Bnb net ~bias_noise:false
-          ~max_delta:20 ~inputs
+  in
+  (match tolerance ~budget:(cancelled_budget ()) () with
+  | exception R.Stopped R.Cancelled -> ()
+  | exception R.Stopped r -> Alcotest.fail ("wrong reason: " ^ R.reason_to_string r)
+  | _ -> Alcotest.fail "tolerance decided under cancelled budget");
+  match tolerance ~budget:(R.unlimited ()) () with
+  | t -> Alcotest.(check int) "budgeted = unbudgeted" (tolerance ()) t
+  | exception R.Stopped r ->
+      Alcotest.fail ("unlimited budget exhausted: " ^ R.reason_to_string r)
+
+let test_boundary_b_matches_legacy () =
+  let net = tiny_qnet () in
+  let inputs = analysis_inputs net in
+  let analyze ?budget () =
+    Fannet.Boundary.analyze ?budget B.Bnb net ~bias_noise:false ~max_delta:10
+      ~inputs
+  in
+  let plain = analyze () in
+  match analyze ~budget:(R.unlimited ()) () with
+  | pts ->
+      Alcotest.(check int) "same length" (Array.length plain) (Array.length pts);
+      Array.iteri
+        (fun i (p : Fannet.Boundary.point) ->
+          Alcotest.(check bool) "same min flip" true
+            (p.Fannet.Boundary.min_flip_delta
+            = plain.(i).Fannet.Boundary.min_flip_delta))
+        pts
+  | exception R.Stopped r ->
+      Alcotest.fail ("budgeted analyze failed: " ^ R.reason_to_string r)
+
+(* A solver out of memory stops an unbudgeted analysis with the one
+   public exception: never a module-private one, never a silent "no
+   flip". *)
+let test_oom_without_budget_is_typed () =
+  with_clean_faults (fun () ->
+      let net = tiny_qnet () in
+      let inputs = analysis_inputs net in
+      let spec = N.symmetric ~delta:10 ~bias_noise:false in
+      F.arm "sat.oom";
+      let expect_memory name f =
+        match f () with
+        | exception R.Stopped r ->
+            Alcotest.(check string) name "memory" (R.reason_to_string r)
+        | _ -> Alcotest.fail (name ^ ": the injected OOM was not reported")
       in
-      Alcotest.(check int) "budgeted = legacy" legacy t
-  | Error r -> Alcotest.fail ("unlimited budget exhausted: " ^ R.reason_to_string r)
+      expect_memory "formal_sidedness smt" (fun () ->
+          ignore
+            (Fannet.Sensitivity.formal_sidedness
+               ~engine:Fannet.Sensitivity.Smt net spec ~inputs));
+      expect_memory "sweep smt" (fun () ->
+          ignore
+            (Fannet.Tolerance.sweep B.Smt net ~bias_noise:false
+               ~deltas:[ 5; 10 ] ~inputs)))
 
 let test_worker_raise_is_clean () =
   with_clean_faults (fun () ->
       let net = tiny_qnet () in
       let inputs = analysis_inputs net in
+      let tolerance () =
+        Fannet.Tolerance.network_tolerance ~jobs:2 B.Bnb net ~bias_noise:false
+          ~max_delta:10 ~inputs
+      in
+      let expected = tolerance () in
       F.arm "worker.raise";
-      (match
-         Fannet.Tolerance.network_tolerance_b ~jobs:2 B.Bnb net
-           ~bias_noise:false ~max_delta:10 ~inputs
-       with
+      (match tolerance () with
       | exception Failure msg ->
           Alcotest.(check bool) "names the injected fault" true
             (contains msg "injected fault")
-      | Ok _ | Error _ ->
-          (* Also acceptable: the harness converts the raise to a typed
-             stop. Either way: no crash, no leaked domain. *)
-          ());
+      | _ -> Alcotest.fail "the injected worker fault did not surface");
       F.clear ();
       (* The pool must still work after a worker raised. *)
-      match
-        Fannet.Tolerance.network_tolerance_b ~jobs:2 B.Bnb net ~bias_noise:false
-          ~max_delta:10 ~inputs
-      with
-      | Ok _ -> ()
-      | Error r -> Alcotest.fail ("pool broken after fault: " ^ R.reason_to_string r))
-
-let test_boundary_b_matches_legacy () =
-  let net = tiny_qnet () in
-  let inputs = analysis_inputs net in
-  let legacy = Fannet.Boundary.analyze B.Bnb net ~bias_noise:false ~max_delta:10 ~inputs in
-  match Fannet.Boundary.analyze_b B.Bnb net ~bias_noise:false ~max_delta:10 ~inputs with
-  | Ok pts ->
-      Alcotest.(check int) "same length" (Array.length legacy) (Array.length pts);
-      Array.iteri
-        (fun i (p : Fannet.Boundary.point) ->
-          Alcotest.(check bool) "same min flip" true
-            (p.Fannet.Boundary.min_flip_delta = legacy.(i).Fannet.Boundary.min_flip_delta))
-        pts
-  | Error r -> Alcotest.fail ("unbudgeted analyze_b failed: " ^ R.reason_to_string r)
+      Alcotest.(check int) "pool works after the fault" expected (tolerance ()))
 
 (* ---------- kill-and-resume round-trips ---------- *)
 
@@ -537,8 +637,8 @@ let test_tolerance_checkpoint_resume () =
       Fannet.Tolerance.network_tolerance_ckpt ~budget ~checkpoint:path B.Bnb net
         ~bias_noise:false ~max_delta:25 ~inputs
     with
-    | Ok t -> finished := Some t
-    | Error _ -> ()
+    | t -> finished := Some t
+    | exception R.Stopped _ -> ()
   done;
   (match !finished with
   | None -> Alcotest.fail "tolerance never completed under repeated kills"
@@ -697,6 +797,9 @@ let () =
         ] );
       ( "analyses",
         [
+          Alcotest.test_case "one stop per analysis" `Quick test_analyses_one_stop;
+          Alcotest.test_case "oom without budget is typed" `Quick
+            test_oom_without_budget_is_typed;
           Alcotest.test_case "tolerance_b cancelled" `Quick test_tolerance_b_cancelled;
           Alcotest.test_case "worker.raise is clean" `Quick test_worker_raise_is_clean;
           Alcotest.test_case "boundary_b = legacy" `Quick test_boundary_b_matches_legacy;

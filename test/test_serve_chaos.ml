@@ -84,8 +84,9 @@ let direct_answer net (q : P.query) : P.answer =
       P.Verdict (B.exists_flip backend net spec ~input ~label)
   | P.Tolerance { backend; bias_noise; max_delta; input; label } ->
       P.Min_flip
-        (Fannet.Tolerance.input_min_flip_delta_b backend net ~bias_noise ~max_delta
-           ~input ~label)
+        (Resil.Budget.catch (fun () ->
+             Fannet.Tolerance.input_min_flip_delta backend net ~bias_noise
+               ~max_delta ~input ~label))
   | P.Certify { spec; input; label } ->
       let cv = B.certified_exists_flip net spec ~input ~label in
       P.Certified { verdict = cv.B.cv_verdict; cert = cv.B.cv_cert }

@@ -39,7 +39,7 @@ certify-smoke:
 # --retries must not re-run it.
 faults-smoke:
 	dune exec test/test_resil.exe -- -q
-	dune exec bin/fannet_cli.exe -- tolerance --timeout 0.05; [ $$? -eq 2 ]
+	dune exec bin/fannet_cli.exe -- tolerance --timeout 0.001; [ $$? -eq 2 ]
 	FANNET_FAULTS=backend.unknown dune exec bin/fannet_cli.exe -- tolerance; 	  [ $$? -eq 2 ]
 	FANNET_FAULTS=sat.oom dune exec bin/fannet_cli.exe -- sweep --backend smt; 	  [ $$? -eq 2 ]
 	FANNET_FAULTS=sat.oom dune exec bin/fannet_cli.exe -- sweep --backend smt \
@@ -104,15 +104,15 @@ count-smoke:
 ladder-smoke:
 	dune exec bench/main.exe -- --ladder --smoke
 
-# Repository-benchmark smoke (~35 s): each perfbench workload for 2 s
-# untraced, then certify-cold traced so its layer-coverage gate runs and
-# serve-hot traced so its in-process Protocol/Json replay and its hit
-# ratio gate run.
+# Repository-benchmark smoke (~40 s): each perfbench workload for 2 s
+# untraced, then paper-batch and certify-cold traced so their
+# layer-coverage gates run and serve-hot traced so its in-process
+# Protocol/Json replay and its hit ratio gate run.
 # Fails unless every result line reports "correct": true and "failed": 0.
 PERFBENCH_OK = python3 -c 'import json, sys; r = json.loads(sys.stdin.read().splitlines()[-1]); sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)'
 
 perfbench-smoke:
-	@for run in paper-batch:0 certify-cold:0 serve-hot:0 serve-churn:0 certify-cold:1 serve-hot:1; do \
+	@for run in paper-batch:0 certify-cold:0 serve-hot:0 serve-churn:0 paper-batch:1 certify-cold:1 serve-hot:1; do \
 	  w=$${run%:*}; tr=$${run#*:}; \
 	  echo "perfbench-smoke: $$w --trace $$tr"; \
 	  out=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 2 --trace $$tr) \

@@ -17,11 +17,37 @@ let unsound_relaxation_for_tests = ref false
    multiplied by the running scale their inputs carry); the margins
      m_j = out_const.(j) + sum_k out_coef.(j).(k) * post_k
    range over the last hidden layer's post-activations, and the input
-   flips iff m_j < thr.(j) for some adversary j. *)
+   flips iff m_j < thr.(j) for some adversary j.
+
+   The model also carries the search's workspace: one mutable [node] per
+   hidden node, which [propagate] overwrites for every box, and one
+   scratch node for the margins. A built model is therefore single-use
+   per call: each search builds its own and keeps it on its domain, so
+   nothing is shared and nothing needs a lock. *)
+
+(* Symbolic state of one node over the current box: an affine lower and
+   upper form over the noise dimensions, plus the concrete bounds they
+   imply. A side is either linear ([lo_lin]/[up_lin]: constant plus the
+   coefficients in [lo_k]/[up_k]) or constant (its coefficients are then
+   not read). Layer-0 nodes point both sides at their read-only
+   [pre_coef] row; deeper nodes and the margin scratch own two buffers
+   that [combine] rewrites. *)
+type node = {
+  lo_k : int array;
+  up_k : int array;
+  mutable lo_lin : bool;
+  mutable up_lin : bool;
+  mutable lo_c : int;
+  mutable up_c : int;
+  mutable lob : int;  (* concrete bounds of the node value over the box *)
+  mutable upb : int;
+}
+
 type slayer = {
   w : int array array;
   b : int array;  (* at the layer's input running scale *)
   act : Nn.Qnet.act;
+  nodes : node array;  (* workspace, one per output node *)
 }
 
 type model = {
@@ -29,12 +55,18 @@ type model = {
   pre_const : int array;
   pre_coef : int array array;
   act0 : Nn.Qnet.act;
+  nodes0 : node array;  (* workspace: layer-0 nodes over [pre_coef] rows *)
   mid : slayer array;  (* layers 1 .. L-2 *)
   out_coef : int array array;  (* per adversary *)
   out_const : int array;
   thr : int array;
-  zeros : int array;  (* shared all-zero coefficient row, never mutated *)
+  margin : node;  (* workspace: scratch for one margin at a time *)
 }
+
+let new_node lo_k up_k =
+  { lo_k; up_k; lo_lin = false; up_lin = false; lo_c = 0; up_c = 0; lob = 0; upb = 0 }
+
+let own_node n_dims = new_node (Array.make n_dims 0) (Array.make n_dims 0)
 
 let build (net : Nn.Qnet.t) (spec : Noise.spec) ~input ~label =
   let n_layers = Nn.Qnet.n_layers net in
@@ -83,6 +115,7 @@ let build (net : Nn.Qnet.t) (spec : Noise.spec) ~input ~label =
             w = l.Nn.Qnet.weights;
             b = Array.map (fun b -> b * !running) l.Nn.Qnet.bias;
             act = l.Nn.Qnet.act;
+            nodes = Array.map (fun _ -> own_node n_dims) l.Nn.Qnet.weights;
           }
         in
         if l.Nn.Qnet.act = Nn.Qnet.Sign then running := 1;
@@ -121,11 +154,12 @@ let build (net : Nn.Qnet.t) (spec : Noise.spec) ~input ~label =
     pre_const;
     pre_coef;
     act0 = layer0.Nn.Qnet.act;
+    nodes0 = Array.map (fun row -> new_node row row) pre_coef;
     mid;
     out_coef;
     out_const;
     thr;
-    zeros = Array.make n_dims 0;
+    margin = own_node n_dims;
   }
 
 let n_margins m = Array.length m.out_coef
@@ -166,38 +200,36 @@ let flips_at_point m point =
 
 (* ---------- symbolic bound propagation ---------- *)
 
-(* Per-node symbolic state over a box: one affine lower and one affine
-   upper form over the noise dimensions, plus the concrete bounds they
-   imply. Forms are combined layer by layer (positive weights take the
+(* Forms are combined layer by layer (positive weights take the
    like-sided form, negative the opposite), so coefficients recombine and
    cancel across neurons — the DeepPoly/ReluVal-style tightening that pure
-   interval propagation throws away. Coefficient arrays are read-only once
-   built; stable-linear nodes alias their pre-activation arrays and
-   constant nodes alias [m.zeros]. *)
-type sym = {
-  lo_c : int;
-  lo_k : int array;
-  up_c : int;
-  up_k : int array;
-  lob : int;  (* concrete bounds of the node value over the box *)
-  upb : int;
-}
+   interval propagation throws away. [relax], [combine] and [propagate]
+   update workspace nodes in place. *)
 
 let eval_lower const coef ~lo ~hi =
   let acc = ref const in
-  Array.iteri
-    (fun d a -> acc := !acc + (a * if a >= 0 then lo.(d) else hi.(d)))
-    coef;
+  for d = 0 to Array.length coef - 1 do
+    let a = coef.(d) in
+    acc := !acc + (a * if a >= 0 then lo.(d) else hi.(d))
+  done;
   !acc
 
 let eval_upper const coef ~lo ~hi =
   let acc = ref const in
-  Array.iteri
-    (fun d a -> acc := !acc + (a * if a >= 0 then hi.(d) else lo.(d)))
-    coef;
+  for d = 0 to Array.length coef - 1 do
+    let a = coef.(d) in
+    acc := !acc + (a * if a >= 0 then hi.(d) else lo.(d))
+  done;
   !acc
 
-let const_sym m v = { lo_c = v; lo_k = m.zeros; up_c = v; up_k = m.zeros; lob = v; upb = v }
+(* Both sides constant: the node ranges over [[l, u]]. *)
+let set_range s l u =
+  s.lo_lin <- false;
+  s.up_lin <- false;
+  s.lo_c <- l;
+  s.up_c <- u;
+  s.lob <- l;
+  s.upb <- u
 
 (* Activation relaxation with integer-only coefficients. Stable nodes stay
    linear (or constant); an unstable ReLU is relaxed one-sidedly with
@@ -206,84 +238,101 @@ let const_sym m v = { lo_c = v; lo_k = m.zeros; up_c = v; up_k = m.zeros; lob = 
      lower: the pre lower form (relu(x) >= x)   or the constant 0,
    picking the smaller-area side DeepPoly-style (linear iff upb >= -lob).
    An unstable Sign collapses to the constant envelope [-1, 1]. *)
-let relax m act (s : sym) =
+let relax act s =
   match act with
-  | Nn.Qnet.Identity -> s
+  | Nn.Qnet.Identity -> ()
   | Nn.Qnet.Sign ->
-      if s.lob >= 0 then const_sym m 1
-      else if s.upb < 0 then const_sym m (-1)
-      else { lo_c = -1; lo_k = m.zeros; up_c = 1; up_k = m.zeros; lob = -1; upb = 1 }
+      if s.lob >= 0 then set_range s 1 1
+      else if s.upb < 0 then set_range s (-1) (-1)
+      else set_range s (-1) 1
   | Nn.Qnet.Relu ->
-      if s.lob >= 0 then s
-      else if s.upb <= 0 then const_sym m 0
+      if s.lob >= 0 then ()
+      else if s.upb <= 0 then set_range s 0 0
       else begin
         let keep_linear = s.upb >= -s.lob in
-        let lo_c, lo_k = if keep_linear then (s.lo_c, s.lo_k) else (0, m.zeros) in
-        let up_c, up_k =
-          if !unsound_relaxation_for_tests then (s.up_c, s.up_k)
-          else if keep_linear then (s.up_c - s.lob, s.up_k)
-          else (s.upb, m.zeros)
-        in
-        { lo_c; lo_k; up_c; up_k; lob = 0; upb = s.upb }
+        if not keep_linear then begin
+          s.lo_lin <- false;
+          s.lo_c <- 0
+        end;
+        (if !unsound_relaxation_for_tests then ()
+         else if keep_linear then s.up_c <- s.up_c - s.lob
+         else begin
+           s.up_lin <- false;
+           s.up_c <- s.upb
+         end);
+        s.lob <- 0
       end
 
-(* Affine combination c . syms + const: positive coefficients pull the
-   like-sided form, negative ones the opposite side. *)
-let combine m coefs syms bias ~lo ~hi =
-  let lo_k = Array.make m.n_dims 0 and up_k = Array.make m.n_dims 0 in
+(* Adds [c] times a source side ([src], linear iff [src_lin]) to a
+   destination side ([dst], linear so far iff [lin]); returns whether the
+   destination is now linear. A constant source adds no coefficients, and
+   the first linear one overwrites whatever [dst] held. *)
+let add_side ~lin c ~src_lin src dst =
+  if not src_lin then lin
+  else begin
+    if lin then
+      for d = 0 to Array.length dst - 1 do
+        dst.(d) <- dst.(d) + (c * src.(d))
+      done
+    else
+      for d = 0 to Array.length dst - 1 do
+        dst.(d) <- c * src.(d)
+      done;
+    true
+  end
+
+(* [dst] := c . srcs + bias: positive coefficients pull the like-sided
+   form, negative ones the opposite side. Constant sides contribute only
+   their constant, so a node whose inputs are all constant stays constant
+   and needs no bound evaluation. *)
+let combine coefs srcs bias dst ~lo ~hi =
   let lo_c = ref bias and up_c = ref bias in
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        let s = syms.(i) in
-        lo_c := !lo_c + (c * s.lo_c);
-        up_c := !up_c + (c * s.up_c);
-        Array.iteri (fun d a -> lo_k.(d) <- lo_k.(d) + (c * a)) s.lo_k;
-        Array.iteri (fun d a -> up_k.(d) <- up_k.(d) + (c * a)) s.up_k
-      end
-      else if c < 0 then begin
-        let s = syms.(i) in
-        lo_c := !lo_c + (c * s.up_c);
-        up_c := !up_c + (c * s.lo_c);
-        Array.iteri (fun d a -> lo_k.(d) <- lo_k.(d) + (c * a)) s.up_k;
-        Array.iteri (fun d a -> up_k.(d) <- up_k.(d) + (c * a)) s.lo_k
-      end)
-    coefs;
-  let lob = eval_lower !lo_c lo_k ~lo ~hi in
-  let upb = eval_upper !up_c up_k ~lo ~hi in
-  { lo_c = !lo_c; lo_k; up_c = !up_c; up_k; lob; upb }
+  let lo_lin = ref false and up_lin = ref false in
+  for i = 0 to Array.length coefs - 1 do
+    let c = coefs.(i) and s = srcs.(i) in
+    if c > 0 then begin
+      lo_c := !lo_c + (c * s.lo_c);
+      up_c := !up_c + (c * s.up_c);
+      lo_lin := add_side ~lin:!lo_lin c ~src_lin:s.lo_lin s.lo_k dst.lo_k;
+      up_lin := add_side ~lin:!up_lin c ~src_lin:s.up_lin s.up_k dst.up_k
+    end
+    else if c < 0 then begin
+      lo_c := !lo_c + (c * s.up_c);
+      up_c := !up_c + (c * s.lo_c);
+      lo_lin := add_side ~lin:!lo_lin c ~src_lin:s.up_lin s.up_k dst.lo_k;
+      up_lin := add_side ~lin:!up_lin c ~src_lin:s.lo_lin s.lo_k dst.up_k
+    end
+  done;
+  dst.lo_lin <- !lo_lin;
+  dst.up_lin <- !up_lin;
+  dst.lo_c <- !lo_c;
+  dst.up_c <- !up_c;
+  dst.lob <- (if !lo_lin then eval_lower !lo_c dst.lo_k ~lo ~hi else !lo_c);
+  dst.upb <- (if !up_lin then eval_upper !up_c dst.up_k ~lo ~hi else !up_c)
 
-(* Post-activation symbolic state of the last hidden layer over a box. *)
+(* Post-activation symbolic state of every hidden layer over a box, left
+   in the workspace; returns the last hidden layer's nodes. *)
 let propagate m ~lo ~hi =
-  let post0 =
-    Array.mapi
-      (fun k const ->
-        let coef = m.pre_coef.(k) in
-        let pre =
-          {
-            lo_c = const;
-            lo_k = coef;
-            up_c = const;
-            up_k = coef;
-            lob = eval_lower const coef ~lo ~hi;
-            upb = eval_upper const coef ~lo ~hi;
-          }
-        in
-        relax m m.act0 pre)
-      m.pre_const
-  in
+  Array.iteri
+    (fun k s ->
+      let const = m.pre_const.(k) in
+      s.lo_lin <- true;
+      s.up_lin <- true;
+      s.lo_c <- const;
+      s.up_c <- const;
+      s.lob <- eval_lower const s.lo_k ~lo ~hi;
+      s.upb <- eval_upper const s.up_k ~lo ~hi;
+      relax m.act0 s)
+    m.nodes0;
   Array.fold_left
     (fun post (l : slayer) ->
-      Array.mapi
-        (fun k row -> relax m l.act (combine m row post l.b.(k) ~lo ~hi))
-        l.w)
-    post0 m.mid
-
-(* Bounds of margin [j] over a box given the last hidden layer's symbolic
-   state. *)
-let margin_bounds m post j ~lo ~hi =
-  let s = combine m m.out_coef.(j) post m.out_const.(j) ~lo ~hi in
-  (s.lob, s.upb)
+      Array.iteri
+        (fun k s ->
+          combine l.w.(k) post l.b.(k) s ~lo ~hi;
+          relax l.act s)
+        l.nodes;
+      l.nodes)
+    m.nodes0 m.mid
 
 (* Box classification: [`Robust] (no point flips), [`All_flip] (every
    point flips), or [`Split] with the worst lower-bound slack (used to
@@ -293,13 +342,14 @@ let classify m ~lo ~hi =
   let robust = ref true in
   let worst_slack = ref max_int in
   let all_flip = ref false in
+  let s = m.margin in
   for j = 0 to n_margins m - 1 do
     if not !all_flip then begin
-      let d_lo, d_hi = margin_bounds m post j ~lo ~hi in
-      if d_hi < m.thr.(j) then all_flip := true
+      combine m.out_coef.(j) post m.out_const.(j) s ~lo ~hi;
+      if s.upb < m.thr.(j) then all_flip := true
       else begin
-        if d_lo < m.thr.(j) then robust := false;
-        let slack = d_lo - m.thr.(j) in
+        if s.lob < m.thr.(j) then robust := false;
+        let slack = s.lob - m.thr.(j) in
         if slack < !worst_slack then worst_slack := slack
       end
     end
@@ -374,9 +424,11 @@ let exists_flip ?box ?max_boxes ?budget net spec ~input ~label =
     incr boxes;
     poll_budget budget !boxes
   in
-  let rec go ~lo ~hi =
+  let slack = function `All_flip -> min_int | `Robust -> max_int | `Split s -> s in
+  (* [cls] is the box's classification, made once by the caller. *)
+  let rec go ~lo ~hi cls =
     spend ();
-    match classify m ~lo ~hi with
+    match cls with
     | `Robust -> ()
     | `All_flip -> raise (Found (midpoint ~lo ~hi))
     | `Split _ ->
@@ -387,26 +439,22 @@ let exists_flip ?box ?max_boxes ?budget net spec ~input ~label =
           let (lo1, hi1), (lo2, hi2) = split ~lo ~hi in
           (* Explore the child with the weaker margin slack first: more
              likely to contain a flip, so witnesses surface early. *)
-          let slack (lo, hi) =
-            match classify m ~lo ~hi with
-            | `All_flip -> min_int
-            | `Robust -> max_int
-            | `Split s -> s
-          in
-          if slack (lo1, hi1) <= slack (lo2, hi2) then begin
-            go ~lo:lo1 ~hi:hi1;
-            go ~lo:lo2 ~hi:hi2
+          let c1 = classify m ~lo:lo1 ~hi:hi1 in
+          let c2 = classify m ~lo:lo2 ~hi:hi2 in
+          if slack c1 <= slack c2 then begin
+            go ~lo:lo1 ~hi:hi1 c1;
+            go ~lo:lo2 ~hi:hi2 c2
           end
           else begin
-            go ~lo:lo2 ~hi:hi2;
-            go ~lo:lo1 ~hi:hi1
+            go ~lo:lo2 ~hi:hi2 c2;
+            go ~lo:lo1 ~hi:hi1 c1
           end
         end
   in
   let lo, hi = initial_box ?box m spec in
   match
     Resil.Budget.poll budget;
-    go ~lo ~hi
+    go ~lo ~hi (classify m ~lo ~hi)
   with
   | () -> Robust
   | exception Found point ->
@@ -488,8 +536,17 @@ let min_l1_flip ?budget net spec ~input ~label =
 
 exception Limit_reached
 
+(* Saturating at [max_int], as {!Noise.spec_size} does: a 64-input box at
+   delta 1 already holds 3^64 points. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+
 let box_volume ~lo ~hi =
-  Array.fold_left ( * ) 1 (Array.init (Array.length lo) (fun d -> hi.(d) - lo.(d) + 1))
+  let vol = ref 1 in
+  for d = 0 to Array.length lo - 1 do
+    let w = hi.(d) - lo.(d) + 1 in
+    vol := if !vol > max_int / w then max_int else !vol * w
+  done;
+  !vol
 
 let iter_box ~lo ~hi f =
   let n = Array.length lo in
@@ -586,8 +643,10 @@ let enumerate_flips ?limit ?budget net spec ~input ~label =
 let count_flips ?(limit = max_int) net spec ~input ~label =
   let m = build net spec ~input ~label in
   let count = ref 0 in
+  (* A saturated count reaches any [limit], so it reports [`Truncated]:
+     a lower bound. *)
   let add n =
-    count := !count + n;
+    count := sat_add !count n;
     if !count >= limit then raise Limit_reached
   in
   let rec go ~lo ~hi =

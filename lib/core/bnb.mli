@@ -14,7 +14,9 @@
     [[-1, 1]] envelope otherwise. Boxes proven robust or all-flipping are
     pruned; otherwise the widest noise dimension splits. Terminates
     because boxes shrink to single points, which are evaluated concretely
-    through the exact layered forward.
+    through the exact layered forward. Every call builds its own bound
+    workspace and classifies each box once, so concurrent calls from
+    different domains share no state.
 
     Any depth is supported; hidden layers may be ReLU, Sign (binarized
     networks) or Identity, and the output layer must be Identity. Both
@@ -142,7 +144,9 @@ val count_flips :
   label:int ->
   int * [ `Complete | `Truncated ]
 (** Number of flipping vectors, counting whole all-flipping boxes without
-    enumerating them point by point ([limit] caps the count). *)
+    enumerating them point by point ([limit] caps the count). Box volumes
+    and the running count saturate at [max_int]; a saturated count (e.g.
+    a whole 3^64 box) reports [`Truncated], a lower bound. *)
 
 (**/**)
 

@@ -303,6 +303,123 @@ let test_bnb_midpoint_floor_negative_box () =
       Alcotest.(check (array int)) "floor midpoint" [| -3 |] v.N.inputs
   | Fannet.Bnb.Robust | Fannet.Bnb.Unknown _ -> Alcotest.fail "expected a flip"
 
+(* The other three searches on the same deep and binarized nets,
+   against brute force. Sign layers are where constant sides dominate the
+   symbolic bounds, so these exercise the constant-side shortcuts of the
+   bound propagation. *)
+let prop_deep_searches_agree =
+  QCheck.Test.make ~name:"deep/binarized: enumerate, count, min_l1 = brute force"
+    ~count:40 arb_deep_seed (fun seed ->
+      let net, input = deep_net_of_seed seed in
+      let label = Nn.Qnet.predict net input in
+      List.for_all
+        (fun (delta, bias_noise) ->
+          let spec = N.symmetric ~delta ~bias_noise in
+          let brute =
+            Fannet.Extract.explicit_for_input net spec ~input ~label ~input_index:0
+              ~limit:1_000_000
+            |> List.map (fun (c : Fannet.Extract.counterexample) -> c.vector)
+          in
+          let vectors, st = Fannet.Bnb.enumerate_flips ~limit:1_000_000 net spec ~input ~label in
+          let count, st_count = Fannet.Bnb.count_flips net spec ~input ~label in
+          let l1 (v : N.vector) =
+            abs v.N.bias + Array.fold_left (fun a d -> a + abs d) 0 v.N.inputs
+          in
+          let min_l1_ok =
+            match Fannet.Bnb.min_l1_flip net spec ~input ~label with
+            | None -> brute = []
+            | Some (v, norm) ->
+                norm = l1 v
+                && N.predict net spec ~input v <> label
+                && norm = List.fold_left (fun acc v -> min acc (l1 v)) max_int brute
+          in
+          st = `Complete
+          && List.sort N.compare vectors = List.sort N.compare brute
+          && st_count = `Complete
+          && count = List.length vectors
+          && min_l1_ok)
+        [ (1, false); (2, true) ])
+
+(* Pinned search trees: for the eight 64-input ladder probes of the
+   benchmark round (robust and fragile input of each 3- and 4-layer rung,
+   delta 1), the exact verdict with its witness and the smallest
+   [~max_boxes] that decides the query. [max_boxes] counts visited boxes,
+   so an equal minimum shows the search visits the same tree. A witness
+   is written one character per input node: [-], [0] or [+]. *)
+let ladder_golden =
+  [
+    ("relu-quantized/64x3", `Robust, 1, None);
+    ( "relu-quantized/64x3",
+      `Fragile,
+      75,
+      Some "0+0--+++----++--+---++----+++----+-+--+++-++++++--+---+-+----+++" );
+    ("relu-quantized/64x4", `Robust, 1, None);
+    ("relu-quantized/64x4", `Fragile, 1, None);
+    ("binarized/64x3", `Robust, 1, None);
+    ( "binarized/64x3",
+      `Fragile,
+      129,
+      Some "---------------------------------------------------0-000-0000--0" );
+    ( "binarized/64x4",
+      `Robust,
+      129,
+      Some "-----------------------------------------------0-0--0--000--0--0" );
+    ( "binarized/64x4",
+      `Fragile,
+      129,
+      Some "----------------------------------0-0-00-00--0000---0-00-00--0--" );
+  ]
+
+let test_ladder_search_trees_pinned () =
+  let spec = N.symmetric ~delta:1 ~bias_noise:false in
+  let rungs =
+    List.concat_map
+      (fun family ->
+        List.map
+          (fun n_layers -> Nn.Ladder.rung ~family ~n_inputs:64 ~n_layers ~seed:60)
+          [ 3; 4 ])
+      Nn.Ladder.families
+  in
+  let signs (v : N.vector) =
+    String.concat ""
+      (List.map
+         (function -1 -> "-" | 0 -> "0" | 1 -> "+" | d -> string_of_int d)
+         (Array.to_list v.N.inputs))
+  in
+  List.iter
+    (fun (id, probe, boxes, witness) ->
+      let r = List.find (fun r -> Nn.Ladder.rung_id r = id) rungs in
+      let input = match probe with `Robust -> r.Nn.Ladder.input | `Fragile -> r.fragile in
+      let label = Nn.Qnet.predict r.qnet input in
+      let name = id ^ match probe with `Robust -> " robust" | `Fragile -> " fragile" in
+      let verdict ?max_boxes () =
+        match Fannet.Bnb.exists_flip ?max_boxes r.qnet spec ~input ~label with
+        | Fannet.Bnb.Robust -> None
+        | Fannet.Bnb.Flip v -> Some (signs v)
+        | Fannet.Bnb.Unknown _ -> Alcotest.fail (name ^ ": unexpected Unknown")
+      in
+      Alcotest.(check (option string)) name witness (verdict ());
+      Alcotest.(check (option string)) (name ^ " within max_boxes") witness
+        (verdict ~max_boxes:boxes ());
+      Alcotest.check_raises (name ^ " needs max_boxes") Fannet.Bnb.Budget_exceeded
+        (fun () -> ignore (verdict ~max_boxes:(boxes - 1) ())))
+    ladder_golden
+
+let test_count_flips_saturates () =
+  (* Regression: box volumes were multiplied without saturating. With the
+     label flipped, the whole 3^64 box of this rung flips, and the count
+     wrapped to -490285925142708991 reported as Complete. A saturated
+     count is a lower bound. *)
+  let r =
+    Nn.Ladder.rung ~family:Nn.Ladder.Relu_quantized ~n_inputs:64 ~n_layers:3 ~seed:60
+  in
+  let input = r.Nn.Ladder.input in
+  let label = 1 - Nn.Qnet.predict r.qnet input in
+  let spec = N.symmetric ~delta:1 ~bias_noise:false in
+  let count, status = Fannet.Bnb.count_flips r.qnet spec ~input ~label in
+  Alcotest.(check int) "saturated count" max_int count;
+  Alcotest.(check bool) "truncated" true (status = `Truncated)
+
 let prop_interval_sound_wrt_explicit =
   QCheck.Test.make ~name:"interval Robust implies explicit Robust" ~count:100
     arb_qnet (fun ((net : Nn.Qnet.t), input) ->
@@ -1228,6 +1345,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_backends_agree;
           QCheck_alcotest.to_alcotest prop_deep_backends_agree;
+          QCheck_alcotest.to_alcotest prop_deep_searches_agree;
+          Alcotest.test_case "ladder search trees pinned" `Quick
+            test_ladder_search_trees_pinned;
+          Alcotest.test_case "count_flips saturates" `Quick test_count_flips_saturates;
           Alcotest.test_case "midpoint floors on negative boxes" `Quick
             test_bnb_midpoint_floor_negative_box;
           QCheck_alcotest.to_alcotest prop_interval_sound_wrt_explicit;

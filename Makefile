@@ -54,35 +54,44 @@ metrics-smoke:
 	dune exec bin/fannet_cli.exe -- profile --fast -o metrics_smoke.json
 	rm -f metrics_smoke.json
 
-# fannetd end-to-end smoke (~seconds): a scripted client session against
-# an in-process daemon on an ephemeral TCP port — ping, model upload,
-# cold query, bit-identical cache hit, certified query re-checked by the
-# independent lib/cert checker, one malformed-JSON frame (typed error,
-# connection survives), one garbage-framed connection (typed error,
-# closed), a raw HTTP GET /metrics scrape, the stats accounting
-# identity, and a clean client-initiated shutdown. Exit 2 on any
-# mismatch.
+# fannetd end-to-end smoke (~20 s): the serving suite against in-process
+# daemons on ephemeral TCP ports — wire and protocol codecs, malformed
+# input (typed errors, the daemon survives), every query kind cold,
+# warm and from the cache (bit-identical, certificates and count
+# certificates re-checked by the independent checkers), the HTTP
+# GET /metrics scrape, the accounting identity, a client shutdown, a
+# 16-client soak under faults and the verdict journal. Then the CLI must
+# refuse a TCP port outside 0..65535 with a usage error (exit 2), and an
+# idle `fannet serve` must stop cleanly on SIGTERM.
 serve-smoke:
-	dune exec bin/fannet_cli.exe -- serve --self-test
+	dune exec test/test_serve.exe -- -q
+	timeout -k 5 60 dune exec bin/fannet_cli.exe -- serve --tcp 127.0.0.1:70000; [ $$? -eq 2 ]
+	dune exec bin/fannet_cli.exe -- serve --tcp 127.0.0.1:0 > serve_smoke.out & pid=$$!; \
+	  for i in $$(seq 100); do grep -q listening serve_smoke.out && break; sleep 0.1; done; \
+	  kill -TERM $$pid; for i in $$(seq 50); do kill -0 $$pid 2>/dev/null || break; sleep 0.1; done; \
+	  grep -q "fannetd stopped" serve_smoke.out; ok=$$?; kill -9 $$pid 2>/dev/null; \
+	  rm -f serve_smoke.out; [ $$ok -eq 0 ]
 
-# Crash-isolation smoke (~10 s): a supervised fannetd (2 worker
-# processes) under an armed kill schedule — 16 concurrent clients, every
-# 7th query receipt _exits the worker mid-flight. Asserts the accounting
-# identity, at least one observed death and restart, no untyped client
-# failure, and that a daemon restarted on the same journal serves every
-# journaled answer bit-identically from the recovered cache (certified
-# answers re-checked by lib/cert). Exit 2 on any violation.
+# Crash-isolation smoke (~10 s): the supervised-fleet suite — worker
+# death, restart and load replay, the restart-storm breaker, and the
+# chaos soak: 16 concurrent clients against a supervised fannetd (2
+# worker processes) whose workers _exit on every 7th query receipt. The
+# soak asserts typed replies only, the accounting identity, at least one
+# death and one restart, and that a daemon restarted on the same journal
+# serves every journaled answer bit-identically from the recovered
+# cache (certified answers re-checked by lib/cert).
 chaos-smoke:
-	dune exec bin/fannet_cli.exe -- serve --chaos-test
+	dune exec test/test_serve_chaos.exe -- -q
 
-# Model-counting smoke (~15 s): exact counts against brute-force
-# enumeration, fannet-count-cert/1 certificates re-checked by the
-# independent validator, jobs=1 vs jobs=4 byte-identity (certificate
-# included), the (ε, δ) envelope over 20 seeds, daemon cold-vs-cached
-# byte-identity for a certified count, and checkpoint
-# exhaust-and-resume. Exit 2 on any mismatch.
+# Model-counting smoke (~10 s): the counting suite — exact counts
+# against brute-force enumeration, fannet-count-cert/1 certificates
+# re-checked by the independent validator and tampering rejected,
+# jobs=1 vs jobs=4 byte-identity (certificate included), the (ε, δ)
+# envelope over 20 seeds, and checkpoint exhaust-and-resume. (A
+# certified count across the daemon is in serve-smoke.) Then the CLI
+# must refuse bad (ε, δ) parameters with a usage error (exit 2).
 count-smoke:
-	dune exec bin/fannet_cli.exe -- count --self-test
+	dune exec test/test_count.exe -- -q
 	@echo "count-smoke: checking (eps, delta) usage-error rejection paths"
 	@dune exec bin/fannet_cli.exe -- count --approx --epsilon 0 2>/dev/null; \
 	  st=$$?; [ $$st -eq 2 ] || { echo "FAIL: --epsilon 0 exited $$st, want usage error 2"; exit 1; }
@@ -188,4 +197,4 @@ fmt:
 clean:
 	dune clean
 	rm -f BENCH_cert.json
-	rm -f certify_smoke.drup certify_smoke.drup.cnf metrics_smoke.json
+	rm -f certify_smoke.drup certify_smoke.drup.cnf metrics_smoke.json serve_smoke.out

@@ -879,333 +879,10 @@ let resolve_addr socket tcp =
           let host = String.sub hp 0 i in
           let port = String.sub hp (i + 1) (String.length hp - i - 1) in
           match int_of_string_opt port with
-          | Some port when port >= 0 -> Serve.Daemon.Tcp (host, port)
-          | _ -> invalid_arg "--tcp wants HOST:PORT"))
+          | Some port when port >= 0 && port <= 65535 -> Serve.Daemon.Tcp (host, port)
+          | Some _ -> invalid_arg "--tcp port must be in 0..65535"
+          | None -> invalid_arg "--tcp wants HOST:PORT"))
   | None, None -> Serve.Daemon.Unix_path "fannetd.sock"
-
-(* The profile command's toy network again: two inputs, solves in
-   milliseconds — exactly what an in-process protocol exercise wants. *)
-let serve_toy_qnet () =
-  Nn.Qnet.create
-    [|
-      {
-        Nn.Qnet.weights = [| [| 31; -22 |]; [| -13; 41 |]; [| 17; 9 |]; [| -25; 14 |] |];
-        bias = [| 55; -31; 12; -7 |];
-        act = Nn.Qnet.Relu;
-      };
-      {
-        Nn.Qnet.weights = [| [| 21; -33; 11; -9 |]; [| -20; 31; -12; 10 |] |];
-        bias = [| 13; 0 |];
-        act = Nn.Qnet.Identity;
-      };
-    |]
-
-(* The scripted end-to-end session behind `make serve-smoke`: a daemon on
-   an ephemeral TCP port, one well-behaved client session covering every
-   request form, one malformed-JSON frame (connection survives), one
-   garbage-framing connection (typed error, closed), one raw HTTP scrape,
-   and a clean shutdown. Any mismatch exits 2. *)
-let serve_self_test () =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "serve self-test FAILED: %s\n%!" m;
-        exit 2)
-      fmt
-  in
-  let expect name ok = if not ok then fail "%s" name in
-  let qnet = serve_toy_qnet () in
-  let input = [| 112; 87 |] in
-  let label = Nn.Qnet.predict qnet input in
-  let spec = Fannet.Noise.symmetric ~delta:10 ~bias_noise:false in
-  let d =
-    Serve.Daemon.run
-      {
-        Serve.Daemon.addr = Serve.Daemon.Tcp ("127.0.0.1", 0);
-        workers = 2;
-        cap = 4;
-        cache_cap_bytes = 1 lsl 26;
-        timeout_ceiling_s = Some 60.;
-        procs = 0;
-        store_path = None;
-      }
-  in
-  let addr = Serve.Daemon.address d in
-  let c = Serve.Client.connect addr in
-  (match Serve.Client.ping c with Ok () -> () | Error e -> fail "ping: %s" e);
-  let digest =
-    match Serve.Client.load c qnet with Ok dg -> dg | Error e -> fail "load: %s" e
-  in
-  let q = Serve.Protocol.Exists_flip { backend = Fannet.Backend.Bnb; spec; input; label } in
-  let answer_of name = function
-    | Ok (Serve.Protocol.Answer { cached; answer }) -> (cached, answer)
-    | Ok _ -> fail "%s: unexpected reply form" name
-    | Error e -> fail "%s: %s" name e
-  in
-  let cached1, a1 = answer_of "query (cold)" (Serve.Client.query c ~digest q) in
-  expect "first query must be a cache miss" (not cached1);
-  let cached2, a2 = answer_of "query (hit)" (Serve.Client.query c ~digest q) in
-  expect "second identical query must be a cache hit" cached2;
-  expect "cache hit must be bit-identical to the cold answer"
-    (String.equal
-       (Util.Json.to_string (Serve.Protocol.answer_json a1))
-       (Util.Json.to_string (Serve.Protocol.answer_json a2)));
-  let direct = Fannet.Backend.exists_flip Fannet.Backend.Bnb qnet spec ~input ~label in
-  expect "daemon verdict must equal the direct library call"
-    (match a1 with
-    | Serve.Protocol.Verdict v -> Fannet.Backend.verdict_equal v direct
-    | _ -> false);
-  (* Certified query: the certificate crosses the wire and must still
-     pass the independent checker against the local model. *)
-  let _, ca =
-    answer_of "certify"
-      (Serve.Client.query c ~digest (Serve.Protocol.Certify { spec; input; label }))
-  in
-  (match ca with
-  | Serve.Protocol.Certified { verdict; cert } -> (
-      match
-        Fannet.Backend.check_certified qnet spec ~input ~label
-          { Fannet.Backend.cv_verdict = verdict; cv_cert = cert }
-      with
-      | Ok () -> ()
-      | Error e -> fail "certificate failed the independent checker: %s" e)
-  | _ -> fail "certify: wrong answer form");
-  (* Malformed JSON in an intact frame: typed rid-0 error, connection
-     survives. *)
-  Serve.Client.send_raw c (Serve.Wire.encode "this is not json");
-  (match Serve.Client.read_reply c with
-  | Ok { Serve.Protocol.rid = 0; reply = Serve.Protocol.Protocol_error _ } -> ()
-  | _ -> fail "bad JSON should produce a rid-0 Protocol_error");
-  (match Serve.Client.ping c with
-  | Ok () -> ()
-  | Error e -> fail "connection should survive bad JSON: %s" e);
-  (* Garbage framing on a fresh connection: typed error, then closed. *)
-  let c2 = Serve.Client.connect addr in
-  Serve.Client.send_raw c2 "JUNKJUNKJUNKJUNK";
-  (match Serve.Client.read_reply c2 with
-  | Ok { Serve.Protocol.reply = Serve.Protocol.Protocol_error _; _ } -> ()
-  | Ok _ -> fail "garbage framing should produce a Protocol_error"
-  | Error e -> fail "garbage framing: %s" e);
-  Serve.Client.close c2;
-  (* Raw HTTP scrape on the same port. *)
-  (let host, port =
-     match addr with Serve.Daemon.Tcp (h, p) -> (h, p) | _ -> fail "expected TCP"
-   in
-   let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-   Unix.connect fd (ADDR_INET (Unix.inet_addr_of_string host, port));
-   let msg = Bytes.of_string "GET /metrics HTTP/1.0\r\n\r\n" in
-   ignore (Unix.write fd msg 0 (Bytes.length msg));
-   let buf = Buffer.create 1024 in
-   let chunk = Bytes.create 4096 in
-   let rec drain () =
-     match Unix.read fd chunk 0 (Bytes.length chunk) with
-     | 0 -> ()
-     | n ->
-         Buffer.add_subbytes buf chunk 0 n;
-         drain ()
-   in
-   drain ();
-   Unix.close fd;
-   let body = Buffer.contents buf in
-   expect "scrape must answer HTTP 200" (String.starts_with ~prefix:"HTTP/1.0 200" body);
-   let contains s sub =
-     let n = String.length s and m = String.length sub in
-     let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-     go 0
-   in
-   expect "scrape must carry the serve counters" (contains body "serve.submitted"));
-  (* Framed metrics request + the accounting identity. *)
-  (match Serve.Client.rpc c Serve.Protocol.Metrics with
-  | Ok (Serve.Protocol.Metrics_reply { stats; _ }) ->
-      expect "served + rejected + failed = submitted"
-        (stats.Serve.Protocol.served + stats.rejected + stats.failed = stats.submitted);
-      expect "all queries must have been served" (stats.failed = 0 && stats.rejected = 0)
-  | Ok _ -> fail "metrics: wrong reply form"
-  | Error e -> fail "metrics: %s" e);
-  (match Serve.Client.shutdown c with Ok () -> () | Error e -> fail "shutdown: %s" e);
-  Serve.Daemon.wait d;
-  Serve.Client.close c;
-  let s = Serve.Daemon.stats d in
-  Printf.printf "serve self-test OK: %d submitted, %d served, %d cache hits\n" s.submitted
-    s.served s.cache_hits
-
-(* The chaos soak behind `make chaos-smoke`: a supervised daemon (two
-   worker processes) with a verdict journal and an armed kill schedule —
-   every 7th query receipt _exits a worker mid-flight — under 16
-   concurrent clients. Every client must get a typed reply, the
-   accounting identity must hold and workers must actually have died and
-   been restarted. Then the daemon restarts on the same journal and
-   every answer recorded before the crash must come back as a cache hit,
-   byte-identical, certificates re-validated by the independent lib/cert
-   checker. Exit 2 on any mismatch. *)
-let serve_chaos_test () =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "serve chaos-test FAILED: %s\n%!" m;
-        exit 2)
-      fmt
-  in
-  let expect name ok = if not ok then fail "%s" name in
-  let store_path = Filename.temp_file "fannet_chaos" ".store" in
-  Sys.remove store_path;
-  let qnet = serve_toy_qnet () in
-  let cfg =
-    {
-      Serve.Daemon.addr = Serve.Daemon.Tcp ("127.0.0.1", 0);
-      workers = 2;
-      cap = 32;
-      cache_cap_bytes = 1 lsl 26;
-      timeout_ceiling_s = Some 60.;
-      procs = 2;
-      store_path = Some store_path;
-    }
-  in
-  Resil.Faultpoint.clear ();
-  (* armed before the fork, so every worker process inherits the
-     schedule (each with its own hit counter) *)
-  Resil.Faultpoint.arm "serve.worker.kill%7";
-  let d = Serve.Daemon.run cfg in
-  let addr = Serve.Daemon.address d in
-  let digest =
-    let c = Serve.Client.connect addr in
-    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-    match Serve.Client.load c qnet with
-    | Ok dg -> dg
-    | Error e -> fail "load: %s" e
-  in
-  (* Distinct queries per client (input offset + delta sweep), so the
-     cache cannot absorb the load before the kill schedule fires.  Deltas
-     stay small: this is a smoke under `make check`, and the expensive
-     certified-count round-trip is already exercised by the test
-     battery. *)
-  let queries_for i =
-    let input = [| 112 + i; 87 - i |] in
-    let label = Nn.Qnet.predict qnet input in
-    let spec delta = Fannet.Noise.symmetric ~delta ~bias_noise:false in
-    [
-      Serve.Protocol.Exists_flip
-        { backend = Fannet.Backend.Bnb; spec = spec (1 + (i mod 2)); input; label };
-      Serve.Protocol.Tolerance
-        { backend = Fannet.Backend.Bnb; bias_noise = false; max_delta = 3 + (i mod 2); input; label };
-      Serve.Protocol.Sensitivity { spec = spec 1; input; label };
-      Serve.Protocol.Certify { spec = spec (1 + (i mod 2)); input; label };
-    ]
-  in
-  let clients = 16 in
-  let recorded = ref [] (* (query, answer bytes, answer) — decided only *)
-  and untyped = ref [] (* connection-level failures: must stay empty *)
-  and lock = Mutex.create () in
-  let client_thread i () =
-    let c = Serve.Client.connect addr in
-    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-    List.iter
-      (fun q ->
-        match Serve.Client.query ~retries:4 c ~digest q with
-        | Ok (Serve.Protocol.Answer { answer; _ })
-          when Serve.Protocol.answer_decided answer ->
-            let bytes = Util.Json.to_string (Serve.Protocol.answer_json answer) in
-            Mutex.lock lock;
-            recorded := (q, bytes, answer) :: !recorded;
-            Mutex.unlock lock
-        | Ok _ -> () (* typed: overloaded / server-error after retries / undecided *)
-        | Error e ->
-            Mutex.lock lock;
-            untyped := Printf.sprintf "client %d: %s" i e :: !untyped;
-            Mutex.unlock lock)
-      (queries_for i)
-  in
-  let threads = List.init clients (fun i -> Thread.create (client_thread i) ()) in
-  List.iter Thread.join threads;
-  (match !untyped with
-  | [] -> ()
-  | e :: _ -> fail "untyped client failure under chaos: %s" e);
-  let s = Serve.Daemon.stats d in
-  expect "accounting identity under chaos"
-    (s.Serve.Protocol.served + s.rejected + s.failed = s.submitted);
-  let restarts, deaths =
-    match Serve.Daemon.supervisor_stats d with
-    | Some rd -> rd
-    | None -> fail "supervised daemon reports no supervisor stats"
-  in
-  expect "the kill schedule killed at least one worker" (deaths >= 1);
-  expect "at least one worker was restarted" (restarts >= 1);
-  expect "some decided answers were recorded" (!recorded <> []);
-  (* Certificate-bearing replies are orders of magnitude larger than bare
-     verdicts (they embed the whole proof), so their multi-chunk writes
-     rarely win the race against a receipt-triggered kill: the worker's
-     receive loop keeps counting queries while a domain streams the
-     certificate and _exits mid-frame.  Record one certified answer once
-     the soak traffic stops instead.  Clearing here steers only workers
-     spawned from now on (the parent replays its fault table at spawn);
-     live workers keep their schedule, so the retries ride through at
-     most one residual kill — a worker only dies every seventh receipt,
-     and with the soak finished these retries are the only receipts
-     left. *)
-  Resil.Faultpoint.clear ();
-  (let input = [| 99; 99 |] in
-   let label = Nn.Qnet.predict qnet input in
-   let q =
-     Serve.Protocol.Certify
-       { spec = Fannet.Noise.symmetric ~delta:1 ~bias_noise:false; input; label }
-   in
-   let c = Serve.Client.connect addr in
-   Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
-   match Serve.Client.query ~retries:8 c ~digest q with
-   | Ok (Serve.Protocol.Answer { answer; _ })
-     when Serve.Protocol.answer_decided answer -> (
-       match answer with
-       | Serve.Protocol.Certified _ ->
-           recorded :=
-             (q, Util.Json.to_string (Serve.Protocol.answer_json answer), answer)
-             :: !recorded
-       | _ -> fail "post-chaos certify decided without a certificate")
-   | Ok _ -> fail "post-chaos certify did not decide"
-   | Error e -> fail "post-chaos certify: %s" e);
-  Serve.Daemon.stop d;
-  (* Restart on the same journal: every recorded answer must come back
-     as a store-recovered cache hit, bit-identical. *)
-  let d2 = Serve.Daemon.run { cfg with addr = Serve.Daemon.Tcp ("127.0.0.1", 0) } in
-  (match Serve.Daemon.store_stats d2 with
-  | Some st -> expect "journal recovered records" (st.Serve.Store.recovered > 0)
-  | None -> fail "restarted daemon reports no store stats");
-  let c = Serve.Client.connect (Serve.Daemon.address d2) in
-  (match Serve.Client.load c qnet with
-  | Ok dg -> expect "canonical digest stable across restart" (String.equal dg digest)
-  | Error e -> fail "reload: %s" e);
-  List.iter
-    (fun (q, bytes, _) ->
-      match Serve.Client.query c ~digest q with
-      | Ok (Serve.Protocol.Answer { cached; answer }) ->
-          expect "recovered answer is a cache hit" cached;
-          expect "recovered answer byte-identical to its pre-crash bytes"
-            (String.equal bytes
-               (Util.Json.to_string (Serve.Protocol.answer_json answer)));
-          (match answer with
-          | Serve.Protocol.Certified { verdict; cert } -> (
-              let input, label, spec =
-                match q with
-                | Serve.Protocol.Certify { input; label; spec } -> (input, label, spec)
-                | _ -> fail "certified answer for a non-certify query"
-              in
-              match
-                Fannet.Backend.check_certified qnet spec ~input ~label
-                  { Fannet.Backend.cv_verdict = verdict; cv_cert = cert }
-              with
-              | Ok () -> ()
-              | Error e -> fail "recovered certificate INVALID: %s" e)
-          | _ -> ())
-      | Ok _ -> fail "recovered query got a non-answer reply"
-      | Error e -> fail "recovered query: %s" e)
-    !recorded;
-  Serve.Client.close c;
-  Serve.Daemon.stop d2;
-  (try Sys.remove store_path with Sys_error _ -> ());
-  Printf.printf
-    "serve chaos-test OK: %d clients, %d submitted, %d served, %d worker deaths, \
-     %d restarts, %d answers recovered bit-identically\n"
-    clients s.Serve.Protocol.submitted s.served deaths restarts
-    (List.length !recorded)
 
 let serve_cmd =
   let workers_arg =
@@ -1235,7 +912,7 @@ let serve_cmd =
       "Supervised worker processes (crash-only mode): fork the compute pool \
        into $(docv) processes sharded by network digest, restart crashed \
        workers with exponential backoff behind a restart-storm circuit \
-       breaker. 0 (default) keeps the legacy in-process pool."
+       breaker. 0 keeps the in-process pool (the default)."
     in
     Arg.(value & opt int 0 & info [ "procs" ] ~docv:"N" ~doc)
   in
@@ -1247,53 +924,37 @@ let serve_cmd =
     in
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE" ~doc)
   in
-  let self_test =
-    let doc =
-      "Run the scripted end-to-end protocol session against an in-process \
-       daemon on an ephemeral port and exit (0 = all checks passed) — what \
-       $(b,make serve-smoke) runs."
-    in
-    Arg.(value & flag & info [ "self-test" ] ~doc)
-  in
-  let chaos_test =
-    let doc =
-      "Run the chaos soak: a supervised daemon with a verdict journal under \
-       an armed worker-kill schedule and 16 concurrent clients, then a \
-       restart that must recover every cached answer bit-identically — what \
-       $(b,make chaos-smoke) runs. Exit 0 = all checks passed."
-    in
-    Arg.(value & flag & info [ "chaos-test" ] ~doc)
-  in
-  let run socket tcp workers cap cache ceiling procs store self_test chaos_test =
+  let run socket tcp workers cap cache ceiling procs store =
     with_clean_errors @@ fun () ->
-    if self_test then serve_self_test ()
-    else if chaos_test then serve_chaos_test ()
-    else begin
-      Obs.Report.enable ();
-      let workers = Option.value workers ~default:(Util.Parallel.default_jobs ()) in
-      let cfg =
-        {
-          Serve.Daemon.addr = resolve_addr socket tcp;
-          workers;
-          cap = Option.value cap ~default:(4 * workers);
-          cache_cap_bytes = cache;
-          timeout_ceiling_s = ceiling;
-          procs;
-          store_path = store;
-        }
-      in
-      let d = Serve.Daemon.run cfg in
-      (match Serve.Daemon.address d with
-      | Serve.Daemon.Unix_path p -> Printf.printf "fannetd listening on unix:%s\n%!" p
-      | Serve.Daemon.Tcp (h, p) -> Printf.printf "fannetd listening on %s:%d\n%!" h p);
-      let on_signal _ = ignore (Thread.create (fun () -> Serve.Daemon.stop d) ()) in
-      Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
-      Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-      Serve.Daemon.wait d;
-      let s = Serve.Daemon.stats d in
-      Printf.printf "fannetd stopped: %d submitted, %d served, %d rejected, %d failed\n"
-        s.Serve.Protocol.submitted s.served s.rejected s.failed
-    end
+    Obs.Report.enable ();
+    let workers = Option.value workers ~default:(Util.Parallel.default_jobs ()) in
+    let cfg =
+      {
+        Serve.Daemon.addr = resolve_addr socket tcp;
+        workers;
+        cap = Option.value cap ~default:(4 * workers);
+        cache_cap_bytes = cache;
+        timeout_ceiling_s = ceiling;
+        procs;
+        store_path = store;
+      }
+    in
+    let d = Serve.Daemon.run cfg in
+    let on_signal _ = ignore (Thread.create (fun () -> Serve.Daemon.stop d) ()) in
+    Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+    (match Serve.Daemon.address d with
+    | Serve.Daemon.Unix_path p -> Printf.printf "fannetd listening on unix:%s\n%!" p
+    | Serve.Daemon.Tcp (h, p) -> Printf.printf "fannetd listening on %s:%d\n%!" h p);
+    (* Poll instead of blocking in [Daemon.wait]: OCaml runs a signal
+       handler only once some thread leaves its blocking call, and an
+       idle daemon has none that would. *)
+    while not (Serve.Daemon.stopped d) do
+      Thread.delay 0.1
+    done;
+    let s = Serve.Daemon.stats d in
+    Printf.printf "fannetd stopped: %d submitted, %d served, %d rejected, %d failed\n"
+      s.Serve.Protocol.submitted s.served s.rejected s.failed
   in
   let doc =
     "Run $(b,fannetd), the verification daemon: fannet-wire/1 over a Unix or \
@@ -1306,7 +967,7 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc ~exits)
     Term.(
       const run $ socket_arg $ tcp_arg $ workers_arg $ cap_arg $ cache_arg
-      $ ceiling_arg $ procs_arg $ store_arg $ self_test $ chaos_test)
+      $ ceiling_arg $ procs_arg $ store_arg)
 
 let query_cmd =
   let kind_arg =
@@ -1483,179 +1144,6 @@ let query_cmd =
 
 (* ---------- count: quantitative robustness via model counting ---------- *)
 
-(* The scripted self-test behind `make count-smoke`: exact counts against
-   brute-force enumeration, certificate re-validation by the independent
-   checker, jobs-determinism down to the certificate bytes, the (ε, δ)
-   envelope over 20 seeds, daemon cold-vs-cached byte-identity for a
-   certified count, and checkpoint exhaust-and-resume. Any mismatch
-   exits 2. *)
-let count_self_test () =
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "count self-test FAILED: %s\n%!" m;
-        exit 2)
-      fmt
-  in
-  let expect name ok = if not ok then fail "%s" name in
-  let qnet = serve_toy_qnet () in
-  let input = [| 112; 87 |] in
-  let label = Nn.Qnet.predict qnet input in
-  (* Exact ≡ brute force on two noise ranges, certified, certificates
-     re-checked. *)
-  List.iter
-    (fun delta ->
-      let spec = Fannet.Noise.symmetric ~delta ~bias_noise:false in
-      let brute = ref 0 in
-      Fannet.Noise.iter_vectors spec ~n_inputs:2 (fun v ->
-          if Fannet.Noise.predict qnet spec ~input v <> label then incr brute);
-      let r =
-        Fannet.Robustness.probability
-          ~mode:(Fannet.Robustness.Exact_mode { certify = true })
-          qnet spec ~input ~label
-      in
-      expect
-        (Printf.sprintf "delta %d: exact count = brute force" delta)
-        (Util.Bigcount.equal r.Fannet.Robustness.flips
-           (Util.Bigcount.of_int !brute));
-      expect
-        (Printf.sprintf "delta %d: fully decided" delta)
-        (r.Fannet.Robustness.status = Ok ());
-      match r.Fannet.Robustness.certificate with
-      | None -> fail "delta %d: certificate missing" delta
-      | Some cert -> (
-          match Fannet.Robustness.check_certificate qnet spec ~input ~label cert with
-          | Ok () -> ()
-          | Error e -> fail "delta %d: certificate rejected: %s" delta e))
-    [ 2; 3 ];
-  (* jobs=1 and jobs=4 agree to the byte, certificate included. *)
-  let spec = Fannet.Noise.symmetric ~delta:3 ~bias_noise:false in
-  let run_jobs jobs =
-    Fannet.Robustness.probability
-      ~mode:(Fannet.Robustness.Exact_mode { certify = true })
-      ~jobs qnet spec ~input ~label
-  in
-  let r1 = run_jobs 1 and r4 = run_jobs 4 in
-  expect "jobs 1 vs 4: same count"
-    (Util.Bigcount.equal r1.Fannet.Robustness.flips r4.Fannet.Robustness.flips);
-  let cert_bytes r =
-    match r.Fannet.Robustness.certificate with
-    | Some c -> Util.Json.to_string (Count.Certificate.to_json c)
-    | None -> fail "jobs run lost its certificate"
-  in
-  expect "jobs 1 vs 4: certificates byte-identical"
-    (String.equal (cert_bytes r1) (cert_bytes r4));
-  (* (ε, δ) envelope: 20 seeds on a space big enough to exercise the XOR
-     path (528 models > pivot(0.8) = 50). *)
-  let x = Smtlite.Term.var ~name:"x" ~lo:0 ~hi:31 in
-  let y = Smtlite.Term.var ~name:"y" ~lo:0 ~hi:31 in
-  let f = Smtlite.Term.le (Smtlite.Term.of_var x) (Smtlite.Term.of_var y) in
-  let models = float_of_int (32 * 33 / 2) in
-  let epsilon = 0.8 and adelta = 0.2 in
-  let misses = ref 0 in
-  for seed = 0 to 19 do
-    let a = Count.Approx.count ~epsilon ~delta:adelta ~seed f ~project:[ x; y ] in
-    expect "approx round decided" (a.Count.Approx.status = Count.Exact.Decided);
-    let est = Util.Bigcount.ratio a.Count.Approx.estimate Util.Bigcount.one in
-    if not (est >= models /. (1. +. epsilon) && est <= models *. (1. +. epsilon))
-    then incr misses
-  done;
-  (* δ = 0.2 per seed: 20 seeds with ≤ 9 misses has overwhelming
-     probability; more means the guarantee is broken. *)
-  expect
-    (Printf.sprintf "approx (0.8, 0.2) envelope: %d/20 misses" !misses)
-    (!misses <= 9);
-  let a1 = Count.Approx.count ~epsilon ~delta:adelta ~seed:5 f ~project:[ x; y ] in
-  let a2 = Count.Approx.count ~epsilon ~delta:adelta ~seed:5 f ~project:[ x; y ] in
-  expect "approx deterministic per seed"
-    (Util.Bigcount.equal a1.Count.Approx.estimate a2.Count.Approx.estimate);
-  (* Daemon: a certified count crosses the wire, is cached, and the
-     cached answer is byte-identical — certificate bytes included. *)
-  let d =
-    Serve.Daemon.run
-      {
-        Serve.Daemon.addr = Serve.Daemon.Tcp ("127.0.0.1", 0);
-        workers = 2;
-        cap = 4;
-        cache_cap_bytes = 1 lsl 26;
-        timeout_ceiling_s = Some 60.;
-        procs = 0;
-        store_path = None;
-      }
-  in
-  let c = Serve.Client.connect (Serve.Daemon.address d) in
-  let digest =
-    match Serve.Client.load c qnet with Ok dg -> dg | Error e -> fail "load: %s" e
-  in
-  let q =
-    Serve.Protocol.Count
-      { spec; input; label; mode = Serve.Protocol.Count_exact { certify = true } }
-  in
-  let once name =
-    match Serve.Client.query c ~digest q with
-    | Ok (Serve.Protocol.Answer { cached; answer }) -> (cached, answer)
-    | Ok _ -> fail "%s: unexpected reply form" name
-    | Error e -> fail "%s: %s" name e
-  in
-  let cached1, cold = once "count (cold)" in
-  let cached2, hit = once "count (hit)" in
-  expect "first daemon count is a cache miss" (not cached1);
-  expect "second daemon count is a cache hit" cached2;
-  expect "cached count byte-identical to cold (certificate included)"
-    (String.equal
-       (Util.Json.to_string (Serve.Protocol.answer_json cold))
-       (Util.Json.to_string (Serve.Protocol.answer_json hit)));
-  (match cold with
-  | Serve.Protocol.Counted (Ok { flips; count_cert = Some cert; _ }) ->
-      expect "daemon count = local count"
-        (Util.Bigcount.equal flips r1.Fannet.Robustness.flips);
-      (match Fannet.Robustness.check_certificate qnet spec ~input ~label cert with
-      | Ok () -> ()
-      | Error e -> fail "daemon certificate rejected locally: %s" e)
-  | _ -> fail "count: wrong answer form");
-  (match Serve.Client.shutdown c with Ok () -> () | Error e -> fail "shutdown: %s" e);
-  Serve.Daemon.wait d;
-  Serve.Client.close c;
-  (* Checkpoint: exhaust under a zero budget, resume to completion, same
-     count as a clean run. *)
-  let cx = Smtlite.Term.var ~name:"cx" ~lo:0 ~hi:127 in
-  let cy = Smtlite.Term.var ~name:"cy" ~lo:0 ~hi:127 in
-  let g = Smtlite.Term.le (Smtlite.Term.of_var cx) (Smtlite.Term.of_var cy) in
-  let clean = Count.Exact.count g ~project:[ cx; cy ] in
-  let ckpt = Filename.temp_file "fannet_count_selftest" ".ckpt" in
-  (* temp_file creates an empty file; an empty checkpoint is (rightly)
-     rejected as torn, so start from its absence. *)
-  Sys.remove ckpt;
-  let zero = Resil.Budget.create ~timeout_s:0.0 () in
-  let first =
-    Count.Exact.count ~budget:zero ~checkpoint:ckpt ~ckpt_key:"selftest"
-      ~ckpt_every:1 g ~project:[ cx; cy ]
-  in
-  expect "zero budget exhausts"
-    (match first.Count.Exact.status with
-    | Count.Exact.Exhausted _ -> true
-    | Count.Exact.Decided -> false);
-  let rec resume attempts =
-    if attempts > 60 then fail "checkpoint resume did not converge";
-    let b = Resil.Budget.create ~timeout_s:(0.0005 *. float_of_int attempts) () in
-    let r =
-      Count.Exact.count ~budget:b ~checkpoint:ckpt ~ckpt_key:"selftest"
-        ~ckpt_every:1 g ~project:[ cx; cy ]
-    in
-    match r.Count.Exact.status with
-    | Count.Exact.Decided -> r
-    | Count.Exact.Exhausted _ -> resume (attempts + 1)
-  in
-  let resumed = resume 1 in
-  (try Sys.remove ckpt with Sys_error _ -> ());
-  expect "resumed count = clean count"
-    (Util.Bigcount.equal resumed.Count.Exact.count clean.Count.Exact.count);
-  Printf.printf
-    "count self-test OK: exact = brute force, certificates check, jobs and \
-     cache byte-identical, approx envelope %d/20 misses, checkpoint resume \
-     intact\n"
-    !misses
-
 let count_cmd =
   let approx_arg =
     let doc =
@@ -1699,94 +1187,82 @@ let count_cmd =
     let doc = "Write the count certificate JSON to $(docv) (implies --certify)." in
     Arg.(value & opt (some string) None & info [ "cert-out" ] ~docv:"FILE" ~doc)
   in
-  let self_test =
-    let doc =
-      "Run the scripted counting self-test (exact vs brute force, \
-       certificate checks, jobs determinism, approx envelope, daemon \
-       byte-identity, checkpoint resume) and exit — what \
-       $(b,make count-smoke) runs."
-    in
-    Arg.(value & flag & info [ "self-test" ] ~doc)
-  in
   let run metrics dataset_seed init_seed input_index delta no_bias_noise approx
       exact epsilon adelta seed certify cert_out jobs timeout max_mem retries
-      checkpoint self_test =
+      checkpoint =
     with_clean_errors @@ fun () ->
-    if self_test then count_self_test ()
-    else begin
-      with_metrics metrics @@ fun () ->
-      if approx && exact then failwith "--exact and --approx are mutually exclusive";
-      if approx && (certify || cert_out <> None) then
-        failwith "--certify/--cert-out need the exact counter";
-      (* Validate the (ε, δ) parameters here, before any dataset/training
-         work: Count.Approx rejects them too, but only deep inside the
-         solve, after the pipeline has already run for seconds. The
-         negated comparisons also reject NaN. *)
-      if approx && not (epsilon > 0.) then
-        failwith
-          "--epsilon must be > 0: the estimate is within a (1+epsilon) factor \
-           of the true count";
-      if approx && not (adelta > 0. && adelta < 1.) then
-        failwith
-          "--approx-delta must be in (0, 1): it is the probability the \
-           (1+epsilon) guarantee fails";
-      Util.Parallel.set_default_jobs jobs;
-      let p = pipeline dataset_seed init_seed in
-      let inputs = Fannet.Pipeline.analysis_inputs p in
-      if input_index < 0 || input_index >= Array.length inputs then
-        failwith "input index out of range";
-      let input, label = inputs.(input_index) in
-      let bias_noise = bias_flag no_bias_noise in
-      let spec = Fannet.Noise.symmetric ~delta ~bias_noise in
-      let mode =
-        if approx then Fannet.Robustness.Approx_mode { epsilon; delta = adelta; seed }
-        else
-          Fannet.Robustness.Exact_mode { certify = certify || cert_out <> None }
-      in
-      (* The checkpoint key ties the file to this exact query, so resuming
-         under different flags is rejected instead of silently merged. *)
-      let ckpt_key =
-        Printf.sprintf "count input=%d delta=%d bias=%b" input_index delta
-          bias_noise
-      in
-      (* Retries resume from the checkpoint (when given), so each attempt
-         keeps the previous attempt's decided cubes. *)
-      let r =
-        with_retries ~retries (budget_of timeout max_mem) (fun budget ->
-            let r =
-              Fannet.Robustness.probability ?budget ~mode ?jobs ?checkpoint
-                ~ckpt_key p.qnet spec ~input ~label
-            in
-            match r.Fannet.Robustness.status with
-            | Error reason -> raise (Resil.Budget.Stopped reason)
-            | Ok () -> r)
-      in
-      (match r.Fannet.Robustness.certificate with
-      | None -> ()
-      | Some cert -> (
-          (match
-             Fannet.Robustness.check_certificate p.qnet spec ~input ~label cert
-           with
-          | Ok () -> Printf.printf "certificate checked (fannet-count-cert/1)\n"
-          | Error e ->
-              Printf.eprintf "certificate INVALID: %s\n%!" e;
-              exit 2);
-          match cert_out with
-          | None -> ()
-          | Some file ->
-              let oc = open_out file in
-              output_string oc (Util.Json.to_string (Count.Certificate.to_json cert));
-              output_char oc '\n';
-              close_out oc;
-              Printf.printf "certificate written to %s\n" file));
-      Printf.printf "input %d (true L%d), noise +-%d%%: %s of %s vectors flip (p %s %.6g)\n"
-        input_index label delta
-        (Util.Bigcount.to_string r.Fannet.Robustness.flips)
-        (Util.Bigcount.to_string r.Fannet.Robustness.total)
-        (if r.Fannet.Robustness.approx then "~=" else "=")
-        r.Fannet.Robustness.probability;
-      if not (Util.Bigcount.is_zero r.Fannet.Robustness.flips) then exit 1
-    end
+    with_metrics metrics @@ fun () ->
+    if approx && exact then failwith "--exact and --approx are mutually exclusive";
+    if approx && (certify || cert_out <> None) then
+      failwith "--certify/--cert-out need the exact counter";
+    (* Validate the (ε, δ) parameters here, before any dataset/training
+       work: Count.Approx rejects them too, but only deep inside the
+       solve, after the pipeline has already run for seconds. The
+       negated comparisons also reject NaN. *)
+    if approx && not (epsilon > 0.) then
+      failwith
+        "--epsilon must be > 0: the estimate is within a (1+epsilon) factor \
+         of the true count";
+    if approx && not (adelta > 0. && adelta < 1.) then
+      failwith
+        "--approx-delta must be in (0, 1): it is the probability the \
+         (1+epsilon) guarantee fails";
+    Util.Parallel.set_default_jobs jobs;
+    let p = pipeline dataset_seed init_seed in
+    let inputs = Fannet.Pipeline.analysis_inputs p in
+    if input_index < 0 || input_index >= Array.length inputs then
+      failwith "input index out of range";
+    let input, label = inputs.(input_index) in
+    let bias_noise = bias_flag no_bias_noise in
+    let spec = Fannet.Noise.symmetric ~delta ~bias_noise in
+    let mode =
+      if approx then Fannet.Robustness.Approx_mode { epsilon; delta = adelta; seed }
+      else
+        Fannet.Robustness.Exact_mode { certify = certify || cert_out <> None }
+    in
+    (* The checkpoint key ties the file to this exact query, so resuming
+       under different flags is rejected instead of silently merged. *)
+    let ckpt_key =
+      Printf.sprintf "count input=%d delta=%d bias=%b" input_index delta
+        bias_noise
+    in
+    (* Retries resume from the checkpoint (when given), so each attempt
+       keeps the previous attempt's decided cubes. *)
+    let r =
+      with_retries ~retries (budget_of timeout max_mem) (fun budget ->
+          let r =
+            Fannet.Robustness.probability ?budget ~mode ?jobs ?checkpoint
+              ~ckpt_key p.qnet spec ~input ~label
+          in
+          match r.Fannet.Robustness.status with
+          | Error reason -> raise (Resil.Budget.Stopped reason)
+          | Ok () -> r)
+    in
+    (match r.Fannet.Robustness.certificate with
+    | None -> ()
+    | Some cert -> (
+        (match
+           Fannet.Robustness.check_certificate p.qnet spec ~input ~label cert
+         with
+        | Ok () -> Printf.printf "certificate checked (fannet-count-cert/1)\n"
+        | Error e ->
+            Printf.eprintf "certificate INVALID: %s\n%!" e;
+            exit 2);
+        match cert_out with
+        | None -> ()
+        | Some file ->
+            let oc = open_out file in
+            output_string oc (Util.Json.to_string (Count.Certificate.to_json cert));
+            output_char oc '\n';
+            close_out oc;
+            Printf.printf "certificate written to %s\n" file));
+    Printf.printf "input %d (true L%d), noise +-%d%%: %s of %s vectors flip (p %s %.6g)\n"
+      input_index label delta
+      (Util.Bigcount.to_string r.Fannet.Robustness.flips)
+      (Util.Bigcount.to_string r.Fannet.Robustness.total)
+      (if r.Fannet.Robustness.approx then "~=" else "=")
+      r.Fannet.Robustness.probability;
+    if not (Util.Bigcount.is_zero r.Fannet.Robustness.flips) then exit 1
   in
   let doc =
     "Quantitative robustness: count the noise vectors that flip one input's \
@@ -1801,7 +1277,7 @@ let count_cmd =
       const run $ metrics_file $ dataset_seed $ init_seed $ input_index $ delta
       $ no_bias_noise $ approx_arg $ exact_arg $ epsilon_arg $ approx_delta_arg
       $ seed_arg $ certify_arg $ cert_out_arg $ jobs $ timeout_arg $ max_mem_arg
-      $ retries_arg $ checkpoint_arg $ self_test)
+      $ retries_arg $ checkpoint_arg)
 
 let () =
   let doc = "Formal analysis of noise tolerance, training bias and input sensitivity (FANNet, DATE 2020)" in

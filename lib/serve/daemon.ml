@@ -46,7 +46,7 @@ let m_worker_deaths = Obs.Metrics.counter "serve.worker.deaths"
 let m_worker_restarts = Obs.Metrics.counter "serve.worker.restarts"
 let h_query = Obs.Metrics.histogram "serve.query_s"
 
-(* Compute backend: the legacy in-process pool, or the supervised
+(* Compute backend: the in-process pool (the default), or the supervised
    worker-process fleet. *)
 type compute = In_process of Pool.t | Supervised of Supervisor.t
 
@@ -139,6 +139,18 @@ let execute net ~budget (q : Protocol.query) : Protocol.answer =
               }
         | Error reason -> Error reason)
 
+(* The one place a computed query becomes a reply, for the in-process
+   pool and the supervised workers alike. The engines reject unsupported
+   shapes (single-output networks, non-identity output layers, ...) with
+   Invalid_argument: that is the client's query, not a daemon fault, so
+   it comes back as a typed protocol error — never escapes a worker
+   raw. *)
+let compute_reply net ~budget query : Protocol.reply =
+  match execute net ~budget query with
+  | answer -> Protocol.Answer { cached = false; answer }
+  | exception Invalid_argument msg -> Protocol.Protocol_error ("unsupported query: " ^ msg)
+  | exception e -> Protocol.Server_error (Printexc.to_string e)
+
 let clamp_timeout t timeout_s =
   match (timeout_s, t.cfg.timeout_ceiling_s) with
   | None, ceiling -> ceiling
@@ -185,38 +197,31 @@ let failed_reply t reply =
    outcome. *)
 let compute_query t ~key ~digest ~query ~budget net =
   let since = Obs.Clock.now_ns () in
-  match t.compute with
-  | In_process pool -> (
-      let budget = budget_of t budget in
-      match Pool.run pool (fun () -> execute net ~budget query) with
-      | answer ->
-          Obs.Metrics.observe h_query (Obs.Clock.elapsed_s ~since);
-          served_answer t key answer
-      | exception Invalid_argument msg ->
-          (* The engines reject unsupported shapes (single-output
-             networks, non-identity output layers, ...) with
-             Invalid_argument: that is the client's query, not a
-             daemon fault, and must come back as a typed
-             protocol error — never escape a worker domain raw. *)
-          failed_reply t (Protocol.Protocol_error ("unsupported query: " ^ msg))
-      | exception e -> failed_reply t (Protocol.Server_error (Printexc.to_string e)))
-  | Supervised sup -> (
-      (* clamp here — the worker process builds its budget from the spec
-         verbatim, and cannot share the parent's cancellation token *)
-      let budget =
-        { budget with Protocol.timeout_s = clamp_timeout t budget.Protocol.timeout_s }
-      in
-      match Supervisor.query sup ~digest ~query ~budget with
-      | Ok (Protocol.Answer { answer; _ }) ->
-          Obs.Metrics.observe h_query (Obs.Clock.elapsed_s ~since);
-          served_answer t key answer
-      | Ok ((Protocol.Protocol_error _ | Protocol.Server_error _) as reply) ->
-          failed_reply t reply
-      | Ok _ -> failed_reply t (Protocol.Server_error "unexpected worker reply")
-      | Error msg ->
-          (* worker died mid-query / restarting / circuit open: a typed
-             server error the client may retry — never a dead daemon *)
-          failed_reply t (Protocol.Server_error msg))
+  let result =
+    match t.compute with
+    | In_process pool -> (
+        let budget = budget_of t budget in
+        try Ok (Pool.run pool (fun () -> compute_reply net ~budget query))
+        with e -> Error (Printexc.to_string e))
+    | Supervised sup ->
+        (* clamp here — the worker process builds its budget from the
+           spec verbatim, and cannot share the parent's cancellation
+           token *)
+        Supervisor.query sup ~digest ~query
+          ~budget:{ budget with Protocol.timeout_s = clamp_timeout t budget.Protocol.timeout_s }
+  in
+  match result with
+  | Ok (Protocol.Answer { answer; _ }) ->
+      Obs.Metrics.observe h_query (Obs.Clock.elapsed_s ~since);
+      served_answer t key answer
+  | Ok ((Protocol.Protocol_error _ | Protocol.Server_error _) as reply) ->
+      failed_reply t reply
+  | Ok _ -> failed_reply t (Protocol.Server_error "unexpected worker reply")
+  | Error msg ->
+      (* a refused pool job, or a worker that died mid-query / is
+         restarting / has its circuit open: a typed server error the
+         client may retry — never a dead daemon *)
+      failed_reply t (Protocol.Server_error msg)
 
 let handle_query t ~digest ~query ~budget =
   Atomic.incr t.submitted;
@@ -252,10 +257,8 @@ let handle_load t ~network : Protocol.reply =
   match Nn.Qnet.of_string network with
   | Error e -> Protocol.Server_error ("bad network: " ^ e)
   | Ok net ->
-      (* Digest the canonical re-serialisation, not the upload bytes, so
-         two textual variants of the same network share cache entries. *)
       let canonical = Nn.Qnet.to_string net in
-      let digest = Digest.to_hex (Digest.string canonical) in
+      let digest = Protocol.network_digest canonical in
       Mutex.lock t.nets_lock;
       Hashtbl.replace t.nets digest net;
       Mutex.unlock t.nets_lock;
@@ -467,14 +470,20 @@ let run cfg =
   (* A client closing mid-reply must surface as EPIPE, not kill the
      process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  (* Unix.bind truncates a port mod 65536 and would bind another one *)
+  (match cfg.addr with
+  | Tcp (_, port) when port < 0 || port > 65535 ->
+      invalid_arg (Printf.sprintf "Daemon.run: TCP port %d outside 0..65535" port)
+  | Tcp _ | Unix_path _ -> ());
   let cfg = { cfg with workers = Stdlib.max 1 cfg.workers; cap = Stdlib.max 1 cfg.cap } in
   (* Supervised mode forks the compute fleet FIRST, while this process
      is still single-domain with no listening socket or journal to
      inherit — the in-process pool (which spawns domains, making later
-     forks undefined) exists only in legacy mode. *)
+     forks undefined) exists only in in-process mode. *)
   let compute =
     if cfg.procs > 0 then
-      Supervised (Supervisor.create ~procs:cfg.procs ~workers:cfg.workers ~execute ())
+      Supervised
+        (Supervisor.create ~procs:cfg.procs ~workers:cfg.workers ~execute:compute_reply ())
     else In_process (Pool.create ~workers:cfg.workers)
   in
   let listen_fd, bound, unlink_path =

@@ -49,7 +49,7 @@ type config = {
   timeout_ceiling_s : float option;
       (** clamp applied to client-requested budgets; [None] = no ceiling *)
   procs : int;
-      (** supervised worker processes; 0 = legacy in-process pool.
+      (** supervised worker processes; 0 = in-process pool (the default).
           With [procs > 0] the compute fleet is forked ({!Supervisor}):
           this process keeps exactly one domain, queries are sharded by
           network digest, and a worker crash becomes a typed
@@ -72,8 +72,9 @@ type t
 
 val run : config -> t
 (** Bind, listen, spawn the worker pool and the accept thread, return
-    immediately. Raises [Unix.Unix_error] when the address cannot be
-    bound. An existing Unix-socket file at the path is replaced. *)
+    immediately. Raises [Invalid_argument] for a TCP port outside
+    0..65535 and [Unix.Unix_error] when the address cannot be bound. An
+    existing Unix-socket file at the path is replaced. *)
 
 val address : t -> addr
 (** The bound address — for [Tcp (host, 0)] this carries the actual

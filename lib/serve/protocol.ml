@@ -341,6 +341,8 @@ let query_of_json j =
         }
   | s -> bad "unknown query kind %S" s
 
+let network_digest canonical = Digest.to_hex (Digest.string canonical)
+
 let query_key ~digest q = digest ^ "\n" ^ J.to_string (query_json q)
 
 (* ------------------------------------------------------------------ *)

@@ -156,6 +156,12 @@ val answer_of_json : Util.Json.t -> (answer, string) result
 (** Total inverse of {!answer_json}, for consumers (the verdict store)
     that must treat persisted payloads as untrusted bytes. *)
 
+val network_digest : string -> string
+(** The hex digest naming a network on the wire ([Loaded], [Query]),
+    taken over its canonical serialisation {!Nn.Qnet.to_string} — not
+    the upload bytes, so two textual variants of one network share
+    cache entries. *)
+
 val query_key : digest:string -> query -> string
 (** Canonical cache key: network digest × the deterministic JSON
     rendering of the query. Budgets are deliberately excluded — a

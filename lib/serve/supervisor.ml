@@ -90,7 +90,6 @@ type t = {
   procs : int;
   workers : int;
   policy : policy;
-  execute : Nn.Qnet.t -> budget:Resil.Budget.t -> Protocol.query -> Protocol.answer;
   slots : slot array;
   nets : (string, string) Hashtbl.t;  (* digest -> serialised network *)
   nets_lock : Mutex.t;
@@ -174,11 +173,12 @@ let worker_main ~execute ~workers fd : 'a =
                 Resil.Budget.create ?timeout_s:budget.Protocol.timeout_s
                   ?conflicts:budget.Protocol.conflicts ()
               in
-              match execute net ~budget:b query with
-              | answer -> Protocol.Answer { cached = false; answer }
-              | exception Invalid_argument msg ->
-                  Protocol.Protocol_error ("unsupported query: " ^ msg)
-              | exception e -> Protocol.Server_error (Printexc.to_string e))
+              (* [execute] maps every outcome to a reply already; this
+                 catch-all stays because a submitted job that raised
+                 would send nothing and leave the parent waiting
+                 forever *)
+              try execute net ~budget:b query
+              with e -> Protocol.Server_error (Printexc.to_string e))
         in
         send { Protocol.rid; reply })
   in
@@ -223,9 +223,8 @@ let worker_main ~execute ~workers fd : 'a =
                 | Error e ->
                     send { rid; reply = Protocol.Server_error ("bad network: " ^ e) }
                 | Ok net ->
-                    let digest =
-                      Digest.to_hex (Digest.string (Nn.Qnet.to_string net))
-                    in
+                    (* the parent forwards canonical text only *)
+                    let digest = Protocol.network_digest network in
                     Mutex.lock nets_lock;
                     Hashtbl.replace nets digest net;
                     Mutex.unlock nets_lock;
@@ -666,7 +665,6 @@ let create ?(policy = default_policy) ~procs ~workers ~execute () =
       procs;
       workers;
       policy;
-      execute;
       slots =
         Array.init procs (fun idx ->
             { idx; lock = Mutex.create (); state = Down; death_times = [] });

@@ -55,15 +55,19 @@ val create :
   ?policy:policy ->
   procs:int ->
   workers:int ->
-  execute:(Nn.Qnet.t -> budget:Resil.Budget.t -> Protocol.query -> Protocol.answer) ->
+  execute:(Nn.Qnet.t -> budget:Resil.Budget.t -> Protocol.query -> Protocol.reply) ->
   unit ->
   t
 (** Fork [procs] (>= 1, clamped) children, each with a [workers]-domain
-    pool, all running [execute] for query compute. Call this before the
-    parent owns any worker domains. *)
+    pool, all running [execute] for query compute — the daemon's own
+    outcome mapping, so a forked answer is the in-process one. Call this
+    before the parent owns any worker domains. *)
 
 val load : t -> digest:string -> network:string -> unit
 (** Register a network for replay and forward it to the owning shard.
+    [network] is the canonical serialisation and [digest] its
+    {!Protocol.network_digest}; the child re-derives the digest from
+    these bytes.
     Ordering is guaranteed by the socketpair stream: a query sent after
     [load] returns cannot reach the child before the network did. *)
 

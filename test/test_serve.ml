@@ -1,8 +1,9 @@
 (* Tests for the serving layer: fannet-wire/1 framing and message codec
    (QCheck roundtrips + malformed-input totality), the LRU verdict cache,
-   the resident worker pool, differential daemon-vs-library answers
-   (cold / warm / cache-hit, certificates re-checked independently), a
-   16-client concurrency soak under injected faults with the accounting
+   the resident worker pool, the daemon's scrape, metrics and client
+   shutdown, differential daemon-vs-library answers (cold / warm /
+   cache-hit, certificates re-checked independently), a 16-client
+   concurrency soak under injected faults with the accounting
    identity served + rejected + failed = submitted, and the Warm
    per-entry LRU eviction regression. *)
 
@@ -948,6 +949,16 @@ let test_differential_cache_hit_and_certificates () =
         (J.to_string (P.answer_json cold))
         (J.to_string (P.answer_json hit)))
     (differential_queries net);
+  (* The certified count crossed the wire too: its certificate must pass
+     the independent count validator against the local model. *)
+  (let cspec = N.symmetric ~delta:3 ~bias_noise:false in
+   let q = P.Count { spec = cspec; input; label; mode = P.Count_exact { certify = true } } in
+   match ok (C.query c ~digest q) with
+   | P.Answer { cached = true; answer = P.Counted (Ok { count_cert = Some cert; _ }) } -> (
+       match Fannet.Robustness.check_certificate net cspec ~input ~label cert with
+       | Ok () -> ()
+       | Error e -> Alcotest.failf "wire-roundtripped count certificate rejected: %s" e)
+   | _ -> Alcotest.fail "expected a cached certified count");
   (* The certificate that crossed the wire twice (cold + cached) must
      still convince the independent RUP/model checker. *)
   match ok (C.query c ~digest (P.Certify { spec; input; label })) with
@@ -1524,6 +1535,63 @@ let test_daemon_raw_frames_hit_is_spliced_miss () =
         (answer_tail ~rid:max_int ~cached:true recovered)
   | _ -> assert false
 
+(* A session on one daemon, then the ways to watch or stop it from
+   outside: the HTTP scrape on the framed port, the framed Metrics
+   request with its accounting identity, and a client Shutdown. *)
+let test_daemon_scrape_metrics_shutdown () =
+  with_daemon @@ fun d ->
+  with_client d @@ fun c ->
+  let net = toy_qnet () in
+  let digest = ok (C.load c net) in
+  let q = List.assoc "exists-flip bnb" (differential_queries net) in
+  ignore (answer_of_reply "cold" (ok (C.query c ~digest q)));
+  ignore (answer_of_reply "hit" (ok (C.query c ~digest q)));
+  let scrape =
+    let fd = raw_connect d in
+    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+    Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+    W.write_all fd "GET /metrics HTTP/1.0\r\n\r\n";
+    let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+    let rec drain () =
+      match Unix.read fd chunk 0 (Bytes.length chunk) with
+      | 0 -> Buffer.contents buf
+      | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          drain ()
+    in
+    drain ()
+  in
+  Alcotest.(check bool) "scrape answers HTTP/1.0 200" true
+    (String.starts_with ~prefix:"HTTP/1.0 200" scrape);
+  (* The body opens with the daemon's own counters (the Obs report after
+     them pads its names): two queries so far. *)
+  Alcotest.(check bool) "scrape carries serve.submitted" true
+    (contains scrape "\r\n\r\nserve.submitted 2\n");
+  (match ok (C.rpc c P.Metrics) with
+  | P.Metrics_reply { stats; _ } ->
+      Alcotest.(check int) "served + rejected + failed = submitted" stats.P.submitted
+        (stats.P.served + stats.P.rejected + stats.P.failed);
+      Alcotest.(check int) "nothing failed" 0 stats.P.failed;
+      Alcotest.(check int) "nothing rejected" 0 stats.P.rejected
+  | r -> Alcotest.failf "wanted Metrics_reply, got %s" (P.encode_reply { rid = 0; reply = r }));
+  ok (C.shutdown c);
+  (* Poll first, so a daemon that never stops fails the test instead of
+     hanging it in [wait]. *)
+  poll_until "daemon stopped by the client" (fun () -> D.stopped d);
+  D.wait d
+
+(* Unix.bind truncates a port mod 65536: 65536 would bind an ephemeral
+   port and 110536 port 45000, so run must refuse them. *)
+let test_daemon_rejects_out_of_range_port () =
+  List.iter
+    (fun port ->
+      match D.run { D.default_config with addr = D.Tcp ("127.0.0.1", port) } with
+      | exception Invalid_argument _ -> ()
+      | d ->
+          D.stop d;
+          Alcotest.failf "port %d must be rejected" port)
+    [ -1; 65536; 110536 ]
+
 (* ================================================================== *)
 (* Supervised daemon + persistent store                                *)
 (* ================================================================== *)
@@ -1697,6 +1765,10 @@ let () =
             test_daemon_budget_answers_not_cached;
           Alcotest.test_case "raw hit frames splice the miss bytes" `Quick
             test_daemon_raw_frames_hit_is_spliced_miss;
+          Alcotest.test_case "scrape, metrics identity, client shutdown" `Quick
+            test_daemon_scrape_metrics_shutdown;
+          Alcotest.test_case "out-of-range TCP port rejected" `Quick
+            test_daemon_rejects_out_of_range_port;
         ] );
       ( "differential",
         [

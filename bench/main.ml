@@ -1,9 +1,9 @@
 (* Benchmark harness: regenerates every evaluation artefact of the paper
-   (DESIGN.md experiment index E1-E8), printing the measured rows next to
-   the paper's reported values, then runs a Bechamel timing suite over the
-   main code paths.
+   (DESIGN.md experiment index E1-E15, E19, E22), printing the measured
+   rows next to the paper's reported values, then runs a Bechamel timing
+   suite over the main code paths.
 
-   Run with: dune exec bench/main.exe *)
+   Run with: dune exec bench/main.exe [--parallel | --ladder [--smoke]] *)
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
@@ -1123,549 +1123,6 @@ let bench_parallel ?(smoke = false) (p : Fannet.Pipeline.t) ~out =
   | Error e -> failwith (Printf.sprintf "E19: %s failed to parse: %s" out e))
 
 (* ------------------------------------------------------------------ *)
-(* E16 - certificate subsystem: proof-logging overhead, checker        *)
-(* throughput, end-to-end certified verdicts                           *)
-(* ------------------------------------------------------------------ *)
-
-let pigeonhole_clauses ~pigeons ~holes =
-  let var p h = (p * holes) + h in
-  let clauses = ref [] in
-  for p = 0 to pigeons - 1 do
-    clauses := List.init holes (fun h -> (var p h, true)) :: !clauses
-  done;
-  for h = 0 to holes - 1 do
-    for p1 = 0 to pigeons - 1 do
-      for p2 = p1 + 1 to pigeons - 1 do
-        clauses := [ (var p1 h, false); (var p2 h, false) ] :: !clauses
-      done
-    done
-  done;
-  (pigeons * holes, !clauses)
-
-let bench_cert ?(smoke = false) ~out () =
-  section "E16 bench_cert (proof logging overhead + RUP checker throughput)";
-  let pigeons = 7 and holes = 6 in
-  let n_vars, clauses = pigeonhole_clauses ~pigeons ~holes in
-  let solve_php ~logged () =
-    let s = Sat.Solver.create () in
-    let trace = if logged then Some (Cert.Proof.attach s) else None in
-    let vars = Array.init n_vars (fun _ -> Sat.Solver.new_var s) in
-    List.iter
-      (fun clause ->
-        Sat.Solver.add_clause s
-          (List.map (fun (v, sign) -> Sat.Lit.make vars.(v) sign) clause))
-      clauses;
-    let r = Sat.Solver.solve s in
-    if r <> Sat.Solver.Unsat then failwith "E16: php must be unsat";
-    (s, trace)
-  in
-  (* Per-event cost is tiny relative to run-to-run solver noise, so take
-     the best of several repetitions for both configurations. *)
-  let reps = if smoke then 3 else 7 in
-  let best f =
-    let ts = List.init reps (fun _ -> snd (time_of f)) in
-    List.fold_left min (List.hd ts) (List.tl ts)
-  in
-  let t_off = best (fun () -> solve_php ~logged:false ()) in
-  let t_on = best (fun () -> solve_php ~logged:true ()) in
-  let overhead_pct = 100. *. ((t_on -. t_off) /. t_off) in
-  Printf.printf
-    "php(%d,%d) solve: %.4fs unlogged, %.4fs with proof sink (%.1f%% overhead)\n"
-    pigeons holes t_off t_on overhead_pct;
-  (* Checker throughput on the proof from one logged run. *)
-  let s, trace = solve_php ~logged:true () in
-  let trace = Option.get trace in
-  let cert =
-    match Cert.Verdict.of_trace_unsat ~n_vars:(Sat.Solver.nvars s) trace with
-    | Ok c -> c
-    | Error e -> failwith ("E16: no refutation certificate: " ^ e)
-  in
-  let n_steps, n_lemmas =
-    match cert with
-    | Cert.Verdict.Refutation { proof; _ } ->
-        ( List.length proof,
-          List.length
-            (List.filter
-               (function Cert.Rup.Learn _ -> true | Cert.Rup.Delete _ -> false)
-               proof) )
-    | Cert.Verdict.Model _ -> failwith "E16: expected a refutation"
-  in
-  let check_result, check_t = time_of (fun () -> Cert.Verdict.check cert) in
-  (match check_result with
-  | Ok () -> ()
-  | Error e -> failwith ("E16: solver proof rejected by the checker: " ^ e));
-  let lemmas_per_s = float_of_int n_lemmas /. check_t in
-  Printf.printf
-    "RUP check: %d proof steps (%d lemmas) verified in %.4fs (%.0f lemmas/s)\n"
-    n_steps n_lemmas check_t lemmas_per_s;
-  (* End-to-end certified robustness verdict on the small fixed network:
-     encode, solve with the trace attached, snapshot, re-check. *)
-  let qnet = small_qnet () in
-  let input = [| 50; 50 |] and delta = 12 in
-  let label = Nn.Qnet.predict qnet input in
-  let spec = Fannet.Noise.symmetric ~delta ~bias_noise:false in
-  let cv, e2e_solve_t =
-    time_of (fun () -> Fannet.Backend.certified_exists_flip qnet spec ~input ~label)
-  in
-  (match cv.Fannet.Backend.cv_verdict with
-  | Fannet.Backend.Robust -> ()
-  | v ->
-      failwith
-        ("E16: expected robust at +-12 on the small net, got "
-        ^ Fannet.Backend.verdict_to_string v));
-  let e2e_check, e2e_check_t =
-    time_of (fun () -> Fannet.Backend.check_certified qnet spec ~input ~label cv)
-  in
-  (match e2e_check with
-  | Ok () -> ()
-  | Error e -> failwith ("E16: end-to-end certificate rejected: " ^ e));
-  Printf.printf
-    "certified robust verdict (small net, +-%d%%): %.3fs solve+log, %.3fs check\n"
-    delta e2e_solve_t e2e_check_t;
-  let json =
-    Util.Json.Obj
-      [
-        ("schema", Util.Json.String "fannet.bench_cert/1");
-        ("smoke", Util.Json.Bool smoke);
-        ( "proof_logging",
-          Util.Json.Obj
-            [
-              ("workload", Util.Json.String (Printf.sprintf "php(%d,%d)" pigeons holes));
-              ("reps", Util.Json.Int reps);
-              ("unlogged_s", Util.Json.Float t_off);
-              ("logged_s", Util.Json.Float t_on);
-              ("overhead_pct", Util.Json.Float overhead_pct);
-            ] );
-        ( "checker",
-          Util.Json.Obj
-            [
-              ("proof_steps", Util.Json.Int n_steps);
-              ("lemmas", Util.Json.Int n_lemmas);
-              ("check_s", Util.Json.Float check_t);
-              ("lemmas_per_s", Util.Json.Float lemmas_per_s);
-            ] );
-        ( "end_to_end",
-          Util.Json.Obj
-            [
-              ("delta", Util.Json.Int delta);
-              ("verdict", Util.Json.String "robust");
-              ("solve_s", Util.Json.Float e2e_solve_t);
-              ("check_s", Util.Json.Float e2e_check_t);
-            ] );
-      ]
-  in
-  Util.Json.write_file out json;
-  match Util.Json.parse_file out with
-  | Ok reread
-    when Util.Json.member "schema" reread
-         = Some (Util.Json.String "fannet.bench_cert/1") ->
-      Printf.printf "%s written and re-parsed OK\n" out
-  | Ok _ -> failwith (Printf.sprintf "E16: %s lost its schema tag" out)
-  | Error e -> failwith (Printf.sprintf "E16: %s failed to parse: %s" out e)
-
-(* ------------------------------------------------------------------ *)
-(* E17 - observability overhead: the disabled fast path must be free   *)
-(* ------------------------------------------------------------------ *)
-
-let bench_obs ?(smoke = false) ~out () =
-  section "E17 bench_obs (metrics registry: disabled fast path + enabled overhead)";
-  (* Representative instrumented workload: cascade and SMT robustness
-     queries plus one incremental min-flip search on the small network —
-     the code paths that carry every Obs record site. *)
-  let qnet = small_qnet () in
-  let sinput = [| 112; 87 |] in
-  let slabel = Nn.Qnet.predict qnet sinput in
-  let deltas = if smoke then [ 5; 12 ] else [ 2; 5; 8; 12; 15; 20 ] in
-  let workload () =
-    List.iter
-      (fun delta ->
-        let spec = Fannet.Noise.symmetric ~delta ~bias_noise:false in
-        ignore
-          (Fannet.Backend.exists_flip Fannet.Backend.default_cascade qnet spec
-             ~input:sinput ~label:slabel);
-        ignore
-          (Fannet.Backend.exists_flip Fannet.Backend.Smt qnet spec ~input:sinput
-             ~label:slabel))
-      deltas;
-    ignore
-      (Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Smt qnet
-         ~bias_noise:false ~max_delta:40 ~input:sinput ~label:slabel)
-  in
-  let reps = if smoke then 3 else 7 in
-  let best f =
-    let ts = List.init reps (fun _ -> snd (time_of f)) in
-    List.fold_left min (List.hd ts) (List.tl ts)
-  in
-  Obs.Report.disable ();
-  Obs.Report.reset ();
-  let t_disabled = best workload in
-  Obs.Report.enable ();
-  Obs.Report.reset ();
-  let t_enabled = best workload in
-  (* Event counts recorded while enabled (per rep: totals / reps). Batched
-     counters (conflicts, propagations, ...) are pushed once per solve, so
-     the number of record-site executions is what matters, not the counter
-     magnitudes. *)
-  let cval name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
-  let hcount name = (Obs.Metrics.histogram_view (Obs.Metrics.histogram name)).Obs.Metrics.count in
-  let solves = cval "sat.solves" in
-  let queries = cval "smtlite.queries" in
-  let probes = cval "tolerance.probes" in
-  let learnt = hcount "sat.learnt_clause_len" in
-  let backend_queries =
-    hcount "backend.cascade(bnb).query_s" + hcount "backend.smt.query_s"
-  in
-  (* Record-site executions per rep: each learnt clause checks the flag
-     once; a solve pushes ~6 counter deltas + 1 histogram; a query records
-     ~5 metrics; a backend query ~2 (histogram + clock pair); a tolerance
-     probe ~2 (counter + gauge). *)
-  let events_total =
-    learnt + (6 * solves) + (5 * queries) + (2 * backend_queries) + (2 * probes)
-  in
-  let events_per_rep = float_of_int events_total /. float_of_int reps in
-  Obs.Report.disable ();
-  (* Disabled-branch unit cost: one counter incr = atomic load + branch. *)
-  let iters = if smoke then 2_000_000 else 20_000_000 in
-  let c_probe = Obs.Metrics.counter "bench.obs.disabled_probe" in
-  let _, t_branch = time_of (fun () -> for _ = 1 to iters do Obs.Metrics.incr c_probe done) in
-  let disabled_branch_ns = 1e9 *. t_branch /. float_of_int iters in
-  (* The modelled cost of the disabled instrumentation on this workload:
-     direct enabled-vs-disabled deltas drown in solver noise at this
-     scale, so the asserted bound multiplies the measured per-site branch
-     cost by the number of record-site executions. *)
-  let disabled_overhead_pct =
-    100. *. (events_per_rep *. disabled_branch_ns /. 1e9) /. t_disabled
-  in
-  let enabled_overhead_pct = 100. *. ((t_enabled -. t_disabled) /. t_disabled) in
-  Printf.printf
-    "workload: %.4fs disabled, %.4fs enabled (%+.1f%% measured, noisy)\n"
-    t_disabled t_enabled enabled_overhead_pct;
-  Printf.printf
-    "disabled branch: %.2f ns/site x %.0f sites/rep = %.5f%% modelled overhead (bound: <2%%)\n"
-    disabled_branch_ns events_per_rep disabled_overhead_pct;
-  if disabled_overhead_pct >= 2.0 then
-    failwith
-      (Printf.sprintf "E17: disabled-path overhead %.3f%% breaches the 2%% contract"
-         disabled_overhead_pct);
-  Obs.Report.reset ();
-  let json =
-    Util.Json.Obj
-      [
-        ("schema", Util.Json.String "fannet.bench_obs/1");
-        ("smoke", Util.Json.Bool smoke);
-        ("monotonic_clock", Util.Json.Bool Obs.Clock.monotonic);
-        ("reps", Util.Json.Int reps);
-        ("disabled_s", Util.Json.Float t_disabled);
-        ("enabled_s", Util.Json.Float t_enabled);
-        ("enabled_overhead_pct", Util.Json.Float enabled_overhead_pct);
-        ("disabled_branch_ns", Util.Json.Float disabled_branch_ns);
-        ("events_per_rep", Util.Json.Float events_per_rep);
-        ( "events",
-          Util.Json.Obj
-            [
-              ("sat_solves", Util.Json.Int solves);
-              ("smtlite_queries", Util.Json.Int queries);
-              ("tolerance_probes", Util.Json.Int probes);
-              ("learnt_clauses", Util.Json.Int learnt);
-              ("backend_queries", Util.Json.Int backend_queries);
-            ] );
-        ("disabled_overhead_pct", Util.Json.Float disabled_overhead_pct);
-        ("bound_pct", Util.Json.Float 2.0);
-      ]
-  in
-  Util.Json.write_file out json;
-  (match Util.Json.parse_file out with
-  | Ok reread
-    when Util.Json.member "schema" reread
-         = Some (Util.Json.String "fannet.bench_obs/1") ->
-      Printf.printf "%s written and re-parsed OK\n" out
-  | Ok _ -> failwith (Printf.sprintf "E17: %s lost its schema tag" out)
-  | Error e -> failwith (Printf.sprintf "E17: %s failed to parse: %s" out e))
-
-(* ------------------------------------------------------------------ *)
-(* E18: resilience layer costs                                         *)
-(* ------------------------------------------------------------------ *)
-
-let bench_robust ?(smoke = false) ~out () =
-  section "E18 bench_robust (budget-check overhead + checkpoint write cost)";
-  let qnet = small_qnet () in
-  let sinput = [| 112; 87 |] in
-  let slabel = Nn.Qnet.predict qnet sinput in
-  let deltas = if smoke then [ 5; 12 ] else [ 2; 5; 8; 12; 15; 20 ] in
-  (* The budgeted workload: the same robustness queries every analysis
-     command issues, under a budget generous enough never to fire — so the
-     difference against the unbudgeted run is pure polling cost. *)
-  let workload budget () =
-    List.iter
-      (fun delta ->
-        let spec = Fannet.Noise.symmetric ~delta ~bias_noise:false in
-        ignore
-          (Fannet.Backend.exists_flip ?budget Fannet.Backend.Bnb qnet spec
-             ~input:sinput ~label:slabel);
-        ignore
-          (Fannet.Backend.exists_flip ?budget Fannet.Backend.Smt qnet spec
-             ~input:sinput ~label:slabel))
-      deltas
-  in
-  let reps = if smoke then 3 else 7 in
-  let best f =
-    let ts = List.init reps (fun _ -> snd (time_of f)) in
-    List.fold_left min (List.hd ts) (List.tl ts)
-  in
-  let t_plain = best (workload None) in
-  let generous () = Some (Resil.Budget.create ~timeout_s:1e6 ~max_mem_mb:1_000_000 ()) in
-  let t_budgeted = best (fun () -> workload (generous ()) ()) in
-  let measured_pct = 100. *. ((t_budgeted -. t_plain) /. t_plain) in
-  (* Unit cost of one Budget.check (atomic load + clock read + Gc.quick_stat). *)
-  let iters = if smoke then 200_000 else 2_000_000 in
-  let b = Resil.Budget.create ~timeout_s:1e6 ~max_mem_mb:1_000_000 () in
-  let _, t_checks =
-    time_of (fun () ->
-        for _ = 1 to iters do
-          ignore (Resil.Budget.check b)
-        done)
-  in
-  let check_ns = 1e9 *. t_checks /. float_of_int iters in
-  (* Poll count per rep, from the solver's own counters: the SAT loop
-     polls every 64 conflicts plus once per solve entry; branch-and-bound
-     polls every 64 boxes — bounded here by a fixed slack, since the small
-     network explores at most a few hundred boxes per query. *)
-  Obs.Report.enable ();
-  Obs.Report.reset ();
-  workload (generous ()) ();
-  let cval name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
-  let conflicts = cval "sat.conflicts" in
-  let solves = cval "sat.solves" in
-  Obs.Report.disable ();
-  Obs.Report.reset ();
-  let bnb_poll_slack = 100 in
-  let polls_per_rep = (conflicts / 64) + (2 * solves) + bnb_poll_slack in
-  let modelled_pct =
-    100. *. (float_of_int polls_per_rep *. check_ns /. 1e9) /. t_plain
-  in
-  Printf.printf
-    "workload: %.4fs unbudgeted, %.4fs budgeted (%+.1f%% measured, noisy)\n"
-    t_plain t_budgeted measured_pct;
-  Printf.printf
-    "budget check: %.2f ns x %d polls/rep = %.5f%% modelled overhead (bound: <2%%)\n"
-    check_ns polls_per_rep modelled_pct;
-  if modelled_pct >= 2.0 then
-    failwith
-      (Printf.sprintf "E18: budget-check overhead %.3f%% breaches the 2%% contract"
-         modelled_pct);
-  (* Checkpoint write cost: a representative extract checkpoint payload
-     (hundreds of noise vectors plus pending boxes) written through the
-     full fannet-ckpt/1 path — serialize, checksum, tmp file, rename. *)
-  let n_vectors = if smoke then 64 else 512 in
-  let vec i =
-    Util.Json.Obj
-      [
-        ("bias", Util.Json.Int 0);
-        ( "inputs",
-          Util.Json.List
-            (List.init 5 (fun k -> Util.Json.Int ((i + k) mod 7 - 3))) );
-      ]
-  in
-  let payload =
-    Util.Json.Obj
-      [
-        ("key", Util.Json.String (String.make 32 'a'));
-        ("emitted", Util.Json.Int n_vectors);
-        ("vectors", Util.Json.List (List.init n_vectors vec));
-        ("pending", Util.Json.List []);
-      ]
-  in
-  let path = Filename.temp_file "fannet_bench" ".ckpt" in
-  let writes = if smoke then 20 else 200 in
-  let _, t_writes =
-    time_of (fun () ->
-        for _ = 1 to writes do
-          Resil.Ckpt.save ~kind:"extract" ~path payload
-        done)
-  in
-  let write_ms = 1e3 *. t_writes /. float_of_int writes in
-  let bytes = (Unix.stat path).Unix.st_size in
-  let load_ok =
-    match Resil.Ckpt.load ~kind:"extract" ~path with
-    | Ok _ -> true
-    | Error _ -> false
-  in
-  Sys.remove path;
-  if not load_ok then failwith "E18: checkpoint did not load back";
-  Printf.printf
-    "checkpoint: %d vectors, %d bytes, %.3f ms/write (atomic tmp+rename), reload OK\n"
-    n_vectors bytes write_ms;
-  let json =
-    Util.Json.Obj
-      [
-        ("schema", Util.Json.String "fannet.bench_robust/1");
-        ("smoke", Util.Json.Bool smoke);
-        ("reps", Util.Json.Int reps);
-        ("plain_s", Util.Json.Float t_plain);
-        ("budgeted_s", Util.Json.Float t_budgeted);
-        ("measured_overhead_pct", Util.Json.Float measured_pct);
-        ("check_ns", Util.Json.Float check_ns);
-        ("polls_per_rep", Util.Json.Int polls_per_rep);
-        ("modelled_overhead_pct", Util.Json.Float modelled_pct);
-        ("bound_pct", Util.Json.Float 2.0);
-        ( "checkpoint",
-          Util.Json.Obj
-            [
-              ("vectors", Util.Json.Int n_vectors);
-              ("bytes", Util.Json.Int bytes);
-              ("write_ms", Util.Json.Float write_ms);
-              ("reload_ok", Util.Json.Bool load_ok);
-            ] );
-      ]
-  in
-  Util.Json.write_file out json;
-  match Util.Json.parse_file out with
-  | Ok reread
-    when Util.Json.member "schema" reread
-         = Some (Util.Json.String "fannet.bench_robust/1") ->
-      Printf.printf "%s written and re-parsed OK\n" out
-  | Ok _ -> failwith (Printf.sprintf "E18: %s lost its schema tag" out)
-  | Error e -> failwith (Printf.sprintf "E18: %s failed to parse: %s" out e)
-
-(* ------------------------------------------------------------------ *)
-(* E21: model counting (lib/count)                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Exact #SAT throughput (cubes and solver calls per second, certified
-   overhead), the approximate counter's cost across an (ε, δ) grid, and
-   exact-vs-approx agreement — asserted, not just reported. *)
-let bench_count ?(smoke = false) ~out () =
-  section "E21 bench_count (exact #SAT + (ε, δ) XOR-hash estimation)";
-  let qnet = small_qnet () in
-  let sinput = [| 112; 87 |] in
-  let slabel = Nn.Qnet.predict qnet sinput in
-  (* Exact counting on the network encoding, plain and certified. *)
-  let deltas = if smoke then [ 3; 5 ] else [ 3; 5; 8; 12 ] in
-  let exact_rows =
-    List.map
-      (fun delta ->
-        let spec = Fannet.Noise.symmetric ~delta ~bias_noise:false in
-        let count certify () =
-          Fannet.Robustness.probability
-            ~mode:(Fannet.Robustness.Exact_mode { certify })
-            qnet spec ~input:sinput ~label:slabel
-        in
-        let r, t_plain = time_of (count false) in
-        let rc, t_cert = time_of (count true) in
-        if not (Util.Bigcount.equal r.Fannet.Robustness.flips rc.Fannet.Robustness.flips)
-        then failwith "E21: certified and plain exact counts disagree";
-        if rc.Fannet.Robustness.certificate = None then
-          failwith "E21: certified run produced no certificate";
-        let calls = r.Fannet.Robustness.solver_calls in
-        Printf.printf
-          "exact delta %2d: %s/%s flips, %d solver calls, %.4fs plain, %.4fs \
-           certified (x%.1f)\n"
-          delta
-          (Util.Bigcount.to_string r.Fannet.Robustness.flips)
-          (Util.Bigcount.to_string r.Fannet.Robustness.total)
-          calls t_plain t_cert
-          (t_cert /. Float.max 1e-9 t_plain);
-        ( delta,
-          r.Fannet.Robustness.flips,
-          r.Fannet.Robustness.total,
-          calls,
-          t_plain,
-          t_cert ))
-      deltas
-  in
-  (* Tight-ε approx on the network must short-circuit to the exact count. *)
-  let delta0 = List.hd deltas in
-  let spec0 = Fannet.Noise.symmetric ~delta:delta0 ~bias_noise:false in
-  let exact0 =
-    Fannet.Robustness.probability qnet spec0 ~input:sinput ~label:slabel
-  in
-  let tight =
-    Fannet.Robustness.probability
-      ~mode:(Fannet.Robustness.Approx_mode { epsilon = 0.1; delta = 0.2; seed = 1 })
-      qnet spec0 ~input:sinput ~label:slabel
-  in
-  if not (Util.Bigcount.equal tight.Fannet.Robustness.flips exact0.Fannet.Robustness.flips)
-  then failwith "E21: tight-ε approx disagrees with the exact flip count";
-  print_endline "tight-ε approx short-circuits to the exact flip count: OK";
-  (* (ε, δ) grid on a synthetic space large enough to force XOR rounds. *)
-  let x = Smtlite.Term.var ~name:"bx" ~lo:0 ~hi:63 in
-  let y = Smtlite.Term.var ~name:"by" ~lo:0 ~hi:63 in
-  let f = Smtlite.Term.le (Smtlite.Term.of_var x) (Smtlite.Term.of_var y) in
-  let truth = float_of_int (64 * 65 / 2) in
-  let grid =
-    if smoke then [ (0.8, 0.2) ] else [ (0.8, 0.2); (0.5, 0.2); (0.8, 0.05) ]
-  in
-  let approx_rows =
-    List.map
-      (fun (epsilon, delta) ->
-        let a, t =
-          time_of (fun () ->
-              Count.Approx.count ~epsilon ~delta ~seed:3 f ~project:[ x; y ])
-        in
-        let est = Util.Bigcount.ratio a.Count.Approx.estimate Util.Bigcount.one in
-        let within =
-          est >= truth /. (1. +. epsilon) && est <= truth *. (1. +. epsilon)
-        in
-        (* Seed 3 is fixed, so this is a deterministic regression gate on
-           the (ε, δ) guarantee, not a flaky statistical check. *)
-        if not within then
-          failwith
-            (Printf.sprintf "E21: (%.2f, %.2f) estimate %.0f outside the envelope"
-               epsilon delta est);
-        Printf.printf
-          "approx (%.2f, %.2f): estimate %.0f (truth %.0f), %d rounds, %d solver \
-           calls, %.4fs\n"
-          epsilon delta est truth a.Count.Approx.rounds a.Count.Approx.solver_calls t;
-        (epsilon, delta, est, a.Count.Approx.rounds, a.Count.Approx.solver_calls, t))
-      grid
-  in
-  let json =
-    Util.Json.Obj
-      [
-        ("schema", Util.Json.String "fannet.bench_count/1");
-        ("smoke", Util.Json.Bool smoke);
-        ( "exact",
-          Util.Json.List
-            (List.map
-               (fun (delta, flips, total, calls, t_plain, t_cert) ->
-                 Util.Json.Obj
-                   [
-                     ("delta", Util.Json.Int delta);
-                     ("flips", Util.Bigcount.to_json flips);
-                     ("total", Util.Bigcount.to_json total);
-                     ("solver_calls", Util.Json.Int calls);
-                     ("plain_s", Util.Json.Float t_plain);
-                     ("certified_s", Util.Json.Float t_cert);
-                   ])
-               exact_rows) );
-        ( "approx",
-          Util.Json.List
-            (List.map
-               (fun (epsilon, delta, est, rounds, calls, t) ->
-                 Util.Json.Obj
-                   [
-                     ("epsilon", Util.Json.Float epsilon);
-                     ("delta", Util.Json.Float delta);
-                     ("estimate", Util.Json.Float est);
-                     ("truth", Util.Json.Float truth);
-                     ("rounds", Util.Json.Int rounds);
-                     ("solver_calls", Util.Json.Int calls);
-                     ("time_s", Util.Json.Float t);
-                   ])
-               approx_rows) );
-        ("tight_eps_agrees", Util.Json.Bool true);
-      ]
-  in
-  Util.Json.write_file out json;
-  match Util.Json.parse_file out with
-  | Ok reread
-    when Util.Json.member "schema" reread
-         = Some (Util.Json.String "fannet.bench_count/1") ->
-      Printf.printf "%s written and re-parsed OK\n" out
-  | Ok _ -> failwith (Printf.sprintf "E21: %s lost its schema tag" out)
-  | Error e -> failwith (Printf.sprintf "E21: %s failed to parse: %s" out e)
-
-(* ------------------------------------------------------------------ *)
 (* E22: deep & binarized scaling ladder                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1930,376 +1387,6 @@ let bench_ladder ?(smoke = false) ~out () =
   | Error e -> failwith (Printf.sprintf "E22: %s failed to parse: %s" out e)
 
 (* ------------------------------------------------------------------ *)
-(* E20: serving layer (fannetd)                                        *)
-(* ------------------------------------------------------------------ *)
-
-module SP = Serve.Protocol
-
-(* An in-process fannetd on an ephemeral TCP port, driven over the real
-   wire: qps and latency percentiles under concurrent clients, the cache
-   hit rate, and the cold / warm-session / cache-hit latency contrast —
-   with the bit-identity of cached certified verdicts asserted on the
-   encoded answer bytes. *)
-let bench_serve ?(smoke = false) ~out () =
-  let net = small_qnet () in
-  let sinput = [| 112; 87 |] in
-  let slabel = Nn.Qnet.predict net sinput in
-  let serve_daemon ?(procs = 0) ?store_path ~workers ~cap ~cache_cap_bytes () =
-    Serve.Daemon.run
-      {
-        Serve.Daemon.addr = Serve.Daemon.Tcp ("127.0.0.1", 0);
-        workers;
-        cap;
-        cache_cap_bytes;
-        timeout_ceiling_s = None;
-        procs;
-        store_path;
-      }
-  in
-  let with_conn d f =
-    let c = Serve.Client.connect (Serve.Daemon.address d) in
-    Fun.protect ~finally:(fun () -> Serve.Client.close c) (fun () -> f c)
-  in
-  let load c = match Serve.Client.load c net with
-    | Ok digest -> digest
-    | Error e -> failwith ("E20: load failed: " ^ e)
-  in
-  let timed_query c ~digest q =
-    let t0 = Obs.Clock.now_ns () in
-    match Serve.Client.query c ~digest q with
-    | Ok (SP.Answer { cached; answer }) ->
-        (1e3 *. Obs.Clock.elapsed_s ~since:t0, cached, answer)
-    | Ok r ->
-        failwith
-          ("E20: unexpected reply "
-          ^ SP.encode_reply { SP.rid = 0; reply = r })
-    | Error e -> failwith ("E20: query failed: " ^ e)
-  in
-  (* =============================================================== *)
-  (* E23: crash isolation. Runs FIRST — the supervised fleet forks    *)
-  (* worker processes, and Unix.fork is refused for the lifetime of   *)
-  (* an OCaml 5 process once any domain has been created in it, so    *)
-  (* these measurements must precede every in-process daemon below.   *)
-  (* =============================================================== *)
-  section "E23 bench_serve (crash isolation: kill schedule, journal recovery)";
-  let e23 =
-    let store_path = Filename.temp_file "fannet_bench_chaos" ".store" in
-    Sys.remove store_path;
-    Fun.protect
-      ~finally:(fun () -> if Sys.file_exists store_path then Sys.remove store_path)
-    @@ fun () ->
-    let kill_every = 5 in
-    let n_clients = if smoke then 8 else 16 in
-    let per_client = if smoke then 4 else 8 in
-    let query_for k j =
-      let input = [| 100 + (per_client * k) + j; 80 - k |] in
-      let label = Nn.Qnet.predict net input in
-      let spec d' = Fannet.Noise.symmetric ~delta:d' ~bias_noise:false in
-      match j mod 3 with
-      | 0 ->
-          SP.Exists_flip
-            { backend = Fannet.Backend.Bnb; spec = spec (1 + (j mod 2)); input; label }
-      | 1 -> SP.Certify { spec = spec 2; input; label }
-      | _ ->
-          SP.Tolerance
-            { backend = Fannet.Backend.Bnb; bias_noise = false; max_delta = 4; input; label }
-    in
-    Resil.Faultpoint.clear ();
-    Resil.Faultpoint.arm (Printf.sprintf "serve.worker.kill%%%d" kill_every);
-    let d =
-      serve_daemon ~procs:2 ~workers:2 ~cap:64 ~cache_cap_bytes:(1 lsl 26)
-        ~store_path ()
-    in
-    let reference = query_for 0 1 (* a certify query; journaled below *) in
-    let availability, deaths, restarts, wall_s, reference_bytes =
-      Fun.protect ~finally:(fun () -> Serve.Daemon.stop d) @@ fun () ->
-      let digest = with_conn d load in
-      let decided = Atomic.make 0 and untyped = Atomic.make 0 in
-      let ref_bytes = ref "" in
-      let t0 = Obs.Clock.now_ns () in
-      let client k () =
-        with_conn d @@ fun c ->
-        for j = 0 to per_client - 1 do
-          match Serve.Client.query c ~digest ~retries:5 (query_for k j) with
-          | Ok (SP.Answer { answer; _ }) when SP.answer_decided answer ->
-              Atomic.incr decided;
-              if k = 0 && j = 1 then
-                ref_bytes := Util.Json.to_string (SP.answer_json answer)
-          | Ok (SP.Answer _ | SP.Overloaded _ | SP.Server_error _) -> ()
-          | Ok _ | Error _ -> Atomic.incr untyped
-        done
-      in
-      let threads = Array.init n_clients (fun k -> Thread.create (client k) ()) in
-      Array.iter Thread.join threads;
-      let wall_s = Obs.Clock.elapsed_s ~since:t0 in
-      (* The reference certify must end the soak journaled, and
-         certificate replies are far larger than bare verdicts — they
-         essentially never win the race against a receipt-triggered
-         kill. Ask again with the soak traffic quiesced: the schedule
-         still kills every [kill_every] receipts, but these retries are
-         now the only receipts, so at most one death interrupts them. *)
-      (if !ref_bytes = "" then
-         with_conn d (fun c ->
-             match Serve.Client.query c ~digest ~retries:8 (query_for 0 1) with
-             | Ok (SP.Answer { answer; _ }) when SP.answer_decided answer ->
-                 ref_bytes := Util.Json.to_string (SP.answer_json answer)
-             | Ok _ -> failwith "E23: post-soak reference certify did not decide"
-             | Error e -> failwith ("E23: post-soak reference certify: " ^ e)));
-      if Atomic.get untyped > 0 then
-        failwith "E23: untyped client failure under the kill schedule";
-      let s = Serve.Daemon.stats d in
-      if s.SP.submitted <> s.SP.served + s.SP.rejected + s.SP.failed then
-        failwith "E23: served + rejected + failed <> submitted under chaos";
-      let restarts, deaths =
-        match Serve.Daemon.supervisor_stats d with
-        | Some rd -> rd
-        | None -> failwith "E23: supervised daemon reports no fleet stats"
-      in
-      if deaths < 1 then failwith "E23: the kill schedule never fired";
-      let availability =
-        float_of_int (Atomic.get decided) /. float_of_int (n_clients * per_client)
-      in
-      if availability <= 0. then failwith "E23: no query survived the kill schedule";
-      (availability, deaths, restarts, wall_s, !ref_bytes)
-    in
-    Resil.Faultpoint.clear ();
-    (* Restart-recovery latency: reopening the journal and warming the
-       cache is part of Daemon.run. *)
-    let t0 = Obs.Clock.now_ns () in
-    let d2 = serve_daemon ~workers:2 ~cap:8 ~cache_cap_bytes:(1 lsl 26) ~store_path () in
-    let recovery_ms = 1e3 *. Obs.Clock.elapsed_s ~since:t0 in
-    Fun.protect ~finally:(fun () -> Serve.Daemon.stop d2) @@ fun () ->
-    let recovered =
-      match Serve.Daemon.store_stats d2 with
-      | Some st -> st.Serve.Store.recovered
-      | None -> failwith "E23: restarted daemon reports no store stats"
-    in
-    if recovered < 1 then failwith "E23: journal recovered no records";
-    with_conn d2 @@ fun c ->
-    let digest = load c in
-    (* Warm-loss vs store-hit: the restart lost every warm session, but a
-       journaled answer is a cache hit — no recompute at all. *)
-    let store_hit_ms, cached, hit_answer = timed_query c ~digest reference in
-    if not cached then failwith "E23: journaled answer missed the recovered cache";
-    if
-      reference_bytes <> ""
-      && reference_bytes <> Util.Json.to_string (SP.answer_json hit_answer)
-    then failwith "E23: recovered answer not bit-identical to its pre-crash bytes";
-    let fresh =
-      SP.Certify
-        {
-          spec = Fannet.Noise.symmetric ~delta:2 ~bias_noise:false;
-          input = [| 7; 93 |];
-          label = Nn.Qnet.predict net [| 7; 93 |];
-        }
-    in
-    let recompute_ms, cached_fresh, _ = timed_query c ~digest fresh in
-    if cached_fresh then failwith "E23: a never-journaled query cannot hit the cache";
-    if store_hit_ms >= recompute_ms then
-      failwith
-        (Printf.sprintf "E23: store hit (%.3f ms) not faster than recompute (%.2f ms)"
-           store_hit_ms recompute_ms);
-    Printf.printf
-      "kill every %d: availability %.1f%%, %d deaths, %d restarts, %.2f s wall\n"
-      kill_every (100. *. availability) deaths restarts wall_s;
-    Printf.printf
-      "restart: %d records recovered in %.2f ms; store hit %.3f ms vs %.2f ms recompute\n"
-      recovered recovery_ms store_hit_ms recompute_ms;
-    Util.Json.Obj
-      [
-        ("kill_every", Util.Json.Int kill_every);
-        ("clients", Util.Json.Int n_clients);
-        ("queries", Util.Json.Int (n_clients * per_client));
-        ("availability", Util.Json.Float availability);
-        ("worker_deaths", Util.Json.Int deaths);
-        ("worker_restarts", Util.Json.Int restarts);
-        ("wall_s", Util.Json.Float wall_s);
-        ( "recovery",
-          Util.Json.Obj
-            [
-              ("recovered_records", Util.Json.Int recovered);
-              ("open_ms", Util.Json.Float recovery_ms);
-              ("store_hit_ms", Util.Json.Float store_hit_ms);
-              ("recompute_ms", Util.Json.Float recompute_ms);
-            ] );
-      ]
-  in
-  section "E20 bench_serve (fannetd: qps, latency, cache + warm contrast)";
-  (* --- cold / warm-session contrast ------------------------------ *)
-  (* One resident worker, cache disabled: the first tolerance query pays
-     the full bit-blast (cold); the repeat reuses the worker domain's
-     pooled warm session. A fresh daemon per rep makes every cold truly
-     cold; min-of-reps suppresses scheduler noise. *)
-  let tol_q =
-    SP.Tolerance
-      {
-        backend = Fannet.Backend.Smt;
-        bias_noise = false;
-        max_delta = 20;
-        input = sinput;
-        label = slabel;
-      }
-  in
-  let reps = if smoke then 3 else 5 in
-  let colds = Array.make reps infinity and warms = Array.make reps infinity in
-  for r = 0 to reps - 1 do
-    let d = serve_daemon ~workers:1 ~cap:8 ~cache_cap_bytes:0 () in
-    Fun.protect ~finally:(fun () -> Serve.Daemon.stop d) @@ fun () ->
-    with_conn d @@ fun c ->
-    let digest = load c in
-    let cold, cached_c, _ = timed_query c ~digest tol_q in
-    let warm, cached_w, _ = timed_query c ~digest tol_q in
-    if cached_c || cached_w then failwith "E20: cache_cap=0 daemon served a cached answer";
-    colds.(r) <- cold;
-    warms.(r) <- warm
-  done;
-  let minimum a = Array.fold_left min a.(0) a in
-  let cold_ms = minimum colds and warm_ms = minimum warms in
-  (* --- cache-hit contrast + certified bit-identity --------------- *)
-  let d = serve_daemon ~workers:1 ~cap:8 ~cache_cap_bytes:(1 lsl 26) () in
-  let cache_hit_ms, cert_bit_identical =
-    Fun.protect ~finally:(fun () -> Serve.Daemon.stop d) @@ fun () ->
-    with_conn d @@ fun c ->
-    let digest = load c in
-    let _miss, cached0, _ = timed_query c ~digest tol_q in
-    if cached0 then failwith "E20: first query cannot be a cache hit";
-    let hit_reps = if smoke then 5 else 20 in
-    let hits =
-      Array.init hit_reps (fun _ ->
-          let ms, cached, _ = timed_query c ~digest tol_q in
-          if not cached then failwith "E20: repeat query missed the cache";
-          ms)
-    in
-    (* A certified verdict through the cache must come back bit-identical
-       to the cold answer and still convince the independent checker. *)
-    let spec = Fannet.Noise.symmetric ~delta:8 ~bias_noise:false in
-    let cert_q = SP.Certify { spec; input = sinput; label = slabel } in
-    let _, _, cold_answer = timed_query c ~digest cert_q in
-    let _, cached_hit, hit_answer = timed_query c ~digest cert_q in
-    if not cached_hit then failwith "E20: certify repeat missed the cache";
-    let bytes a = Util.Json.to_string (SP.answer_json a) in
-    let identical = bytes cold_answer = bytes hit_answer in
-    (match hit_answer with
-    | SP.Certified { verdict; cert } -> (
-        match
-          Fannet.Backend.check_certified net spec ~input:sinput ~label:slabel
-            { Fannet.Backend.cv_verdict = verdict; cv_cert = cert }
-        with
-        | Ok () -> ()
-        | Error e -> failwith ("E20: cached certificate rejected: " ^ e))
-    | _ -> failwith "E20: certify answered with a non-certified form");
-    (minimum hits, identical)
-  in
-  Printf.printf
-    "tolerance query: %.2f ms cold, %.2f ms warm session, %.3f ms cache hit (min of %d reps)\n"
-    cold_ms warm_ms cache_hit_ms reps;
-  if warm_ms >= cold_ms then
-    failwith
-      (Printf.sprintf "E20: warm session (%.2f ms) not faster than cold (%.2f ms)"
-         warm_ms cold_ms);
-  if cache_hit_ms >= cold_ms then
-    failwith
-      (Printf.sprintf "E20: cache hit (%.3f ms) not faster than cold (%.2f ms)"
-         cache_hit_ms cold_ms);
-  if not cert_bit_identical then
-    failwith "E20: cached certified verdict not bit-identical to the cold one";
-  (* --- throughput under concurrent clients ----------------------- *)
-  let workers = max 2 (min 4 (Util.Parallel.default_jobs ())) in
-  let n_clients = if smoke then 8 else 16 in
-  let per_client = if smoke then 25 else 100 in
-  let d = serve_daemon ~workers ~cap:64 ~cache_cap_bytes:(1 lsl 26) () in
-  let wall_s, lat_ms, stats =
-    Fun.protect ~finally:(fun () -> Serve.Daemon.stop d) @@ fun () ->
-    let digest = with_conn d load in
-    let lat = Array.make (n_clients * per_client) 0.0 in
-    (* A small set of distinct queries: the steady state is cache-served,
-       which is the workload the daemon exists for. *)
-    let queries =
-      Array.init 8 (fun i ->
-          let spec = Fannet.Noise.symmetric ~delta:(1 + (i mod 4)) ~bias_noise:false in
-          if i < 6 then
-            SP.Exists_flip
-              { backend = Fannet.Backend.Bnb; spec; input = sinput; label = slabel }
-          else SP.Certify { spec; input = sinput; label = slabel })
-    in
-    let t0 = Obs.Clock.now_ns () in
-    let client k () =
-      with_conn d @@ fun c ->
-      for j = 0 to per_client - 1 do
-        let ms, _, _ =
-          timed_query c ~digest queries.((k + j) mod Array.length queries)
-        in
-        lat.((k * per_client) + j) <- ms
-      done
-    in
-    let threads = Array.init n_clients (fun k -> Thread.create (client k) ()) in
-    Array.iter Thread.join threads;
-    (Obs.Clock.elapsed_s ~since:t0, lat, Serve.Daemon.stats d)
-  in
-  let total = n_clients * per_client in
-  let qps = float_of_int total /. wall_s in
-  let p50 = Util.Stats.percentile lat_ms 50. in
-  let p99 = Util.Stats.percentile lat_ms 99. in
-  let hit_rate =
-    float_of_int stats.SP.cache_hits
-    /. float_of_int (max 1 (stats.SP.cache_hits + stats.SP.cache_misses))
-  in
-  Printf.printf
-    "%d clients x %d queries: %.0f qps, p50 %.2f ms, p99 %.2f ms, cache hit rate %.1f%%\n"
-    n_clients per_client qps p50 p99 (100. *. hit_rate);
-  if stats.SP.submitted <> stats.SP.served + stats.SP.rejected + stats.SP.failed then
-    failwith "E20: served + rejected + failed <> submitted";
-  if stats.SP.failed > 0 then failwith "E20: server errors during the load run";
-  let json =
-    Util.Json.Obj
-      [
-        ("schema", Util.Json.String "fannet.bench_serve/2");
-        ("smoke", Util.Json.Bool smoke);
-        ("crash_isolation", e23);
-        ("workers", Util.Json.Int workers);
-        ("clients", Util.Json.Int n_clients);
-        ("queries_per_client", Util.Json.Int per_client);
-        ("total_queries", Util.Json.Int total);
-        ("wall_s", Util.Json.Float wall_s);
-        ("qps", Util.Json.Float qps);
-        ("p50_ms", Util.Json.Float p50);
-        ("p99_ms", Util.Json.Float p99);
-        ( "cache",
-          Util.Json.Obj
-            [
-              ("hits", Util.Json.Int stats.SP.cache_hits);
-              ("misses", Util.Json.Int stats.SP.cache_misses);
-              ("hit_rate", Util.Json.Float hit_rate);
-            ] );
-        ( "contrast_ms",
-          Util.Json.Obj
-            [
-              ("reps", Util.Json.Int reps);
-              ("cold", Util.Json.Float cold_ms);
-              ("warm_session", Util.Json.Float warm_ms);
-              ("cache_hit", Util.Json.Float cache_hit_ms);
-            ] );
-        ("cert_cache_bit_identical", Util.Json.Bool cert_bit_identical);
-        ( "accounting",
-          Util.Json.Obj
-            [
-              ("submitted", Util.Json.Int stats.SP.submitted);
-              ("served", Util.Json.Int stats.SP.served);
-              ("rejected", Util.Json.Int stats.SP.rejected);
-              ("failed", Util.Json.Int stats.SP.failed);
-            ] );
-      ]
-  in
-  Util.Json.write_file out json;
-  match Util.Json.parse_file out with
-  | Ok reread
-    when Util.Json.member "schema" reread
-         = Some (Util.Json.String "fannet.bench_serve/2") ->
-      Printf.printf "%s written and re-parsed OK\n" out
-  | Ok _ -> failwith (Printf.sprintf "E20: %s lost its schema tag" out)
-  | Error e -> failwith (Printf.sprintf "E20: %s failed to parse: %s" out e)
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel timing suite                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -2363,12 +1450,7 @@ let timing_suite (p : Fannet.Pipeline.t) =
 
 let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
-  let cert_only = Array.exists (( = ) "--cert") Sys.argv in
-  let robust_only = Array.exists (( = ) "--robust") Sys.argv in
   let parallel_only = Array.exists (( = ) "--parallel") Sys.argv in
-  let obs_only = Array.exists (( = ) "--obs") Sys.argv in
-  let serve_only = Array.exists (( = ) "--serve") Sys.argv in
-  let count_only = Array.exists (( = ) "--count") Sys.argv in
   let ladder_only = Array.exists (( = ) "--ladder") Sys.argv in
   let out =
     let rec find i =
@@ -2379,6 +1461,10 @@ let () =
     in
     find 1
   in
+  if smoke && not (parallel_only || ladder_only) then begin
+    prerr_endline "bench: --smoke applies to --ladder (--parallel is always smoke-sized)";
+    exit 2
+  end;
   if parallel_only then begin
     (* bench --parallel: E15 + E19 only, smoke-sized — the no-regression
        gate `make check` runs. Verdict-equality, certificate and
@@ -2390,14 +1476,6 @@ let () =
     bench_parallel ~smoke:true p ~out;
     print_endline "\nParallel bench completed."
   end
-  else if serve_only then begin
-    (* bench --serve: E20 only — an in-process fannetd under concurrent
-       wire-protocol clients; no pipeline needed. *)
-    print_endline "FANNet bench (serving layer)";
-    print_endline "============================";
-    bench_serve ~smoke ~out:"BENCH_serve.json" ();
-    print_endline "\nServing bench completed."
-  end
   else if ladder_only then begin
     (* bench --ladder: E22 only — the deep & binarized scaling ladder;
        no pipeline needed. With --smoke it runs the asserted subset
@@ -2407,63 +1485,9 @@ let () =
     bench_ladder ~smoke ~out:"BENCH_ladder.json" ();
     print_endline "\nLadder bench completed."
   end
-  else if count_only then begin
-    (* bench --count: E21 only — counting on the small network plus a
-       synthetic XOR-hash workload; no pipeline needed. *)
-    print_endline "FANNet bench (model counting)";
-    print_endline "=============================";
-    bench_count ~smoke ~out:"BENCH_count.json" ();
-    print_endline "\nCounting bench completed."
-  end
-  else if obs_only then begin
-    (* bench --obs: the observability section only; no pipeline needed. *)
-    print_endline "FANNet bench (observability layer)";
-    print_endline "==================================";
-    bench_obs ~smoke ~out:"BENCH_obs.json" ();
-    print_endline "\nObservability bench completed."
-  end
-  else if robust_only then begin
-    (* bench --robust: the resilience section only; no pipeline needed. *)
-    print_endline "FANNet bench (resilience layer)";
-    print_endline "===============================";
-    bench_robust ~smoke ~out:"BENCH_robust.json" ();
-    print_endline "\nResilience bench completed."
-  end
-  else if cert_only then begin
-    (* bench --cert: the certificate section only; no pipeline needed. *)
-    print_endline "FANNet bench (certificate subsystem)";
-    print_endline "====================================";
-    bench_cert ~smoke ~out:"BENCH_cert.json" ();
-    print_endline "\nCertificate bench completed."
-  end
-  else if smoke then begin
-    (* bench-smoke: the parallel/cascade and certificate sections only, on
-       the small-dataset pipeline, validating that BENCH_parallel.json and
-       BENCH_cert.json are emitted and parse. *)
-    print_endline "FANNet bench smoke (parallel engine)";
-    print_endline "====================================";
-    (* The serving section runs first: E23 forks supervised worker
-       processes, and OCaml 5 refuses Unix.fork once any domain has
-       ever been created — every other section below spins up the
-       domain pool. *)
-    bench_serve ~smoke:true ~out:"BENCH_serve.json" ();
-    let p = Fannet.Pipeline.run ~config:Fannet.Pipeline.fast_config () in
-    bench_parallel ~smoke p ~out;
-    bench_cert ~smoke:true ~out:"BENCH_cert.json" ();
-    bench_obs ~smoke:true ~out:"BENCH_obs.json" ();
-    bench_robust ~smoke:true ~out:"BENCH_robust.json" ();
-    bench_count ~smoke:true ~out:"BENCH_count.json" ();
-    bench_ladder ~smoke:true ~out:"BENCH_ladder.json" ();
-    print_endline "\nSmoke bench completed."
-  end
   else begin
     print_endline "FANNet reproduction benchmarks";
     print_endline "==============================";
-    (* Serving first: E23 forks supervised worker processes, and
-       OCaml 5 refuses Unix.fork once any domain has ever been
-       created — the pipeline and every later section spin up the
-       domain pool. *)
-    bench_serve ~smoke:false ~out:"BENCH_serve.json" ();
     let p, pipeline_s = time_of (fun () -> Fannet.Pipeline.run ()) in
     Printf.printf "pipeline (dataset -> mRMR -> train -> fold -> quantize): %.2fs\n"
       pipeline_s;
@@ -2482,10 +1506,6 @@ let () =
     extension_multiclass ();
     extension_absolute_noise p;
     bench_parallel ~smoke:false p ~out;
-    bench_cert ~smoke:false ~out:"BENCH_cert.json" ();
-    bench_obs ~smoke:false ~out:"BENCH_obs.json" ();
-    bench_robust ~smoke:false ~out:"BENCH_robust.json" ();
-    bench_count ~smoke:false ~out:"BENCH_count.json" ();
     bench_ladder ~smoke:false ~out:"BENCH_ladder.json" ();
     timing_suite p;
     print_endline "\nAll experiment sections completed."

@@ -83,9 +83,20 @@ let jobs =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
+(* A limit below 1 would extract nothing and report an empty corpus as if
+   no input had flipped, so it is a usage error. *)
 let limit =
-  let doc = "Maximum number of counterexamples to extract." in
-  Arg.(value & opt int 100 & info [ "limit" ] ~docv:"N" ~doc)
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n >= 1 -> Ok n
+    | Ok n -> Error (`Msg (Printf.sprintf "must be at least 1, got %d" n))
+    | Error _ as e -> e
+  in
+  let doc = "Maximum number of counterexamples to extract (per input for corpora)." in
+  Arg.(
+    value
+    & opt (conv (parse, Arg.conv_printer Arg.int)) 100
+    & info [ "limit" ] ~docv:"N" ~doc)
 
 let input_index =
   let doc = "Index of the analysed (correctly classified) test input." in
@@ -183,13 +194,20 @@ let with_clean_errors f =
       exit 2
   | Resil.Budget.Stopped r -> exit_exhausted r
 
-(* The counterexample corpus over every input; a budget stop raises. *)
+(* The counterexample corpus over every input; a budget stop raises. A
+   corpus cut at the limit is said so on stderr, leaving stdout as is. *)
 let corpus ?budget ~limit net spec ~inputs =
   match
     Fannet.Extract.for_inputs ~limit_per_input:limit ?budget net spec ~inputs
   with
   | _, Fannet.Extract.Budget r -> raise (Resil.Budget.Stopped r)
-  | cexs, (Fannet.Extract.Complete | Fannet.Extract.Truncated) -> cexs
+  | cexs, Fannet.Extract.Truncated ->
+      Printf.eprintf
+        "note: corpus truncated at --limit %d counterexamples per input; the \
+         counts are lower bounds\n%!"
+        limit;
+      cexs
+  | cexs, Fannet.Extract.Complete -> cexs
 
 let pipeline dataset_seed init_seed =
   let config = { Fannet.Pipeline.default_config with dataset_seed; init_seed } in

@@ -410,7 +410,7 @@ exception Budget_exceeded
 
 (* Budget poll at box granularity: one check every 64 boxes (a box
    classification is itself O(neurons * dims) work per layer, so the
-   amortized poll cost is negligible — the E18 bench measures it). *)
+   amortized poll cost is negligible — test_resil bounds it). *)
 let poll_budget budget boxes =
   if boxes land 63 = 0 then Resil.Budget.poll budget
 

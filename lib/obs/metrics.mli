@@ -4,7 +4,7 @@
     The registry is {e disabled by default}: every record operation starts
     with a single atomic-load-and-branch and does nothing else, so
     instrumented hot paths cost one predictable branch when observability
-    is off (the contract bench E17 measures). Metric handles are created
+    is off (the contract test_obs asserts). Metric handles are created
     eagerly at module-initialisation time by the instrumented libraries;
     creation is cheap and independent of the enabled flag.
 

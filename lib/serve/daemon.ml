@@ -445,11 +445,15 @@ let bind_listen = function
          raise e);
       (fd, Unix_path p, Some p)
   | Tcp (host, port) ->
+      (* An unresolvable host is refused rather than bound on loopback,
+         which would announce one address while listening on another. *)
       let inet =
         try Unix.inet_addr_of_string host
-        with _ -> (
-          try (Unix.gethostbyname host).h_addr_list.(0)
-          with _ -> Unix.inet_addr_loopback)
+        with Failure _ -> (
+          match (Unix.gethostbyname host).h_addr_list with
+          | [||] | (exception Not_found) ->
+              invalid_arg (Printf.sprintf "Daemon.run: cannot resolve TCP host %S" host)
+          | addrs -> addrs.(0))
       in
       let fd = Unix.socket PF_INET SOCK_STREAM 0 in
       (try

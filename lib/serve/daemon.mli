@@ -21,7 +21,7 @@
     the same bytes), and
     a hit splices those bytes into the reply envelope with
     {!Protocol.encode_answer_reply} — so a hit's [answer] sub-document
-    equals the cold one's bit for bit (the E20 bench asserts this for
+    equals the cold one's bit for bit (test_serve asserts this for
     certificates) and costs no re-encode.
 
     The same socket also answers an HTTP-style scrape: a connection
@@ -73,8 +73,9 @@ type t
 val run : config -> t
 (** Bind, listen, spawn the worker pool and the accept thread, return
     immediately. Raises [Invalid_argument] for a TCP port outside
-    0..65535 and [Unix.Unix_error] when the address cannot be bound. An
-    existing Unix-socket file at the path is replaced. *)
+    0..65535 or a TCP host that does not resolve, and [Unix.Unix_error]
+    when the address cannot be bound. An existing Unix-socket file at
+    the path is replaced. *)
 
 val address : t -> addr
 (** The bound address — for [Tcp (host, 0)] this carries the actual

@@ -564,23 +564,8 @@ let test_smtlite_session_certified () =
 
 (* ---------- backend / tolerance certified verdicts ---------- *)
 
-let small_qnet () =
-  Nn.Qnet.create
-    [|
-      {
-        Nn.Qnet.weights = [| [| 31; -22 |]; [| -13; 41 |]; [| 17; 9 |]; [| -25; 14 |] |];
-        bias = [| 55; -31; 12; -7 |];
-        act = Nn.Qnet.Relu;
-      };
-      {
-        Nn.Qnet.weights = [| [| 21; -33; 11; -9 |]; [| -20; 31; -12; 10 |] |];
-        bias = [| 13; 0 |];
-        act = Nn.Qnet.Identity;
-      };
-    |]
-
 let test_backend_certified () =
-  let net = small_qnet () in
+  let net = Fixture.small_qnet () in
   (* At input [50;50] the minimal flip delta is 13, so the robust case at
      12 needs real search (hundreds of lemmas) rather than collapsing to
      load-time unit propagation. *)
@@ -627,7 +612,7 @@ let test_backend_certified () =
   | _ -> Alcotest.fail "robust verdict must carry a refutation"
 
 let test_tolerance_certified_bracket () =
-  let net = small_qnet () in
+  let net = Fixture.small_qnet () in
   let input = [| 112; 87 |] in
   let label = Nn.Qnet.predict net input in
   let max_delta = 40 in

@@ -1,8 +1,9 @@
 (* Tests for lib/count: exact cube-decomposition counting against brute
    force, certificate validation and tamper rejection, free-variable
-   factoring, overflow-safe huge spaces, the (ε, δ) envelope of the
-   approximate counter, jobs determinism (including certificate bytes),
-   and checkpoint interrupt/resume. *)
+   factoring, overflow-safe huge spaces, plain = certified counts on a
+   network, the (ε, δ) envelope of the approximate counter and its
+   tight-ε exact short-circuit, jobs determinism (including certificate
+   bytes), and checkpoint interrupt/resume. *)
 
 module T = Smtlite.Term
 module B = Util.Bigcount
@@ -174,7 +175,53 @@ let test_certificate_tamper_rejected () =
           | Ok () -> Alcotest.fail "missing cube accepted"
           | Error _ -> ()))
 
+(* Counts the flips of the shared small network at input (112, 87). *)
+let count_small_net ~delta mode =
+  let net = Fixture.small_qnet () in
+  let input = [| 112; 87 |] in
+  Fannet.Robustness.probability ~mode net
+    (N.symmetric ~delta ~bias_noise:false)
+    ~input ~label:(Nn.Qnet.predict net input)
+
+let test_network_plain_equals_certified () =
+  List.iter
+    (fun delta ->
+      let count = count_small_net ~delta in
+      let plain = count (Fannet.Robustness.Exact_mode { certify = false }) in
+      let certified = count (Fannet.Robustness.Exact_mode { certify = true }) in
+      Alcotest.check bigcount
+        (Printf.sprintf "delta %d: certified = plain" delta)
+        plain.Fannet.Robustness.flips certified.Fannet.Robustness.flips;
+      Alcotest.(check bool)
+        (Printf.sprintf "delta %d: certificate produced" delta)
+        true
+        (certified.Fannet.Robustness.certificate <> None))
+    [ 3; 5 ]
+
 (* ---------- approximate counting ---------- *)
+
+let test_approx_tight_epsilon_network () =
+  (* Tight ε must short-circuit to the exact flip count. *)
+  let count = count_small_net ~delta:3 in
+  let exact = count (Fannet.Robustness.Exact_mode { certify = false }) in
+  let tight =
+    count (Fannet.Robustness.Approx_mode { epsilon = 0.1; delta = 0.2; seed = 1 })
+  in
+  Alcotest.check bigcount "tight-ε approx = exact" exact.Fannet.Robustness.flips
+    tight.Fannet.Robustness.flips
+
+let test_approx_pinned_seed_envelope () =
+  (* 2080 models out of 4096 force XOR rounds at ε = 0.8; seed 3 is
+     pinned, so this is a deterministic regression gate on the (ε, δ)
+     guarantee, not a statistical check. *)
+  let x = T.var ~name:"bx" ~lo:0 ~hi:63 in
+  let y = T.var ~name:"by" ~lo:0 ~hi:63 in
+  let f = T.le (T.of_var x) (T.of_var y) in
+  let truth = float_of_int (64 * 65 / 2) and epsilon = 0.8 in
+  let a = Count.Approx.count ~epsilon ~delta:0.2 ~seed:3 f ~project:[ x; y ] in
+  let est = B.ratio a.Count.Approx.estimate B.one in
+  if est < truth /. (1. +. epsilon) || est > truth *. (1. +. epsilon) then
+    Alcotest.failf "estimate %.0f outside the (0.80, 0.20) envelope of %.0f" est truth
 
 let test_approx_exact_shortcut () =
   (* Space no bigger than the pivot: the counter must short-circuit to a
@@ -408,11 +455,16 @@ let () =
             test_certificate_roundtrip_deterministic;
           Alcotest.test_case "tamper rejected" `Quick
             test_certificate_tamper_rejected;
+          Alcotest.test_case "network: plain = certified" `Quick
+            test_network_plain_equals_certified;
         ] );
       ( "approx",
         [
           Alcotest.test_case "exact shortcut" `Quick test_approx_exact_shortcut;
           Alcotest.test_case "(eps,delta) envelope" `Quick test_approx_envelope;
+          Alcotest.test_case "pinned-seed envelope" `Quick test_approx_pinned_seed_envelope;
+          Alcotest.test_case "tight ε on the network = exact" `Quick
+            test_approx_tight_epsilon_network;
           Alcotest.test_case "rejects bad parameters" `Quick
             test_approx_rejects_bad_parameters;
           Alcotest.test_case "deterministic per seed" `Quick

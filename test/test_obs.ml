@@ -1,6 +1,7 @@
 (* Tests for the observability library: clock monotonicity, the sharded
    metrics registry (including cross-domain merging), scoped spans and the
-   disabled fast path (recording off must leave zero state behind).
+   disabled fast path (recording off must leave zero state behind and
+   cost under 2% of an instrumented workload).
 
    The registry is process-wide, so every test starts from a clean slate
    and leaves recording disabled. *)
@@ -207,6 +208,80 @@ let test_reset_zeroes () =
     (Obs.Metrics.histogram_view h).Obs.Metrics.count;
   Alcotest.(check bool) "spans dropped" true (Obs.Span.roots () = [])
 
+(* ---------- disabled-path overhead contract ---------- *)
+
+(* Recording off must cost < 2% of a representative instrumented
+   workload: cascade and SMT robustness queries plus one incremental
+   min-flip search, the paths that carry every record site. Direct
+   enabled-vs-disabled deltas drown in solver noise at this scale, so the
+   bound multiplies the measured per-site branch cost by the number of
+   record-site executions, counted with recording on. *)
+let test_disabled_overhead_contract () =
+  Fun.protect ~finally:(fun () ->
+      Obs.Report.disable ();
+      Obs.Report.reset ())
+  @@ fun () ->
+  let qnet = Fixture.small_qnet () in
+  let input = [| 112; 87 |] in
+  let label = Nn.Qnet.predict qnet input in
+  let workload () =
+    List.iter
+      (fun delta ->
+        let spec = Fannet.Noise.symmetric ~delta ~bias_noise:false in
+        ignore
+          (Fannet.Backend.exists_flip Fannet.Backend.default_cascade qnet spec ~input
+             ~label);
+        ignore (Fannet.Backend.exists_flip Fannet.Backend.Smt qnet spec ~input ~label))
+      [ 5; 12 ];
+    ignore
+      (Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Smt qnet ~bias_noise:false
+         ~max_delta:40 ~input ~label)
+  in
+  let time f =
+    let t0 = Obs.Clock.now_ns () in
+    f ();
+    Obs.Clock.elapsed_s ~since:t0
+  in
+  let reps = 3 in
+  Obs.Report.disable ();
+  Obs.Report.reset ();
+  let t_disabled = List.fold_left min infinity (List.init reps (fun _ -> time workload)) in
+  Obs.Report.enable ();
+  Obs.Report.reset ();
+  for _ = 1 to reps do
+    workload ()
+  done;
+  let cval name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+  let hcount name =
+    (Obs.Metrics.histogram_view (Obs.Metrics.histogram name)).Obs.Metrics.count
+  in
+  (* Record-site executions: each learnt clause checks the flag once; a
+     solve pushes ~6 counter deltas + 1 histogram; a query records ~5
+     metrics; a backend query ~2 (histogram + clock pair); a tolerance
+     probe ~2 (counter + gauge). *)
+  let events_total =
+    hcount "sat.learnt_clause_len"
+    + (6 * cval "sat.solves")
+    + (5 * cval "smtlite.queries")
+    + (2 * (hcount "backend.cascade(bnb).query_s" + hcount "backend.smt.query_s"))
+    + (2 * cval "tolerance.probes")
+  in
+  let events_per_rep = float_of_int events_total /. float_of_int reps in
+  Obs.Report.disable ();
+  (* Disabled-branch unit cost: one counter incr = atomic load + branch. *)
+  let iters = 2_000_000 in
+  let c = Obs.Metrics.counter "test.disabled_probe" in
+  let t_branch =
+    time (fun () ->
+        for _ = 1 to iters do
+          Obs.Metrics.incr c
+        done)
+  in
+  let branch_s = t_branch /. float_of_int iters in
+  let overhead_pct = 100. *. events_per_rep *. branch_s /. t_disabled in
+  if overhead_pct >= 2.0 then
+    Alcotest.failf "disabled-path overhead %.3f%% breaches the 2%% contract" overhead_pct
+
 let () =
   Alcotest.run "obs"
     [
@@ -240,5 +315,7 @@ let () =
         [
           Alcotest.test_case "records nothing" `Quick test_disabled_records_nothing;
           Alcotest.test_case "reset zeroes" `Quick test_reset_zeroes;
+          Alcotest.test_case "modelled overhead < 2%" `Quick
+            test_disabled_overhead_contract;
         ] );
     ]

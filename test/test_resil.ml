@@ -98,6 +98,58 @@ let test_reason_strings () =
   Alcotest.(check bool) "cancelled not retryable" false (R.retryable R.Cancelled);
   Alcotest.(check bool) "incomplete not retryable" false (R.retryable R.Incomplete)
 
+(* A budget generous enough never to fire must cost < 2% of the
+   robustness queries every analysis issues. Timing a budgeted run
+   against a plain one drowns in solver noise, so the bound multiplies
+   the measured cost of one Budget.check by the polls per run: the SAT
+   loop polls every 64 conflicts plus twice per solve, and
+   branch-and-bound every 64 boxes, bounded by a fixed slack of 100 (the
+   small network explores at most a few hundred boxes per query). *)
+let test_budget_check_overhead_contract () =
+  let net = Fixture.small_qnet () in
+  let input = [| 112; 87 |] in
+  let label = Nn.Qnet.predict net input in
+  let workload budget =
+    List.iter
+      (fun delta ->
+        let spec = N.symmetric ~delta ~bias_noise:false in
+        ignore (B.exists_flip ?budget B.Bnb net spec ~input ~label);
+        ignore (B.exists_flip ?budget B.Smt net spec ~input ~label))
+      [ 5; 12 ]
+  in
+  let time f =
+    let t0 = Obs.Clock.now_ns () in
+    f ();
+    Obs.Clock.elapsed_s ~since:t0
+  in
+  let generous () = R.create ~timeout_s:1e6 ~max_mem_mb:1_000_000 () in
+  let t_plain =
+    List.fold_left min infinity (List.init 3 (fun _ -> time (fun () -> workload None)))
+  in
+  let iters = 200_000 in
+  let b = generous () in
+  let t_checks =
+    time (fun () ->
+        for _ = 1 to iters do
+          ignore (R.check b)
+        done)
+  in
+  let check_s = t_checks /. float_of_int iters in
+  let polls =
+    Fun.protect ~finally:(fun () ->
+        Obs.Report.disable ();
+        Obs.Report.reset ())
+    @@ fun () ->
+    Obs.Report.enable ();
+    Obs.Report.reset ();
+    workload (Some (generous ()));
+    let cval name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
+    (cval "sat.conflicts" / 64) + (2 * cval "sat.solves") + 100
+  in
+  let overhead_pct = 100. *. float_of_int polls *. check_s /. t_plain in
+  if overhead_pct >= 2.0 then
+    Alcotest.failf "budget-check overhead %.3f%% breaches the 2%% contract" overhead_pct
+
 (* ---------- faultpoint ---------- *)
 
 let test_faultpoint_arming () =
@@ -762,6 +814,8 @@ let () =
           Alcotest.test_case "first reason wins" `Quick test_budget_record_first_wins;
           Alcotest.test_case "scale" `Quick test_budget_scale;
           Alcotest.test_case "reason vocabulary" `Quick test_reason_strings;
+          Alcotest.test_case "modelled check overhead < 2%" `Quick
+            test_budget_check_overhead_contract;
         ] );
       ( "faultpoint",
         [

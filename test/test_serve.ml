@@ -20,21 +20,6 @@ let with_clean_faults f =
   F.clear ();
   Fun.protect ~finally:F.clear f
 
-let toy_qnet () =
-  Nn.Qnet.create
-    [|
-      {
-        Nn.Qnet.weights = [| [| 31; -22 |]; [| -13; 41 |]; [| 17; 9 |]; [| -25; 14 |] |];
-        bias = [| 55; -31; 12; -7 |];
-        act = Nn.Qnet.Relu;
-      };
-      {
-        Nn.Qnet.weights = [| [| 21; -33; 11; -9 |]; [| -20; 31; -12; 10 |] |];
-        bias = [| 13; 0 |];
-        act = Nn.Qnet.Identity;
-      };
-    |]
-
 let tiny_qnet () =
   Nn.Qnet.create
     [|
@@ -495,7 +480,7 @@ let test_answer_decided () =
    survive the wire codec byte-identically — that is what makes cached
    certified counts byte-stable. *)
 let test_counted_cert_roundtrip () =
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let input = [| 112; 87 |] in
   let label = Nn.Qnet.predict net input in
   let spec = N.symmetric ~delta:2 ~bias_noise:false in
@@ -544,7 +529,7 @@ let prop_answer_reply_splice =
    including a real certificate of each kind and a real count
    certificate. *)
 let test_answer_reply_splice_every_form () =
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let label_of input = Nn.Qnet.predict net input in
   let certified input delta =
     let spec = N.symmetric ~delta ~bias_noise:false in
@@ -807,7 +792,7 @@ let test_daemon_unsupported_shape_typed_error () =
 let test_daemon_budget_answers_not_cached () =
   with_daemon @@ fun d ->
   with_client d @@ fun c ->
-  let digest = ok (C.load c (toy_qnet ())) in
+  let digest = ok (C.load c (Fixture.small_qnet ())) in
   (* An explicit enumeration over ~36M vectors cannot finish inside a
      0.05 s deadline, so the answer is deterministically Unknown. *)
   let q =
@@ -816,7 +801,7 @@ let test_daemon_budget_answers_not_cached () =
         backend = B.Explicit { limit = max_int };
         spec = N.symmetric ~delta:3000 ~bias_noise:false;
         input = [| 112; 87 |];
-        label = Nn.Qnet.predict (toy_qnet ()) [| 112; 87 |];
+        label = Nn.Qnet.predict (Fixture.small_qnet ()) [| 112; 87 |];
       }
   in
   let budget = { P.timeout_s = Some 0.05; conflicts = None } in
@@ -903,7 +888,7 @@ let answer_of_reply name = function
    and from the cache — each time byte-identical to the direct library
    call, certificates re-checked by the independent lib/cert checker. *)
 let test_differential_cold_warm () =
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   (* cache_cap = 0 and a single worker: the first answer is cold, the
      second reuses the worker domain's warm sessions; neither may come
      from the cache. *)
@@ -928,7 +913,7 @@ let test_differential_cold_warm () =
     (differential_queries net)
 
 let test_differential_cache_hit_and_certificates () =
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   with_daemon ~workers:2 ~cache_cap_bytes:(1 lsl 26) @@ fun d ->
   with_client d @@ fun c ->
   let digest = ok (C.load c net) in
@@ -970,6 +955,50 @@ let test_differential_cache_hit_and_certificates () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "wire-roundtripped certificate rejected: %s" e)
   | _ -> Alcotest.fail "expected a cached certified answer"
+
+(* Latency contrast on an SMT tolerance query, min of reps against
+   scheduler noise: a warm repeat (the worker domain's pooled session,
+   cache off, a fresh daemon per rep so every cold is cold) and a cache
+   hit must each beat the cold bit-blast. *)
+let test_warm_and_hit_beat_cold () =
+  let net = Fixture.small_qnet () in
+  let input = [| 112; 87 |] in
+  let label = Nn.Qnet.predict net input in
+  let q =
+    P.Tolerance { backend = B.Smt; bias_noise = false; max_delta = 20; input; label }
+  in
+  let timed c ~digest =
+    let t0 = Obs.Clock.now_ns () in
+    let cached, _ = answer_of_reply "tolerance" (ok (C.query c ~digest q)) in
+    (1e3 *. Obs.Clock.elapsed_s ~since:t0, cached)
+  in
+  let minimum = List.fold_left min infinity in
+  let cold_warm =
+    List.init 3 (fun _ ->
+        with_daemon ~workers:1 ~cap:8 ~cache_cap_bytes:0 @@ fun d ->
+        with_client d @@ fun c ->
+        let digest = ok (C.load c net) in
+        let cold, cached_c = timed c ~digest in
+        let warm, cached_w = timed c ~digest in
+        Alcotest.(check bool) "cache off: nothing cached" false (cached_c || cached_w);
+        (cold, warm))
+  in
+  let cold = minimum (List.map fst cold_warm) and warm = minimum (List.map snd cold_warm) in
+  let hit =
+    with_daemon ~workers:1 ~cap:8 ~cache_cap_bytes:(1 lsl 26) @@ fun d ->
+    with_client d @@ fun c ->
+    let digest = ok (C.load c net) in
+    Alcotest.(check bool) "first query misses" false (snd (timed c ~digest));
+    minimum
+      (List.init 5 (fun _ ->
+           let ms, cached = timed c ~digest in
+           Alcotest.(check bool) "repeat hits the cache" true cached;
+           ms))
+  in
+  if warm >= cold then
+    Alcotest.failf "warm session (%.2f ms) not faster than cold (%.2f ms)" warm cold;
+  if hit >= cold then
+    Alcotest.failf "cache hit (%.3f ms) not faster than cold (%.2f ms)" hit cold
 
 (* ================================================================== *)
 (* Concurrency soak                                                    *)
@@ -1043,7 +1072,7 @@ let test_daemon_soak_under_faults () =
   F.arm "serve.worker.raise@5";
   F.arm "sat.oom@3";
   with_daemon ~workers:2 ~cap:4 ~cache_cap_bytes:(1 lsl 26) @@ fun d ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let digest = with_client d (fun c -> ok (C.load c net)) in
   let n_clients = 16 and per_client = 6 in
   let input = [| 112; 87 |] in
@@ -1279,7 +1308,7 @@ let store_entries net =
 
 let test_store_roundtrip () =
   with_store_path @@ fun path ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let entries = store_entries net in
   let t, recovered0 = ok (Serve.Store.open_ ~path) in
   Alcotest.(check int) "fresh journal is empty" 0 (List.length recovered0);
@@ -1307,7 +1336,7 @@ let test_store_roundtrip () =
     [ "k2"; "k3" ]
 
 let test_store_append_encoded_same_bytes () =
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let entries = store_entries net in
   let journal append =
     with_store_path @@ fun path ->
@@ -1322,7 +1351,7 @@ let test_store_append_encoded_same_bytes () =
 
 let test_store_torn_tail () =
   with_store_path @@ fun path ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let entries = store_entries net in
   let t, _ = ok (Serve.Store.open_ ~path) in
   List.iter (fun (k, a) -> Serve.Store.append t ~key:k a) entries;
@@ -1357,7 +1386,7 @@ let append_framed path payload =
 
 let test_store_invalid_record_dropped () =
   with_store_path @@ fun path ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let entries = store_entries net in
   let t, _ = ok (Serve.Store.open_ ~path) in
   List.iter (fun (k, a) -> Serve.Store.append t ~key:k a) entries;
@@ -1378,7 +1407,7 @@ let test_store_invalid_record_dropped () =
 
 let test_store_oversized_cert_dropped () =
   with_store_path @@ fun path ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let entries = store_entries net in
   let t, _ = ok (Serve.Store.open_ ~path) in
   List.iter (fun (k, a) -> Serve.Store.append t ~key:k a) entries;
@@ -1407,7 +1436,7 @@ let test_store_oversized_cert_dropped () =
 let test_store_torn_faultpoint () =
   with_clean_faults @@ fun () ->
   with_store_path @@ fun path ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let entries = store_entries net in
   let k1, a1 = List.nth entries 0 and k2, a2 = List.nth entries 1 in
   let t, _ = ok (Serve.Store.open_ ~path) in
@@ -1494,7 +1523,7 @@ let answer_tail ~rid ~cached payload =
 
 (* A robust certified query: its reply carries a DRUP refutation. *)
 let raw_certified_frames d ~rids =
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let input = [| 100; 100 |] in
   let label = Nn.Qnet.predict net input in
   let fd = raw_connect d in
@@ -1541,7 +1570,7 @@ let test_daemon_raw_frames_hit_is_spliced_miss () =
 let test_daemon_scrape_metrics_shutdown () =
   with_daemon @@ fun d ->
   with_client d @@ fun c ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let digest = ok (C.load c net) in
   let q = List.assoc "exists-flip bnb" (differential_queries net) in
   ignore (answer_of_reply "cold" (ok (C.query c ~digest q)));
@@ -1592,6 +1621,15 @@ let test_daemon_rejects_out_of_range_port () =
           Alcotest.failf "port %d must be rejected" port)
     [ -1; 65536; 110536 ]
 
+(* Binding an unresolvable name on loopback would announce an address
+   the daemon does not listen on. A name under .invalid never resolves. *)
+let test_daemon_rejects_unresolvable_host () =
+  match D.run { D.default_config with addr = D.Tcp ("no-such-host.invalid", 0) } with
+  | exception Invalid_argument _ -> ()
+  | d ->
+      D.stop d;
+      Alcotest.fail "an unresolvable host must be rejected"
+
 (* ================================================================== *)
 (* Supervised daemon + persistent store                                *)
 (* ================================================================== *)
@@ -1605,7 +1643,7 @@ let supervised_queries net =
 
 let test_daemon_store_write_through_and_recovery () =
   with_store_path @@ fun path ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let queries = supervised_queries net in
   let digest0, recorded =
     let d = test_daemon ~cache_cap_bytes:(1 lsl 26) ~store_path:path () in
@@ -1661,7 +1699,7 @@ let test_daemon_store_write_through_and_recovery () =
 let test_daemon_store_torn_shutdown () =
   with_clean_faults @@ fun () ->
   with_store_path @@ fun path ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let input = [| 112; 87 |] in
   let label = Nn.Qnet.predict net input in
   let query_d d' =
@@ -1769,12 +1807,16 @@ let () =
             test_daemon_scrape_metrics_shutdown;
           Alcotest.test_case "out-of-range TCP port rejected" `Quick
             test_daemon_rejects_out_of_range_port;
+          Alcotest.test_case "unresolvable TCP host rejected" `Quick
+            test_daemon_rejects_unresolvable_host;
         ] );
       ( "differential",
         [
           Alcotest.test_case "cold + warm = direct" `Quick test_differential_cold_warm;
           Alcotest.test_case "cache hit bit-identical + certs" `Quick
             test_differential_cache_hit_and_certificates;
+          Alcotest.test_case "warm and cache hit beat cold" `Quick
+            test_warm_and_hit_beat_cold;
         ] );
       ( "soak",
         [

@@ -24,21 +24,6 @@ let with_clean_faults f =
   F.clear ();
   Fun.protect ~finally:F.clear f
 
-let toy_qnet () =
-  Nn.Qnet.create
-    [|
-      {
-        Nn.Qnet.weights = [| [| 31; -22 |]; [| -13; 41 |]; [| 17; 9 |]; [| -25; 14 |] |];
-        bias = [| 55; -31; 12; -7 |];
-        act = Nn.Qnet.Relu;
-      };
-      {
-        Nn.Qnet.weights = [| [| 21; -33; 11; -9 |]; [| -20; 31; -12; 10 |] |];
-        bias = [| 13; 0 |];
-        act = Nn.Qnet.Identity;
-      };
-    |]
-
 let test_daemon ?(workers = 2) ?(cap = 4) ?(cache_cap_bytes = 1 lsl 26) ?(procs = 0)
     ?store_path () =
   D.run
@@ -123,7 +108,7 @@ let poll_until ?(timeout_s = 5.0) what pred =
 let sup_execute net ~budget:_ q = P.Answer { cached = false; answer = direct_answer net q }
 
 let sup_net_parts () =
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let canonical = Nn.Qnet.to_string net in
   (net, canonical, P.network_digest canonical)
 
@@ -220,7 +205,7 @@ let test_supervisor_storm_circuit () =
 let test_daemon_supervised_differential () =
   with_daemon ~procs:2 ~workers:1 @@ fun d ->
   with_client d @@ fun c ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let digest = ok (C.load c net) in
   List.iter
     (fun (name, q) ->
@@ -244,7 +229,7 @@ let test_daemon_worker_crash_typed () =
   F.arm "serve.worker.kill@1";
   with_daemon ~procs:1 ~workers:1 @@ fun d ->
   with_client d @@ fun c ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   let digest = ok (C.load c net) in
   let q = sup_query net in
   (* The crash mid-query is a typed server-error reply — the connection
@@ -276,7 +261,7 @@ let test_daemon_worker_crash_typed () =
 let test_daemon_chaos_soak () =
   with_clean_faults @@ fun () ->
   with_store_path @@ fun path ->
-  let net = toy_qnet () in
+  let net = Fixture.small_qnet () in
   (* Inherited by every child at fork: each worker process dies, as if
      OOM-killed, on every 7th query it receives. *)
   F.arm "serve.worker.kill%7";
@@ -302,6 +287,15 @@ let test_daemon_chaos_soak () =
   in
   let recorded_lock = Mutex.create () in
   let recorded = ref [] in
+  let post_soak_certify =
+    let input = [| 99; 99 |] in
+    P.Certify
+      {
+        spec = N.symmetric ~delta:1 ~bias_noise:false;
+        input;
+        label = Nn.Qnet.predict net input;
+      }
+  in
   let digest0 =
     let d = test_daemon ~procs:2 ~workers:2 ~cap:32 ~store_path:path () in
     Fun.protect ~finally:(fun () -> D.stop d) @@ fun () ->
@@ -324,6 +318,8 @@ let test_daemon_chaos_soak () =
     Array.iter Thread.join threads;
     Alcotest.(check int) "every reply typed, no dead connections" 0
       (Atomic.get anomalies);
+    Alcotest.(check bool) "availability > 0: a soak query decided" true
+      (!recorded <> []);
     poll_until "daemon idle" (fun () -> (D.stats d).P.in_flight = 0);
     let s = D.stats d in
     (* Client retries re-submit, so submitted >= the logical query count;
@@ -347,18 +343,11 @@ let test_daemon_chaos_soak () =
        only workers spawned from now on; a live worker keeps its
        schedule, and the retries ride through at most one more kill. *)
     F.clear ();
-    (let input = [| 99; 99 |] in
-     let q =
-       P.Certify
-         {
-           spec = N.symmetric ~delta:1 ~bias_noise:false;
-           input;
-           label = Nn.Qnet.predict net input;
-         }
-     in
-     match with_client d (fun c -> ok (C.query c ~digest ~retries:8 q)) with
+    (match
+       with_client d (fun c -> ok (C.query c ~digest ~retries:8 post_soak_certify))
+     with
      | P.Answer { answer = P.Certified _ as answer; _ } when P.answer_decided answer ->
-         recorded := (q, answer_bytes answer) :: !recorded
+         recorded := (post_soak_certify, answer_bytes answer) :: !recorded
      | r ->
          Alcotest.failf "post-soak certify must decide with a certificate, got %s"
            (P.encode_reply { rid = 0; reply = r }));
@@ -394,7 +383,30 @@ let test_daemon_chaos_soak () =
           | _, P.Certified _ -> Alcotest.fail "certified answer for a non-certify query"
           | _ -> ())
       | false, _ -> Alcotest.fail "survivor must be a cache hit")
-    !recorded
+    !recorded;
+  (* The restart lost every warm session, but a journaled answer needs
+     no recompute: its store hit beats certifying a query the journal
+     never saw, which must miss. *)
+  let timed q =
+    let t0 = Obs.Clock.now_ns () in
+    let cached, _ = answer_of_reply "timed" (ok (C.query c ~digest q)) in
+    (1e3 *. Obs.Clock.elapsed_s ~since:t0, cached)
+  in
+  let store_hit_ms, _ = timed post_soak_certify in
+  let fresh =
+    let input = [| 7; 93 |] in
+    P.Certify
+      {
+        spec = N.symmetric ~delta:2 ~bias_noise:false;
+        input;
+        label = Nn.Qnet.predict net input;
+      }
+  in
+  let recompute_ms, cached_fresh = timed fresh in
+  Alcotest.(check bool) "a never-journaled query misses" false cached_fresh;
+  if store_hit_ms >= recompute_ms then
+    Alcotest.failf "store hit (%.3f ms) not faster than recompute (%.2f ms)" store_hit_ms
+      recompute_ms
 
 let () =
   Alcotest.run "serve-chaos"

@@ -38,10 +38,22 @@ certify-smoke:
 # sweep (no silent "0 misclassified"), and with no budget to double
 # --retries must not re-run it. A --limit below 1 is a usage error, and
 # the default bias corpus, cut at --limit 100 per input, says so on
-# stderr.
+# stderr. So are a --timeout that is not a finite number > 0, a
+# --max-mem below 1 and a --checkpoint whose directory is missing: each
+# is refused before any analysis runs.
 faults-smoke:
 	dune exec test/test_resil.exe -- -q
 	dune exec bin/fannet_cli.exe -- bias --limit 0 2>/dev/null; [ $$? -eq 2 ]
+	out=$$(dune exec bin/fannet_cli.exe -- tolerance --timeout=-1 2>&1); \
+	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--timeout'"
+	out=$$(dune exec bin/fannet_cli.exe -- tolerance --timeout nan 2>&1); \
+	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--timeout'"
+	out=$$(dune exec bin/fannet_cli.exe -- count --max-mem=-5 2>&1); \
+	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--max-mem'"
+	out=$$(dune exec bin/fannet_cli.exe -- count --delta 1 --checkpoint /nonexistent/dir/x.ckpt 2>&1); \
+	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--checkpoint'"
+	out=$$(dune exec bin/fannet_cli.exe -- tolerance --checkpoint /nonexistent/dir/t.ckpt 2>&1); \
+	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--checkpoint'"
 	dune exec bin/fannet_cli.exe -- bias 2>&1 >/dev/null | grep -q "corpus truncated at --limit 100"
 	dune exec bin/fannet_cli.exe -- tolerance --timeout 0.001; [ $$? -eq 2 ]
 	FANNET_FAULTS=backend.unknown dune exec bin/fannet_cli.exe -- tolerance; 	  [ $$? -eq 2 ]
@@ -95,8 +107,9 @@ chaos-smoke:
 # Model-counting smoke (~10 s): the counting suite — exact counts
 # against brute-force enumeration, fannet-count-cert/1 certificates
 # re-checked by the independent validator and tampering rejected,
-# plain = certified counts on a network, jobs=1 vs jobs=4 byte-identity
-# (certificate included), the (ε, δ) envelope over 20 seeds and at a
+# plain = certified counts on a network, the root-first decomposition
+# (a robust input's certified count is one refutation), jobs=1 vs
+# jobs=4 byte-identity (certificate included), the (ε, δ) envelope over 20 seeds and at a
 # pinned seed, tight-ε = exact, and checkpoint exhaust-and-resume. (A
 # certified count across the daemon is in serve-smoke.) Then the CLI
 # must refuse bad (ε, δ) parameters with a usage error (exit 2).

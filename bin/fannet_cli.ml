@@ -83,20 +83,23 @@ let jobs =
   in
   Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
+(* A converter that accepts only the values [ok] admits, so an
+   unusable value is a usage error before any work is done. *)
+let checked conv ~ok ~want =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "must be %s, got %s" want s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
 (* A limit below 1 would extract nothing and report an empty corpus as if
    no input had flipped, so it is a usage error. *)
 let limit =
-  let parse s =
-    match Arg.conv_parser Arg.int s with
-    | Ok n when n >= 1 -> Ok n
-    | Ok n -> Error (`Msg (Printf.sprintf "must be at least 1, got %d" n))
-    | Error _ as e -> e
-  in
   let doc = "Maximum number of counterexamples to extract (per input for corpora)." in
-  Arg.(
-    value
-    & opt (conv (parse, Arg.conv_printer Arg.int)) 100
-    & info [ "limit" ] ~docv:"N" ~doc)
+  let n = checked Arg.int ~want:"at least 1" ~ok:(fun n -> n >= 1) in
+  Arg.(value & opt n 100 & info [ "limit" ] ~docv:"N" ~doc)
 
 let input_index =
   let doc = "Index of the analysed (correctly classified) test input." in
@@ -126,20 +129,29 @@ let with_metrics metrics f =
 
 (* ---------- resource budgets (--timeout / --max-mem / --retries) ---------- *)
 
+(* A budget that cannot be met (a non-positive or NaN deadline, a heap
+   cap below 1 MB) is a usage error, not a budget exhausted before the
+   analysis starts. *)
 let timeout_arg =
   let doc =
     "Wall-clock budget for the analysis, in seconds (fractional values \
-     allowed). On exhaustion the run stops cooperatively at the next poll \
-     point and exits 2 with reason $(b,deadline)."
+     allowed, finite and > 0). On exhaustion the run stops cooperatively \
+     at the next poll point and exits 2 with reason $(b,deadline)."
   in
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SEC" ~doc)
+  let seconds =
+    checked Arg.float ~want:"a finite number > 0" ~ok:(fun t ->
+        Float.is_finite t && t > 0.)
+  in
+  Arg.(value & opt (some seconds) None & info [ "timeout" ] ~docv:"SEC" ~doc)
 
 let max_mem_arg =
   let doc =
-    "Approximate major-heap budget in MB (checked at the same cadence as \
-     the deadline). Exhaustion exits 2 with reason $(b,memory)."
+    "Approximate major-heap budget in MB, at least 1 (checked at the same \
+     cadence as the deadline). Exhaustion exits 2 with reason \
+     $(b,memory)."
   in
-  Arg.(value & opt (some int) None & info [ "max-mem" ] ~docv:"MB" ~doc)
+  let mb = checked Arg.int ~want:"at least 1" ~ok:(fun n -> n >= 1) in
+  Arg.(value & opt (some mb) None & info [ "max-mem" ] ~docv:"MB" ~doc)
 
 let retries_arg =
   let doc =
@@ -149,13 +161,31 @@ let retries_arg =
   in
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
+(* The checkpoint is first written after the analysis has done work, so
+   a directory it cannot be written to is refused before any: by writing
+   and removing a probe file there, which also catches a read-only
+   directory. *)
+let writable_dir path =
+  let dir = Filename.dirname path in
+  match Filename.temp_file ~temp_dir:dir "fannet" ".probe" with
+  | probe ->
+      Sys.remove probe;
+      Ok path
+  | exception Sys_error _ ->
+      Error
+        (`Msg
+           (Printf.sprintf "cannot write a checkpoint %s: directory %s is \
+                            missing or not writable" path dir))
+
 let checkpoint_arg =
   let doc =
     "Persist progress to $(docv) (fannet-ckpt/1 format, atomic writes) and \
      resume from it when it already exists, so a killed run continues \
-     where it stopped. The file is removed when the analysis completes."
+     where it stopped. The file is removed when the analysis completes. \
+     Its directory must exist and be writable."
   in
-  Arg.(value & opt (some string) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+  let ckpt_file = Arg.conv (writable_dir, Arg.conv_printer Arg.string) in
+  Arg.(value & opt (some ckpt_file) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
 let budget_of timeout max_mem =
   match (timeout, max_mem) with
@@ -185,11 +215,12 @@ let with_retries ~retries budget f =
   go 0 budget
 
 (* Checkpoint key mismatches surface as [Invalid_argument]: a usage
-   error, reported cleanly rather than as a backtrace. A stopped
-   analysis exits 2 with its typed reason. *)
+   error, reported cleanly rather than as a backtrace, as is a file that
+   cannot be read or written. A stopped analysis exits 2 with its typed
+   reason. *)
 let with_clean_errors f =
   try f () with
-  | Invalid_argument msg | Failure msg ->
+  | Invalid_argument msg | Failure msg | Sys_error msg ->
       Printf.eprintf "error: %s\n%!" msg;
       exit 2
   | Resil.Budget.Stopped r -> exit_exhausted r

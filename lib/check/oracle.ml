@@ -194,7 +194,8 @@ let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = tru
                    (N.to_string v))
         | B.Robust | B.Unknown _ -> ())
   end;
-  (* Counting agreement: the exact counter must reproduce the brute-force
+  (* Counting agreement: the exact counter, plain and certified (they
+     decide cubes on different sessions), must reproduce the brute-force
      flip count, its certificate must pass the independent checker, jobs
      must not change a byte of the answer, and the tight-ε approximate
      counter — whose pivot (1191) exceeds every fuzz-sized flip set, so
@@ -209,6 +210,16 @@ let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = tru
           if N.predict net spec ~input v <> label then incr brute);
       let brute_n = !brute in
       let brute = Util.Bigcount.of_int brute_n in
+      (match Fannet.Robustness.probability net spec ~input ~label with
+      | exception e -> fail "count-exact" explicit (Printexc.to_string e)
+      | r ->
+          if r.Fannet.Robustness.status <> Ok () then
+            fail "count-exact" explicit "unbudgeted plain count not decided"
+          else if not (Util.Bigcount.equal r.Fannet.Robustness.flips brute) then
+            fail "count-exact" explicit
+              (Printf.sprintf "plain count %s flips but enumeration finds %s"
+                 (Util.Bigcount.to_string r.Fannet.Robustness.flips)
+                 (Util.Bigcount.to_string brute)));
       let certified_probability ~jobs =
         Fannet.Robustness.probability
           ~mode:(Fannet.Robustness.Exact_mode { certify = true })

@@ -24,8 +24,18 @@ let m_splits = Obs.Metrics.counter "count.splits"
 let m_calls = Obs.Metrics.counter "count.solver_calls"
 
 (* ------------------------------------------------------------------ *)
-(* Search engine: one warm session, every probe an assumption          *)
+(* Engine: one decision per cube                                       *)
 (* ------------------------------------------------------------------ *)
+
+(* The warm session answers probes as assumptions, so no probe pays a
+   fresh Tseitin encoding. It is built, and each of [f] and [¬f]
+   compiled into it, only when a cube first needs it: a certified count
+   whose root is decided on its traced session never builds it. *)
+type warm = {
+  session : Solve.session;
+  a_f : Solve.assumption Lazy.t;
+  a_nf : Solve.assumption Lazy.t;
+}
 
 type engine = {
   space : Space.t;
@@ -33,9 +43,7 @@ type engine = {
   budget : Resil.Budget.t option;
   certify : bool;
   enum_limit : int;
-  search : Solve.session;
-  a_f : Solve.assumption;
-  a_nf : Solve.assumption;
+  warm : warm Lazy.t;
   mutable calls : int;
   mutable splits : int;
 }
@@ -46,142 +54,152 @@ type decided = { cube : Space.cube; kind : kind; proof : Certificate.proof optio
 
 let dims_list (space : Space.t) = Array.to_list space.Space.dims
 
-let make_engine ?budget ~certify ~enum_limit f space =
-  let search = Solve.open_session T.tru in
-  let a_f = Solve.assume search f in
-  let a_nf = Solve.assume search (T.not_ f) in
-  Solve.declare search (dims_list space);
-  Solve.prioritize search (dims_list space);
-  { space; f; budget; certify; enum_limit; search; a_f; a_nf; calls = 0; splits = 0 }
+let open_session ?trace space g =
+  let s = Solve.open_session ?trace g in
+  Solve.declare s (dims_list space);
+  Solve.prioritize s (dims_list space);
+  s
 
-let solve_e e assumptions =
+let make_engine ?budget ~certify ~enum_limit f space =
+  let warm =
+    lazy
+      (let session = open_session space T.tru in
+       {
+         session;
+         a_f = lazy (Solve.assume session f);
+         a_nf = lazy (Solve.assume session (T.not_ f));
+       })
+  in
+  { space; f; budget; certify; enum_limit; warm; calls = 0; splits = 0 }
+
+let warm e = Lazy.force e.warm
+
+(* A solver answer; UNSAT carries the session's refutation when the
+   session is proof-traced. A stopped solve raises [Out_of_budget]. *)
+type answer = Model of T.assignment | Refuted of Cert.Verdict.t option
+
+let answer e outcome =
   e.calls <- e.calls + 1;
   Obs.Metrics.incr m_calls;
-  match Solve.solve ~assumptions ?budget:e.budget e.search with
-  | Solve.Unknown r -> raise (Out_of_budget r)
-  | o -> o
+  match outcome with
+  | Solve.Sat m, _ -> Model m
+  | Solve.Unsat, c -> Refuted c
+  | Solve.Unknown r, _ -> raise (Out_of_budget r)
+
+let solve_warm e assumptions =
+  answer e (Solve.solve ~assumptions ?budget:e.budget (warm e).session, None)
+
+let solve_traced e s = answer e (Solve.solve_certified ?budget:e.budget s)
 
 let witness_of (space : Space.t) model =
   Array.map (fun v -> T.lookup model v) space.Space.dims
 
-(* Decide one cube on the warm session, or ask for a split. Blocking
-   clauses added while enumerating are permanent but harmless: they
-   exclude points of THIS cube only, and the cube family is laminar, so
-   no other live cube contains them. *)
-let decide e cube =
-  let a_c = Solve.assume e.search (Space.formula cube) in
-  match solve_e e [ a_c; e.a_f ] with
-  | Solve.Unsat -> `Decided K_unsat
-  | Solve.Unknown _ -> assert false
-  | Solve.Sat m0 ->
-      if Array.length cube = 0 then
-        (* The zero-dimensional cube is the single empty point; a Sat
-           answer makes it a full cube (there is nothing to block). *)
-        `Decided K_full
-      else if B.compare (Space.size cube) (B.of_int e.enum_limit) <= 0 then begin
-        let rec enum acc =
-          Solve.block e.search (dims_list e.space);
-          match solve_e e [ a_c; e.a_f ] with
-          | Solve.Unsat -> List.rev acc
-          | Solve.Sat m -> enum (witness_of e.space m :: acc)
-          | Solve.Unknown _ -> assert false
-        in
-        `Decided (K_enum (enum [ witness_of e.space m0 ]))
-      end
-      else
-        match solve_e e [ a_c; e.a_nf ] with
-        | Solve.Unsat -> `Decided K_full
-        | Solve.Sat _ -> `Split
-        | Solve.Unknown _ -> assert false
+(* The rest of a cube whose first model [m0] [solve] just returned on
+   [s]: block each model and re-solve until UNSAT. *)
+let enumerate e s solve m0 =
+  let rec go acc =
+    Solve.block s (dims_list e.space);
+    match solve () with
+    | Refuted c -> (List.rev acc, c)
+    | Model m -> go (witness_of e.space m :: acc)
+  in
+  go [ witness_of e.space m0 ]
 
-(* ------------------------------------------------------------------ *)
-(* Per-cube certification: a fresh proof-traced session per decided    *)
-(* cube, so certificate bytes depend only on (formula, cube) — never   *)
-(* on worker scheduling or warm-session history.                       *)
-(* ------------------------------------------------------------------ *)
+let small e cube = B.compare (Space.size cube) (B.of_int e.enum_limit) <= 0
 
-let certify_cube e cube kind =
-  let open_traced g =
-    let trace = Cert.Proof.create () in
-    let s = Solve.open_session ~trace g in
-    Solve.declare s (dims_list e.space);
-    Solve.prioritize s (dims_list e.space);
-    s
-  in
-  let solve_c s =
-    e.calls <- e.calls + 1;
-    Obs.Metrics.incr m_calls;
-    match Solve.solve_certified ?budget:e.budget s with
-    | Solve.Unknown r, _ -> raise (Out_of_budget r)
-    | o, c -> (o, c)
-  in
-  let refutation what s =
-    match solve_c s with
-    | Solve.Unsat, Some c -> c
-    | Solve.Unsat, None -> failwith ("count: no certificate for " ^ what)
-    | (Solve.Sat _ | Solve.Unknown _), _ ->
-        failwith ("count: certifier disagrees with the search on " ^ what)
-  in
+(* Plain mode: decide one cube on the warm session, or ask for a split.
+   Blocking clauses added while enumerating are permanent but harmless:
+   they exclude points of THIS cube only, and the cube family is
+   laminar, so no other live cube contains them. *)
+let decide_plain e cube =
+  let w = warm e in
+  let a_c = Solve.assume w.session (Space.formula cube) in
+  let solve () = solve_warm e [ a_c; Lazy.force w.a_f ] in
+  match solve () with
+  | Refuted _ -> `Decided (K_unsat, None)
+  | Model _ when Array.length cube = 0 ->
+      (* The zero-dimensional cube is the single empty point; a Sat
+         answer makes it a full cube (there is nothing to block). *)
+      `Decided (K_full, None)
+  | Model m0 when small e cube ->
+      `Decided (K_enum (fst (enumerate e w.session solve m0)), None)
+  | Model _ -> (
+      match solve_warm e [ a_c; Lazy.force w.a_nf ] with
+      | Refuted _ -> `Decided (K_full, None)
+      | Model _ -> `Split)
+
+(* Certify mode: decide one cube on its own proof-traced session for
+   [f ∧ cube], so the evidence is the decision itself and its bytes
+   depend only on (formula, cube) — never on worker scheduling or
+   warm-session history. Only a large satisfiable cube asks the warm
+   session whether [¬f ∧ cube] is UNSAT; a full cube is then proved by
+   a traced refutation of [¬f ∧ cube], a mixed one is split. *)
+let decide_certified e cube =
   let cf = Space.formula cube in
-  match kind with
-  | K_unsat ->
-      Certificate.Unsat_cube
-        (refutation "an unsat cube" (open_traced (T.and_ [ e.f; cf ])))
-  | K_full ->
-      Certificate.Full_cube
-        (refutation "a full cube" (open_traced (T.and_ [ T.not_ e.f; cf ])))
-  | K_enum search_witnesses ->
-      let s = open_traced (T.and_ [ e.f; cf ]) in
-      let rec enum acc =
-        match solve_c s with
-        | Solve.Sat m, _ ->
-            let w = witness_of e.space m in
-            Solve.block s (dims_list e.space);
-            enum (w :: acc)
-        | Solve.Unsat, Some c -> (List.rev acc, c)
-        | Solve.Unsat, None -> failwith "count: no completion certificate"
-        | Solve.Unknown _, _ -> assert false
-      in
-      let witnesses, completion = enum [] in
-      if List.length witnesses <> List.length search_witnesses then
-        failwith "count: certifier witness count disagrees with the search";
-      Certificate.Enum_cube { witnesses; completion }
+  let traced g = open_session ~trace:(Cert.Proof.create ()) e.space g in
+  let proof what = function
+    | Some c -> c
+    | None -> failwith ("count: no certificate for " ^ what)
+  in
+  let full () =
+    match solve_traced e (traced (T.and_ [ T.not_ e.f; cf ])) with
+    | Refuted c ->
+        let c = proof "a full cube" c in
+        `Decided (K_full, Some (Certificate.Full_cube c))
+    | Model _ ->
+        failwith "count: certifier disagrees with the search on a full cube"
+  in
+  let s = traced (T.and_ [ e.f; cf ]) in
+  let solve () = solve_traced e s in
+  match solve () with
+  | Refuted c ->
+      let c = proof "an unsat cube" c in
+      `Decided (K_unsat, Some (Certificate.Unsat_cube c))
+  | Model _ when Array.length cube = 0 -> full ()
+  | Model m0 when small e cube ->
+      let witnesses, c = enumerate e s solve m0 in
+      let completion = proof "an enumerated cube" c in
+      `Decided
+        (K_enum witnesses, Some (Certificate.Enum_cube { witnesses; completion }))
+  | Model _ -> (
+      let w = warm e in
+      match solve_warm e [ Solve.assume w.session cf; Lazy.force w.a_nf ] with
+      | Refuted _ -> full ()
+      | Model _ -> `Split)
 
 (* ------------------------------------------------------------------ *)
 (* Worklist                                                            *)
 (* ------------------------------------------------------------------ *)
 
-let run_worklist e ~frontier ~decided ~on_decided =
-  let rec loop () =
-    match !frontier with
-    | [] -> Decided
-    | cube :: rest -> (
-        match Option.bind e.budget Resil.Budget.check with
-        | Some r -> Exhausted r
-        | None -> (
-            match decide e cube with
-            | exception Out_of_budget r -> Exhausted r
-            | `Split -> (
-                e.splits <- e.splits + 1;
-                Obs.Metrics.incr m_splits;
-                match Space.split cube with
-                | Some (a, b) ->
-                    frontier := a :: b :: rest;
-                    loop ()
-                | None -> failwith "count: mixed single-point cube")
-            | `Decided kind -> (
-                match
-                  if e.certify then Some (certify_cube e cube kind) else None
-                with
-                | exception Out_of_budget r -> Exhausted r
-                | proof ->
-                    frontier := rest;
-                    decided := { cube; kind; proof } :: !decided;
-                    Obs.Metrics.incr m_cubes;
-                    on_decided ();
-                    loop ())))
-  in
-  loop ()
+(* Decide the head of the frontier: a decided cube moves to [decided], a
+   mixed one is replaced by [children cube]. Raises [Out_of_budget],
+   leaving the frontier as it was. *)
+let step e ~children ~frontier ~decided ~on_decided =
+  match !frontier with
+  | [] -> ()
+  | cube :: rest -> (
+      Option.iter
+        (fun r -> raise (Out_of_budget r))
+        (Option.bind e.budget Resil.Budget.check);
+      match (if e.certify then decide_certified else decide_plain) e cube with
+      | `Split ->
+          e.splits <- e.splits + 1;
+          Obs.Metrics.incr m_splits;
+          frontier := children cube @ rest
+      | `Decided (kind, proof) ->
+          frontier := rest;
+          decided := { cube; kind; proof } :: !decided;
+          Obs.Metrics.incr m_cubes;
+          on_decided ())
+
+let run_worklist e ~children ~frontier ~decided ~on_decided =
+  match
+    while !frontier <> [] do
+      step e ~children ~frontier ~decided ~on_decided
+    done
+  with
+  | () -> Decided
+  | exception Out_of_budget r -> Exhausted r
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing (fannet-ckpt/1, kind "count")                         *)
@@ -355,13 +373,15 @@ let assemble space ~certify ~status ~decided ~calls ~splits =
     status;
   }
 
-(* Deterministic root decomposition: repeatedly halve the largest cube
-   until [target] pieces (or nothing splits). Every mode — sequential,
-   parallel, checkpointed — starts from the SAME fixed-target frontier,
-   and cube decisions are semantic (Sat/Unsat under disjoint-cube
-   assumptions, unaffected by session history), so the decided partition
-   and therefore the certificate bytes do not depend on [jobs] or on
-   interrupt/resume boundaries. *)
+(* The root cube goes first in every mode. A decided root is a
+   one-entry certificate; a mixed root too large to enumerate is
+   replaced by a fixed-target decomposition (the root halved, largest
+   cube first, into up to [top_target] tops) instead of one bisection,
+   giving a parallel run its units of work. The tops are a function of
+   the space alone and cube decisions are semantic (Sat/Unsat of
+   [f ∧ cube] and [¬f ∧ cube], unaffected by session history), so the
+   decided partition and therefore the certificate bytes do not depend
+   on [jobs] or on interrupt/resume boundaries. *)
 let top_target = 16
 
 let top_split space ~target =
@@ -393,26 +413,40 @@ let top_split space ~target =
   in
   grow [ Space.full_cube space ] 1
 
+let children space cube =
+  if Space.ranges cube = Space.ranges (Space.full_cube space) then
+    top_split space ~target:top_target
+  else
+    match Space.split cube with
+    | Some (a, b) -> [ a; b ]
+    | None -> failwith "count: mixed single-point cube"
+
 let count ?budget ?(certify = false) ?(enum_limit = 64) ?(jobs = 1)
     ?checkpoint ?(ckpt_key = "") ?(ckpt_every = 32) f ~project =
   let space = Space.of_projection f ~project in
   let enum_limit = max 1 enum_limit in
   let ckpt_every = max 1 ckpt_every in
-  let tops = top_split space ~target:top_target in
+  let children = children space in
+  let root = Space.full_cube space in
+  let e = make_engine ?budget ~certify ~enum_limit f space in
+  let finish ~status ~decided ~calls ~splits =
+    assemble space ~certify ~status ~decided ~calls ~splits
+  in
   match checkpoint with
   | Some path ->
       (* Checkpointed runs are sequential: the frontier is a single
          worklist, saved every [ckpt_every] decided cubes and at every
          exit, so a resumed run continues from the decided-cube
          frontier. *)
-      let e = make_engine ?budget ~certify ~enum_limit f space in
       let decided, frontier =
         match load_ckpt ~path ~key:ckpt_key space with
         | Some (ds, fs) -> (ref (List.rev ds), ref fs)
-        | None -> (ref [], ref tops)
+        | None -> (ref [], ref [ root ])
       in
       let since = ref 0 in
-      let save () = save_ckpt ~path ~key:ckpt_key ~decided:!decided ~frontier:!frontier in
+      let save () =
+        save_ckpt ~path ~key:ckpt_key ~decided:!decided ~frontier:!frontier
+      in
       let on_decided () =
         incr since;
         if !since >= ckpt_every then begin
@@ -420,53 +454,50 @@ let count ?budget ?(certify = false) ?(enum_limit = 64) ?(jobs = 1)
           save ()
         end
       in
-      let status = run_worklist e ~frontier ~decided ~on_decided in
+      let status = run_worklist e ~children ~frontier ~decided ~on_decided in
       save ();
-      assemble space ~certify ~status ~decided:!decided ~calls:e.calls
-        ~splits:e.splits
-  | None ->
-      if jobs <= 1 then begin
-        let e = make_engine ?budget ~certify ~enum_limit f space in
-        let decided = ref [] and frontier = ref tops in
-        let status =
-          run_worklist e ~frontier ~decided ~on_decided:(fun () -> ())
-        in
-        assemble space ~certify ~status ~decided:!decided ~calls:e.calls
-          ~splits:e.splits
-      end
-      else begin
-        let tops = Array.of_list tops in
-        let results =
-          Util.Parallel.map ~jobs
-            (fun top ->
-              let e = make_engine ?budget ~certify ~enum_limit f space in
-              let decided = ref [] and frontier = ref [ top ] in
-              let status =
-                run_worklist e ~frontier ~decided ~on_decided:(fun () -> ())
-              in
-              (!decided, status, e.calls, e.splits))
-            tops
-        in
-        let decided =
+      finish ~status ~decided:!decided ~calls:e.calls ~splits:e.splits
+  | None when jobs <= 1 ->
+      let decided = ref [] and frontier = ref [ root ] in
+      let status =
+        run_worklist e ~children ~frontier ~decided ~on_decided:ignore
+      in
+      finish ~status ~decided:!decided ~calls:e.calls ~splits:e.splits
+  | None -> (
+      (* The calling domain decides the root; only the tops of a mixed
+         root fan out. *)
+      let decided = ref [] and frontier = ref [ root ] in
+      match step e ~children ~frontier ~decided ~on_decided:ignore with
+      | exception Out_of_budget r ->
+          finish ~status:(Exhausted r) ~decided:[] ~calls:e.calls
+            ~splits:e.splits
+      | () ->
+          let results =
+            Util.Parallel.map ~jobs
+              (fun top ->
+                let e = make_engine ?budget ~certify ~enum_limit f space in
+                let decided = ref [] and frontier = ref [ top ] in
+                let status =
+                  run_worklist e ~children ~frontier ~decided
+                    ~on_decided:ignore
+                in
+                (!decided, status, e.calls, e.splits))
+              (Array.of_list !frontier)
+          in
           (* Each per-top list is newest-first; prepending in top order
              yields newest-first overall, so the final [List.rev] in
              [assemble] reports tops in decision order — the same order
              the sequential worklist produces. *)
-          Array.fold_left (fun acc (ds, _, _, _) -> ds @ acc) [] results
-        in
-        let status =
-          Array.fold_left
-            (fun acc (_, s, _, _) ->
-              match (acc, s) with
-              | Decided, s -> s
-              | (Exhausted _ as x), _ -> x)
-            Decided results
-        in
-        let calls =
-          Array.fold_left (fun acc (_, _, c, _) -> acc + c) 0 results
-        in
-        let splits =
-          Array.fold_left (fun acc (_, _, _, s) -> acc + s) 0 results
-        in
-        assemble space ~certify ~status ~decided ~calls ~splits
-      end
+          let decided =
+            Array.fold_left (fun acc (ds, _, _, _) -> ds @ acc) !decided results
+          in
+          let status =
+            Array.fold_left
+              (fun acc (_, s, _, _) ->
+                match acc with Decided -> s | Exhausted _ -> acc)
+              Decided results
+          in
+          let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
+          finish ~status ~decided
+            ~calls:(e.calls + sum (fun (_, _, c, _) -> c))
+            ~splits:(e.splits + sum (fun (_, _, _, s) -> s)))

@@ -6,19 +6,24 @@
     covers entirely (its conjunction with the negation is UNSAT)
     contributes its whole cardinality, a small mixed cube is counted by
     blocking-clause enumeration, and a large mixed cube is bisected on
-    its widest dimension. All probes run as assumptions over one warm
-    session (two compiled literals for the formula and its negation,
-    one per cube range), so no probe pays a fresh Tseitin encoding.
-    Projection variables the formula never mentions are factored out as
-    a multiplier (see {!Space}), which also keeps counts exact-or-[Huge]
-    rather than wrapped.
+    its widest dimension. Projection variables the formula never
+    mentions are factored out as a multiplier (see {!Space}), which also
+    keeps counts exact-or-[Huge] rather than wrapped.
 
-    With [~certify:true] every decided cube is re-derived on a fresh
-    proof-traced session and the result carries a
-    {!Certificate.t} ([fannet-count-cert/1]) that {!Certificate.check}
-    re-validates independently. Certificate bytes are deterministic: the
-    per-cube sessions depend only on (formula, cube), never on worker
-    scheduling, so jobs=1 and jobs=N produce identical certificates.
+    Every cube is decided once. A plain count asks each question as an
+    assumption over one warm session, so no probe pays a fresh Tseitin
+    encoding. With [~certify:true] each cube is decided on its own
+    proof-traced session for [formula ∧ cube]: an UNSAT answer is the
+    cube's refutation, and a small satisfiable cube is enumerated on
+    that same session, ending in its completion refutation. Only a
+    large satisfiable cube asks the warm session whether
+    [¬formula ∧ cube] is UNSAT; if so, a traced refutation of it proves
+    the cube full. The warm session, and the compiled negation, are
+    built only when first needed, so a zero-flip certified count whose
+    root is UNSAT costs one encoding and one traced solve — the work of
+    a certified decision. The result carries a {!Certificate.t}
+    ([fannet-count-cert/1]) that {!Certificate.check} re-validates
+    independently.
 
     Budgets are polled per cube and threaded into every solve; on
     exhaustion the decided mass so far is returned with
@@ -28,12 +33,15 @@
     the frontier instead of recounting. Checkpointing forces sequential
     operation ([jobs] is ignored).
 
-    Every mode starts from the same fixed-target root decomposition (the
-    root cube halved into up to 16 top cubes), and cube decisions are
-    semantic — Sat/Unsat under disjoint-cube assumptions, unaffected by
-    warm-session history — so the decided partition, the count, and the
-    certificate bytes are identical across [jobs] settings and across
-    checkpoint interrupt/resume boundaries. *)
+    Every mode starts from the root cube alone. A decided root is a
+    one-entry certificate. A root that is mixed and larger than
+    [enum_limit] is replaced by a fixed-target decomposition (halved into
+    up to 16 top cubes); with [jobs > 1] the calling domain decides the
+    root and the tops fan out. Cube decisions are semantic — Sat/Unsat
+    under disjoint-cube constraints, unaffected by session history — and
+    each traced session depends only on (formula, cube), so the decided
+    partition, the count, and the certificate bytes are identical across
+    [jobs] settings and across checkpoint interrupt/resume boundaries. *)
 
 type status = Decided | Exhausted of Resil.Budget.reason
 

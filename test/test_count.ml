@@ -2,7 +2,9 @@
    force, certificate validation and tamper rejection, free-variable
    factoring, overflow-safe huge spaces, plain = certified counts on a
    network, the (ε, δ) envelope of the approximate counter and its
-   tight-ε exact short-circuit, jobs determinism (including certificate
+   tight-ε exact short-circuit, the root-first decomposition (a robust
+   root is one refutation, a small root one enumeration, a large mixed
+   root the fixed top split), jobs determinism (including certificate
    bytes), and checkpoint interrupt/resume. *)
 
 module T = Smtlite.Term
@@ -183,6 +185,58 @@ let count_small_net ~delta mode =
     (N.symmetric ~delta ~bias_noise:false)
     ~input ~label:(Nn.Qnet.predict net input)
 
+(* (unsat, full, enumerated, witnesses) cube tallies of a certificate. *)
+let cube_kinds (cert : Count.Certificate.t) =
+  List.fold_left
+    (fun (u, f, e, w) (en : Count.Certificate.entry) ->
+      match en.Count.Certificate.proof with
+      | Count.Certificate.Unsat_cube _ -> (u + 1, f, e, w)
+      | Count.Certificate.Full_cube _ -> (u, f + 1, e, w)
+      | Count.Certificate.Enum_cube { witnesses; _ } ->
+          (u, f, e + 1, w + List.length witnesses))
+    (0, 0, 0, 0) cert.Count.Certificate.entries
+
+let kinds = Alcotest.(pair (pair int int) (pair int int))
+
+let check_kinds what (u, f, e, w) cert =
+  let u', f', e', w' = cube_kinds cert in
+  Alcotest.check kinds what ((u, f), (e, w)) ((u', f'), (e', w'))
+
+let certificate_of what (r : Fannet.Robustness.report) =
+  match r.Fannet.Robustness.certificate with
+  | Some c -> c
+  | None -> Alcotest.failf "%s: certificate missing" what
+
+let test_robust_root_one_refutation () =
+  (* (50, 50) is robust at ±1: the root cube is UNSAT, so the certified
+     count is the single refutation a certified decision would make. *)
+  let net = Fixture.small_qnet () in
+  let input = [| 50; 50 |] in
+  let spec = N.symmetric ~delta:1 ~bias_noise:false in
+  let label = Nn.Qnet.predict net input in
+  let r =
+    Fannet.Robustness.probability
+      ~mode:(Fannet.Robustness.Exact_mode { certify = true })
+      net spec ~input ~label
+  in
+  Alcotest.check bigcount "no flips" B.zero r.Fannet.Robustness.flips;
+  Alcotest.(check int) "one solver call" 1 r.Fannet.Robustness.solver_calls;
+  let cert = certificate_of "robust root" r in
+  check_kinds "one unsat cube" (1, 0, 0, 0) cert;
+  Alcotest.(check (result unit string))
+    "certificate validates" (Ok ())
+    (Fannet.Robustness.check_certificate net spec ~input ~label cert)
+
+let test_small_root_enumerated () =
+  (* The ±1 space at (112, 87) has 9 points, fewer than the enumeration
+     limit: the root is enumerated whole instead of split into points. *)
+  let r =
+    count_small_net ~delta:1 (Fannet.Robustness.Exact_mode { certify = true })
+  in
+  Alcotest.check bigcount "one flip" B.one r.Fannet.Robustness.flips;
+  check_kinds "one enumerated cube" (0, 0, 1, 1)
+    (certificate_of "small root" r)
+
 let test_network_plain_equals_certified () =
   List.iter
     (fun delta ->
@@ -320,6 +374,36 @@ let test_jobs_determinism () =
         (Util.Json.to_string (Count.Certificate.to_json c4))
   | _ -> Alcotest.fail "certificate missing"
 
+let test_mixed_root_top_split () =
+  (* binarized/6x2 at ±1: 362 of 729 vectors flip, so the root is mixed
+     and too large to enumerate; it is replaced by the fixed 16-way top
+     split, whose partition does not depend on jobs. *)
+  let rung =
+    Nn.Ladder.rung ~family:Nn.Ladder.Binarized ~n_inputs:6 ~n_layers:2 ~seed:60
+  in
+  let net = rung.Nn.Ladder.qnet and input = rung.Nn.Ladder.fragile in
+  let spec = N.symmetric ~delta:1 ~bias_noise:false in
+  let label = Nn.Qnet.predict net input in
+  let run jobs =
+    Fannet.Robustness.probability
+      ~mode:(Fannet.Robustness.Exact_mode { certify = true })
+      ~jobs net spec ~input ~label
+  in
+  let r1 = run 1 and r4 = run 4 in
+  Alcotest.check bigcount "362 flips" (B.of_int 362) r1.Fannet.Robustness.flips;
+  let c1 = certificate_of "jobs=1" r1 and c4 = certificate_of "jobs=4" r4 in
+  check_kinds "18 cubes: 1 unsat, 17 enumerated" (1, 0, 17, 362) c1;
+  (* Each cube is decided once: one call per witness and per closing
+     refutation, two per split, so well below two per cube and witness. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d solver calls < 2 x (362 + 18)"
+       r1.Fannet.Robustness.solver_calls)
+    true
+    (r1.Fannet.Robustness.solver_calls < 2 * (362 + 18));
+  Alcotest.(check string) "certificate bytes identical across jobs"
+    (Util.Json.to_string (Count.Certificate.to_json c1))
+    (Util.Json.to_string (Count.Certificate.to_json c4))
+
 (* ---------- budgets and checkpoints ---------- *)
 
 let test_budget_exhaustion_typed () =
@@ -398,13 +482,48 @@ let test_certified_checkpoint_matches_direct () =
   in
   let resumed = drive 0 in
   let direct = Count.Exact.count ~certify:true f ~project:[ x ] in
-  (match (resumed.Count.Exact.certificate, direct.Count.Exact.certificate) with
-  | Some a, Some b ->
-      Alcotest.(check string) "certificate bytes survive resume"
-        (Util.Json.to_string (Count.Certificate.to_json b))
-        (Util.Json.to_string (Count.Certificate.to_json a))
-  | _ -> Alcotest.fail "certificate missing");
-  Sys.remove path;
+  let cert_bytes what (r : Count.Exact.result) =
+    match r.Count.Exact.certificate with
+    | Some c -> Util.Json.to_string (Count.Certificate.to_json c)
+    | None -> Alcotest.failf "%s: certificate missing" what
+  in
+  Alcotest.(check string) "certificate bytes survive resume"
+    (cert_bytes "direct" direct) (cert_bytes "resumed" resumed);
+  if Sys.file_exists path then Sys.remove path;
+  (* A budget that runs out while the root itself is being decided:
+     the root of this 16x16 space is enumerated whole (136 witnesses,
+     enum_limit 256), so a deadline of a few milliseconds stops it after
+     some solver calls and before any cube is decided. The checkpoint
+     then holds the root as its frontier. *)
+  let x = T.var ~name:"x" ~lo:0 ~hi:15 and y = T.var ~name:"y" ~lo:0 ~hi:15 in
+  let f = T.le (T.of_var x) (T.of_var y) in
+  let count ?budget () =
+    Count.Exact.count ?budget ~certify:true ~enum_limit:256 ~checkpoint:path
+      ~ckpt_key:"root" f ~project:[ x; y ]
+  in
+  let interrupted timeout_s =
+    if Sys.file_exists path then Sys.remove path;
+    let r = count ~budget:(Resil.Budget.create ~timeout_s ()) () in
+    r.Count.Exact.status <> Count.Exact.Decided
+    && r.Count.Exact.cubes = 0
+    && r.Count.Exact.solver_calls > 0
+  in
+  if not (List.exists interrupted [ 0.001; 0.002; 0.004; 0.008; 0.016; 0.032 ])
+  then Alcotest.fail "no deadline stopped the root mid-decision";
+  (match Resil.Ckpt.load ~kind:"count" ~path with
+  | Ok data ->
+      Alcotest.(check (option string))
+        "the persisted frontier is the root"
+        (Some "[[[0,15],[0,15]]]")
+        (Option.map Util.Json.to_string (Util.Json.member "frontier" data))
+  | Error e -> Alcotest.fail e);
+  let resumed = count () in
+  Alcotest.(check bool) "resumed run decided" true
+    (resumed.Count.Exact.status = Count.Exact.Decided);
+  let direct = Count.Exact.count ~certify:true ~enum_limit:256 f ~project:[ x; y ] in
+  Alcotest.(check string) "root interrupted mid-decision: bytes survive resume"
+    (cert_bytes "direct" direct) (cert_bytes "resumed" resumed);
+  if Sys.file_exists path then Sys.remove path;
   Unix.rmdir dir
 
 (* ---------- core surfaces ---------- *)
@@ -457,6 +576,10 @@ let () =
             test_certificate_tamper_rejected;
           Alcotest.test_case "network: plain = certified" `Quick
             test_network_plain_equals_certified;
+          Alcotest.test_case "robust root: one refutation" `Quick
+            test_robust_root_one_refutation;
+          Alcotest.test_case "small root: one enumeration" `Quick
+            test_small_root_enumerated;
         ] );
       ( "approx",
         [
@@ -473,6 +596,8 @@ let () =
       ( "resilience",
         [
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
+          Alcotest.test_case "mixed root: top split" `Quick
+            test_mixed_root_top_split;
           Alcotest.test_case "typed exhaustion" `Quick
             test_budget_exhaustion_typed;
           Alcotest.test_case "checkpoint resume" `Quick test_checkpoint_resume;

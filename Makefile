@@ -39,8 +39,8 @@ certify-smoke:
 # --retries must not re-run it. A --limit below 1 is a usage error, and
 # the default bias corpus, cut at --limit 100 per input, says so on
 # stderr. So are a --timeout that is not a finite number > 0, a
-# --max-mem below 1 and a --checkpoint whose directory is missing: each
-# is refused before any analysis runs.
+# --max-mem below 1, and a --checkpoint or --cert-out whose directory is
+# missing: each is refused before any analysis runs.
 faults-smoke:
 	dune exec test/test_resil.exe -- -q
 	dune exec bin/fannet_cli.exe -- bias --limit 0 2>/dev/null; [ $$? -eq 2 ]
@@ -54,6 +54,8 @@ faults-smoke:
 	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--checkpoint'"
 	out=$$(dune exec bin/fannet_cli.exe -- tolerance --checkpoint /nonexistent/dir/t.ckpt 2>&1); \
 	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--checkpoint'"
+	out=$$(dune exec bin/fannet_cli.exe -- count --delta 1 --cert-out /nonexistent/d/c.json 2>&1); \
+	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--cert-out'"
 	dune exec bin/fannet_cli.exe -- bias 2>&1 >/dev/null | grep -q "corpus truncated at --limit 100"
 	dune exec bin/fannet_cli.exe -- tolerance --timeout 0.001; [ $$? -eq 2 ]
 	FANNET_FAULTS=backend.unknown dune exec bin/fannet_cli.exe -- tolerance; 	  [ $$? -eq 2 ]

@@ -161,11 +161,11 @@ let retries_arg =
   in
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
-(* The checkpoint is first written after the analysis has done work, so
-   a directory it cannot be written to is refused before any: by writing
-   and removing a probe file there, which also catches a read-only
-   directory. *)
-let writable_dir path =
+(* A checkpoint or a certificate is first written after the analysis has
+   done work, so a directory it cannot be written to is refused before
+   any: by writing and removing a probe file there, which also catches a
+   read-only directory. [role] names the file in the message. *)
+let writable_dir role path =
   let dir = Filename.dirname path in
   match Filename.temp_file ~temp_dir:dir "fannet" ".probe" with
   | probe ->
@@ -174,8 +174,10 @@ let writable_dir path =
   | exception Sys_error _ ->
       Error
         (`Msg
-           (Printf.sprintf "cannot write a checkpoint %s: directory %s is \
-                            missing or not writable" path dir))
+           (Printf.sprintf "cannot write %s %s: directory %s is missing or \
+                            not writable" role path dir))
+
+let writable_file role = Arg.conv (writable_dir role, Arg.conv_printer Arg.string)
 
 let checkpoint_arg =
   let doc =
@@ -184,8 +186,10 @@ let checkpoint_arg =
      where it stopped. The file is removed when the analysis completes. \
      Its directory must exist and be writable."
   in
-  let ckpt_file = Arg.conv (writable_dir, Arg.conv_printer Arg.string) in
-  Arg.(value & opt (some ckpt_file) None & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+  Arg.(
+    value
+    & opt (some (writable_file "a checkpoint")) None
+    & info [ "checkpoint" ] ~docv:"FILE" ~doc)
 
 let budget_of timeout max_mem =
   match (timeout, max_mem) with
@@ -1233,8 +1237,14 @@ let count_cmd =
     Arg.(value & flag & info [ "certify" ] ~doc)
   in
   let cert_out_arg =
-    let doc = "Write the count certificate JSON to $(docv) (implies --certify)." in
-    Arg.(value & opt (some string) None & info [ "cert-out" ] ~docv:"FILE" ~doc)
+    let doc =
+      "Write the count certificate JSON to $(docv) (implies --certify). Its \
+       directory must exist and be writable."
+    in
+    Arg.(
+      value
+      & opt (some (writable_file "the count certificate")) None
+      & info [ "cert-out" ] ~docv:"FILE" ~doc)
   in
   let run metrics dataset_seed init_seed input_index delta no_bias_noise approx
       exact epsilon adelta seed certify cert_out jobs timeout max_mem retries
@@ -1270,7 +1280,9 @@ let count_cmd =
         Fannet.Robustness.Exact_mode { certify = certify || cert_out <> None }
     in
     (* The checkpoint key ties the file to this exact query, so resuming
-       under different flags is rejected instead of silently merged. *)
+       under different flags is rejected instead of silently merged;
+       [Robustness.probability] adds the network's digest, which the
+       dataset and init seeds decide. *)
     let ckpt_key =
       Printf.sprintf "count input=%d delta=%d bias=%b" input_index delta
         bias_noise

@@ -29,6 +29,16 @@ let probability ?budget ?(mode = default_mode) ?jobs ?checkpoint ?ckpt_key net
   let f, project = query net spec ~input ~label in
   match mode with
   | Exact_mode { certify } ->
+      (* The network is part of the query: a checkpoint written for one
+         network is refused by another. *)
+      let ckpt_key =
+        Option.map
+          (fun _ ->
+            Printf.sprintf "%s net=%s"
+              (Option.value ckpt_key ~default:"")
+              (Digest.to_hex (Digest.string (Nn.Qnet.to_string net))))
+          checkpoint
+      in
       let r =
         Count.Exact.count ?budget ~certify ?jobs ?checkpoint ?ckpt_key f
           ~project

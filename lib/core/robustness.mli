@@ -45,7 +45,9 @@ val probability :
   report
 (** Count the noise vectors under which the network's prediction on
     [input] differs from [label]. [jobs], [checkpoint] and [ckpt_key]
-    apply to exact mode only (see {!Count.Exact.count}). *)
+    apply to exact mode only (see {!Count.Exact.count}); the checkpoint
+    key is [ckpt_key] plus the network's digest, so another network's
+    checkpoint is refused. *)
 
 val check_certificate :
   Nn.Qnet.t ->

@@ -33,26 +33,9 @@ let make ~(space : Space.t) ~count ~entries =
 (* JSON codec (deterministic field order)                              *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
-
-let as_int = function J.Int n -> n | _ -> bad "expected an integer"
-
-let as_string = function J.String s -> s | _ -> bad "expected a string"
-
-let as_list = function J.List l -> l | _ -> bad "expected an array"
-
-let field name = function
-  | J.Obj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> v
-      | None -> bad "missing field %S" name)
-  | _ -> bad "expected an object with field %S" name
+module C = J.Cursor
 
 let int_list_json l = J.List (List.map (fun n -> J.Int n) l)
-
-let int_list j = List.map as_int (as_list j)
 
 (* Cert.Verdict codec, shared with the wire protocol and the journal. *)
 let verdict_json (c : Cert.Verdict.t) =
@@ -85,49 +68,43 @@ let verdict_json (c : Cert.Verdict.t) =
           ("proof", J.List (List.map step_json proof));
         ]
 
-let verdict_of_json_exn j : Cert.Verdict.t =
-  let n_vars = as_int (field "n_vars" j) in
-  let cnf = List.map int_list (as_list (field "cnf" j)) in
-  let assumptions = int_list (field "assumptions" j) in
-  match as_string (field "kind" j) with
-  | "model" ->
-      let model =
-        Array.of_list
-          (List.map
-             (fun v ->
-               match as_int v with
-               | 0 -> false
-               | 1 -> true
-               | n -> bad "model bit %d" n)
-             (as_list (field "model" j)))
-      in
-      Cert.Verdict.Model { n_vars; cnf; assumptions; model }
-  | "refutation" ->
-      let step s : Cert.Rup.step =
-        match as_list s with
-        | [ J.String "l"; c ] -> Cert.Rup.Learn (int_list c)
-        | [ J.String "d"; c ] -> Cert.Rup.Delete (int_list c)
-        | _ -> bad "malformed proof step"
-      in
-      Cert.Verdict.Refutation
-        { n_vars; cnf; assumptions; proof = List.map step (as_list (field "proof" j)) }
-  | s -> bad "unknown verdict kind %S" s
+(* Readers take the fields in the order the encoders write them, so a
+   canonical certificate is read in one pass, each clause straight into
+   an [int list]. *)
+let int_list c = C.list C.int c
 
-let verdict_of_json j =
-  try Ok (verdict_of_json_exn j) with Bad e -> Error e
+let bit c =
+  match C.int c with
+  | 0 -> false
+  | 1 -> true
+  | n -> C.fail c (Printf.sprintf "model bit %d" n)
+
+let step c : Cert.Rup.step =
+  match C.pair C.string int_list c with
+  | "l", clause -> Cert.Rup.Learn clause
+  | "d", clause -> Cert.Rup.Delete clause
+  | _ -> C.fail c "malformed proof step"
+
+let read_verdict c : Cert.Verdict.t =
+  C.obj
+    (fun f ->
+      let kind = C.field f "kind" C.string in
+      let n_vars = C.field f "n_vars" C.int in
+      let cnf = C.field f "cnf" (C.list int_list) in
+      let assumptions = C.field f "assumptions" int_list in
+      match kind with
+      | "model" ->
+          let model = Array.of_list (C.field f "model" (C.list bit)) in
+          Cert.Verdict.Model { n_vars; cnf; assumptions; model }
+      | "refutation" ->
+          let proof = C.field f "proof" (C.list step) in
+          Cert.Verdict.Refutation { n_vars; cnf; assumptions; proof }
+      | s -> C.fail c (Printf.sprintf "unknown verdict kind %S" s))
+    c
 
 let ranges_json rs =
   J.List
     (Array.to_list (Array.map (fun (lo, hi) -> int_list_json [ lo; hi ]) rs))
-
-let ranges_of_json j =
-  Array.of_list
-    (List.map
-       (fun r ->
-         match int_list r with
-         | [ lo; hi ] -> (lo, hi)
-         | _ -> bad "malformed range")
-       (as_list j))
 
 let witness_json w = int_list_json (Array.to_list w)
 
@@ -142,30 +119,28 @@ let proof_to_json = function
           ("cert", verdict_json completion);
         ]
 
-let proof_of_json_exn j =
-  match as_string (field "kind" j) with
-  | "unsat" -> Unsat_cube (verdict_of_json_exn (field "cert" j))
-  | "full" -> Full_cube (verdict_of_json_exn (field "cert" j))
+(* A cube's proof fields, inside an object that may hold others. *)
+let proof_fields c f =
+  match C.field f "kind" C.string with
+  | "unsat" -> Unsat_cube (C.field f "cert" read_verdict)
+  | "full" -> Full_cube (C.field f "cert" read_verdict)
   | "enum" ->
-      Enum_cube
-        {
-          witnesses =
-            List.map
-              (fun w -> Array.of_list (int_list w))
-              (as_list (field "witnesses" j));
-          completion = verdict_of_json_exn (field "cert" j);
-        }
-  | s -> bad "unknown cube kind %S" s
+      let witnesses =
+        C.field f "witnesses" (C.list (fun c -> Array.of_list (int_list c)))
+      in
+      Enum_cube { witnesses; completion = C.field f "cert" read_verdict }
+  | s -> C.fail c (Printf.sprintf "unknown cube kind %S" s)
 
-let proof_of_json j =
-  try Ok (proof_of_json_exn j) with Bad e -> Error e
+let read_proof c = C.obj (proof_fields c) c
+
+let proof_of_string s = C.parse read_proof s
 
 let triple_json (name, lo, hi) = J.List [ J.String name; J.Int lo; J.Int hi ]
 
-let triple_of_json j =
-  match as_list j with
-  | [ J.String name; J.Int lo; J.Int hi ] -> (name, lo, hi)
-  | _ -> bad "malformed variable triple"
+let triple c =
+  match C.value c with
+  | J.List [ J.String name; J.Int lo; J.Int hi ] -> (name, lo, hi)
+  | _ -> C.fail c "malformed variable triple"
 
 let to_json t =
   J.Obj
@@ -189,27 +164,28 @@ let to_json t =
              t.entries) );
     ]
 
-let of_json j =
-  try
-    (match as_string (field "format" j) with
-    | v when v = version -> ()
-    | v -> bad "format %S (want %S)" v version);
-    let triples f =
-      Array.of_list (List.map triple_of_json (as_list (field f j)))
-    in
-    let count =
-      match B.of_json (field "count" j) with
-      | Ok c -> c
-      | Error e -> bad "count: %s" e
-    in
-    let entries =
-      List.map
-        (fun e ->
-          { ranges = ranges_of_json (field "ranges" e); proof = proof_of_json_exn e })
-        (as_list (field "cubes" j))
-    in
-    Ok { vars = triples "vars"; free = triples "free"; count; entries }
-  with Bad e -> Error e
+let entry c =
+  C.obj
+    (fun f ->
+      let ranges = C.field f "ranges" (C.list (C.pair C.int C.int)) in
+      { ranges = Array.of_list ranges; proof = proof_fields c f })
+    c
+
+let read c =
+  C.obj
+    (fun f ->
+      (match C.field f "format" C.string with
+      | v when v = version -> ()
+      | v -> C.fail c (Printf.sprintf "format %S (want %S)" v version));
+      let triples c = Array.of_list (C.list triple c) in
+      let vars = C.field f "vars" triples in
+      let free = C.field f "free" triples in
+      let count = C.field f "count" B.read in
+      let entries = C.field f "cubes" (C.list entry) in
+      { vars; free; count; entries })
+    c
+
+let of_string s = C.parse read s
 
 (* ------------------------------------------------------------------ *)
 (* Checking                                                            *)

@@ -58,16 +58,23 @@ val describe : t -> string
 val to_json : t -> Util.Json.t
 (** Deterministic encoding — certificate bytes are cache-stable. *)
 
-val of_json : Util.Json.t -> (t, string) result
+val read : Util.Json.Cursor.t -> t
+(** Reads {!to_json}'s form from the bytes, fields in any order. *)
+
+val of_string : string -> (t, string) result
+(** {!read} over a whole document. *)
 
 val verdict_json : Cert.Verdict.t -> Util.Json.t
 (** The JSON form of one [lib/cert] certificate, as it appears inside a
     cube. The wire protocol and the verdict journal encode certified
     exists-flip answers with the same pair. *)
 
-val verdict_of_json : Util.Json.t -> (Cert.Verdict.t, string) result
+val read_verdict : Util.Json.Cursor.t -> Cert.Verdict.t
+(** Inverse of {!verdict_json}: clause, proof-step and model literals
+    are read straight into lists, with no JSON tree. *)
 
 val proof_to_json : proof -> Util.Json.t
 (** Exposed for checkpoint payloads, which persist decided cubes. *)
 
-val proof_of_json : Util.Json.t -> (proof, string) result
+val proof_of_string : string -> (proof, string) result
+(** Inverse of {!proof_to_json}, read from the bytes. *)

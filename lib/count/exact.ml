@@ -321,7 +321,10 @@ let load_ckpt ~path ~key space =
             match J.member "proof" j with
             | None -> None
             | Some p -> (
-                match Certificate.proof_of_json p with
+                (* The checkpoint envelope hands over a tree; its bytes
+                   are the canonical encoding the certificate reader
+                   takes. *)
+                match Certificate.proof_of_string (J.to_string p) with
                 | Ok pr -> Some pr
                 | Error e -> fail "%s" e)
           in
@@ -455,7 +458,11 @@ let count ?budget ?(certify = false) ?(enum_limit = 64) ?(jobs = 1)
         end
       in
       let status = run_worklist e ~children ~frontier ~decided ~on_decided in
-      save ();
+      (* A finished count leaves no file behind: the next run with this
+         key starts afresh instead of returning the stored answer. *)
+      (match status with
+      | Decided -> if Sys.file_exists path then Sys.remove path
+      | Exhausted _ -> save ());
       finish ~status ~decided:!decided ~calls:e.calls ~splits:e.splits
   | None when jobs <= 1 ->
       let decided = ref [] and frontier = ref [ root ] in

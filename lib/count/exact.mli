@@ -73,9 +73,10 @@ val count :
     certificate; [enum_limit] (default 64) is the largest cube counted
     by enumeration instead of bisection; [jobs] (default 1) counts
     disjoint subtrees on a {!Util.Parallel} pool; [checkpoint] persists
-    progress every [ckpt_every] (default 32) decided cubes under
-    identity [ckpt_key] (a resume with a different key raises
-    [Invalid_argument], as does a torn checkpoint file).
+    progress every [ckpt_every] (default 32) decided cubes and when the
+    budget runs out, under identity [ckpt_key] (a resume with a
+    different key raises [Invalid_argument], as does a torn checkpoint
+    file). A count that completes removes the file.
 
     Raises [Invalid_argument] if the formula mentions variables outside
     [project]. *)

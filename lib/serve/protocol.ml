@@ -1,7 +1,7 @@
 (* fannet-wire/1 messages and their JSON codec. Encoding is
-   deterministic (fixed field order); decoding is total — internal
-   [Bad]-exception plumbing is caught at the two public entry points and
-   surfaced as [Error]. *)
+   deterministic (fixed field order); decoding reads the bytes with a
+   [Util.Json.Cursor] and is total — every failure, syntactic or not, is
+   a cursor error that the two public entry points surface as [Error]. *)
 
 module J = Util.Json
 
@@ -93,43 +93,11 @@ type reply_envelope = { rid : int; reply : reply }
 (* Decode helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-exception Bad of string
+module C = J.Cursor
 
-let bad fmt = Printf.ksprintf (fun s -> raise (Bad s)) fmt
+let fail c fmt = Printf.ksprintf (C.fail c) fmt
 
-let field name = function
-  | J.Obj kvs -> (
-      match List.assoc_opt name kvs with
-      | Some v -> v
-      | None -> bad "missing field %S" name)
-  | _ -> bad "expected an object with field %S" name
-
-let opt_field name = function
-  | J.Obj kvs -> List.assoc_opt name kvs
-  | _ -> bad "expected an object with field %S" name
-
-let as_int = function
-  | J.Int n -> n
-  | _ -> bad "expected an integer"
-
-let as_bool = function
-  | J.Bool b -> b
-  | _ -> bad "expected a boolean"
-
-let as_string = function
-  | J.String s -> s
-  | _ -> bad "expected a string"
-
-let as_float = function
-  | J.Float f -> f
-  | J.Int n -> float_of_int n
-  | _ -> bad "expected a number"
-
-let as_list = function
-  | J.List l -> l
-  | _ -> bad "expected an array"
-
-let int_array j = Array.of_list (List.map as_int (as_list j))
+let int_array c = Array.of_list (C.list C.int c)
 
 let int_array_json a = J.List (Array.to_list (Array.map (fun n -> J.Int n) a))
 
@@ -147,15 +115,17 @@ let rec backend_json (b : Fannet.Backend.t) =
   | Fannet.Backend.Cascade inner ->
       J.Obj [ ("b", J.String "cascade"); ("inner", backend_json inner) ]
 
-let rec backend_of_json j : Fannet.Backend.t =
-  match as_string (field "b" j) with
-  | "bnb" -> Fannet.Backend.Bnb
-  | "smt" -> Fannet.Backend.Smt
-  | "explicit" ->
-      Fannet.Backend.Explicit { limit = as_int (field "limit" j) }
-  | "interval" -> Fannet.Backend.Interval
-  | "cascade" -> Fannet.Backend.Cascade (backend_of_json (field "inner" j))
-  | s -> bad "unknown backend %S" s
+let rec read_backend c : Fannet.Backend.t =
+  C.obj
+    (fun f ->
+      match C.field f "b" C.string with
+      | "bnb" -> Fannet.Backend.Bnb
+      | "smt" -> Fannet.Backend.Smt
+      | "explicit" -> Fannet.Backend.Explicit { limit = C.field f "limit" C.int }
+      | "interval" -> Fannet.Backend.Interval
+      | "cascade" -> Fannet.Backend.Cascade (C.field f "inner" read_backend)
+      | s -> fail c "unknown backend %S" s)
+    c
 
 let spec_json (s : Fannet.Noise.spec) =
   J.Obj
@@ -170,17 +140,20 @@ let spec_json (s : Fannet.Noise.spec) =
           | Fannet.Noise.Absolute -> "absolute") );
     ]
 
-let spec_of_json j : Fannet.Noise.spec =
-  {
-    Fannet.Noise.delta_lo = as_int (field "delta_lo" j);
-    delta_hi = as_int (field "delta_hi" j);
-    bias_noise = as_bool (field "bias_noise" j);
-    kind =
-      (match as_string (field "kind" j) with
-      | "relative" -> Fannet.Noise.Relative
-      | "absolute" -> Fannet.Noise.Absolute
-      | s -> bad "unknown noise kind %S" s);
-  }
+let read_spec c : Fannet.Noise.spec =
+  C.obj
+    (fun f ->
+      {
+        Fannet.Noise.delta_lo = C.field f "delta_lo" C.int;
+        delta_hi = C.field f "delta_hi" C.int;
+        bias_noise = C.field f "bias_noise" C.bool;
+        kind =
+          (match C.field f "kind" C.string with
+          | "relative" -> Fannet.Noise.Relative
+          | "absolute" -> Fannet.Noise.Absolute
+          | s -> fail c "unknown noise kind %S" s);
+      })
+    c
 
 let vector_json (v : Fannet.Noise.vector) =
   J.Obj
@@ -189,22 +162,23 @@ let vector_json (v : Fannet.Noise.vector) =
       ("inputs", int_array_json v.Fannet.Noise.inputs);
     ]
 
-let vector_of_json j : Fannet.Noise.vector =
-  {
-    Fannet.Noise.bias = as_int (field "bias" j);
-    inputs = int_array (field "inputs" j);
-  }
+let read_vector c : Fannet.Noise.vector =
+  C.obj
+    (fun f ->
+      let bias = C.field f "bias" C.int in
+      { Fannet.Noise.bias; inputs = C.field f "inputs" int_array })
+    c
 
 let reason_json r = J.String (Resil.Budget.reason_to_string r)
 
-let reason_of_json j : Resil.Budget.reason =
-  match as_string j with
+let read_reason c : Resil.Budget.reason =
+  match C.string c with
   | "deadline" -> Resil.Budget.Deadline
   | "conflicts" -> Resil.Budget.Conflicts
   | "memory" -> Resil.Budget.Memory
   | "cancelled" -> Resil.Budget.Cancelled
   | "incomplete" -> Resil.Budget.Incomplete
-  | s -> bad "unknown budget reason %S" s
+  | s -> fail c "unknown budget reason %S" s
 
 let verdict_json (v : Fannet.Backend.verdict) =
   match v with
@@ -214,12 +188,15 @@ let verdict_json (v : Fannet.Backend.verdict) =
   | Fannet.Backend.Unknown reason ->
       J.Obj [ ("r", J.String "unknown"); ("reason", reason_json reason) ]
 
-let verdict_of_json j : Fannet.Backend.verdict =
-  match as_string (field "r" j) with
-  | "robust" -> Fannet.Backend.Robust
-  | "flip" -> Fannet.Backend.Flip (vector_of_json (field "vector" j))
-  | "unknown" -> Fannet.Backend.Unknown (reason_of_json (field "reason" j))
-  | s -> bad "unknown verdict %S" s
+let read_verdict c : Fannet.Backend.verdict =
+  C.obj
+    (fun f ->
+      match C.field f "r" C.string with
+      | "robust" -> Fannet.Backend.Robust
+      | "flip" -> Fannet.Backend.Flip (C.field f "vector" read_vector)
+      | "unknown" -> Fannet.Backend.Unknown (C.field f "reason" read_reason)
+      | s -> fail c "unknown verdict %S" s)
+    c
 
 (* ------------------------------------------------------------------ *)
 (* Query codec                                                         *)
@@ -284,62 +261,54 @@ let query_json = function
           ("mode", mode_json);
         ]
 
-let count_mode_of_json j =
-  match as_string (field "m" j) with
-  | "exact" -> Count_exact { certify = as_bool (field "certify" j) }
-  | "approx" ->
-      Count_approx
-        {
-          epsilon = as_float (field "epsilon" j);
-          delta = as_float (field "delta" j);
-          seed = as_int (field "seed" j);
-        }
-  | s -> bad "unknown count mode %S" s
+let read_count_mode c =
+  C.obj
+    (fun f ->
+      match C.field f "m" C.string with
+      | "exact" -> Count_exact { certify = C.field f "certify" C.bool }
+      | "approx" ->
+          Count_approx
+            {
+              epsilon = C.field f "epsilon" C.number;
+              delta = C.field f "delta" C.number;
+              seed = C.field f "seed" C.int;
+            }
+      | s -> fail c "unknown count mode %S" s)
+    c
 
-let query_of_json j =
-  let input () = int_array (field "input" j) in
-  let label () = as_int (field "label" j) in
-  match as_string (field "kind" j) with
-  | "exists-flip" ->
-      Exists_flip
-        {
-          backend = backend_of_json (field "backend" j);
-          spec = spec_of_json (field "spec" j);
-          input = input ();
-          label = label ();
-        }
-  | "tolerance" ->
-      Tolerance
-        {
-          backend = backend_of_json (field "backend" j);
-          bias_noise = as_bool (field "bias_noise" j);
-          max_delta = as_int (field "max_delta" j);
-          input = input ();
-          label = label ();
-        }
-  | "sensitivity" ->
-      Sensitivity
-        {
-          spec = spec_of_json (field "spec" j);
-          input = input ();
-          label = label ();
-        }
-  | "certify" ->
-      Certify
-        {
-          spec = spec_of_json (field "spec" j);
-          input = input ();
-          label = label ();
-        }
-  | "count" ->
-      Count
-        {
-          spec = spec_of_json (field "spec" j);
-          input = input ();
-          label = label ();
-          mode = count_mode_of_json (field "mode" j);
-        }
-  | s -> bad "unknown query kind %S" s
+let read_query c =
+  C.obj
+    (fun f ->
+      let spec () = C.field f "spec" read_spec in
+      let input () = C.field f "input" int_array in
+      let label () = C.field f "label" C.int in
+      match C.field f "kind" C.string with
+      | "exists-flip" ->
+          let backend = C.field f "backend" read_backend in
+          let spec = spec () in
+          let input = input () in
+          Exists_flip { backend; spec; input; label = label () }
+      | "tolerance" ->
+          let backend = C.field f "backend" read_backend in
+          let bias_noise = C.field f "bias_noise" C.bool in
+          let max_delta = C.field f "max_delta" C.int in
+          let input = input () in
+          Tolerance { backend; bias_noise; max_delta; input; label = label () }
+      | "sensitivity" ->
+          let spec = spec () in
+          let input = input () in
+          Sensitivity { spec; input; label = label () }
+      | "certify" ->
+          let spec = spec () in
+          let input = input () in
+          Certify { spec; input; label = label () }
+      | "count" ->
+          let spec = spec () in
+          let input = input () in
+          let label = label () in
+          Count { spec; input; label; mode = C.field f "mode" read_count_mode }
+      | s -> fail c "unknown query kind %S" s)
+    c
 
 let network_digest canonical = Digest.to_hex (Digest.string canonical)
 
@@ -377,47 +346,54 @@ let request_json = function
   | Set_faults { spec } ->
       J.Obj [ ("op", J.String "set-faults"); ("spec", J.String spec) ]
 
-let request_of_json j =
-  match as_string (field "op" j) with
-  | "load" -> Load { network = as_string (field "network" j) }
-  | "query" ->
-      Query
-        {
-          digest = as_string (field "digest" j);
-          query = query_of_json (field "query" j);
-          budget =
+let read_request c =
+  C.obj
+    (fun f ->
+      match C.field f "op" C.string with
+      | "load" -> Load { network = C.field f "network" C.string }
+      | "query" ->
+          let digest = C.field f "digest" C.string in
+          let query = C.field f "query" read_query in
+          let timeout_s = C.field_opt f "timeout_s" C.number in
+          Query
             {
-              timeout_s = Option.map as_float (opt_field "timeout_s" j);
-              conflicts = Option.map as_int (opt_field "conflicts" j);
-            };
-        }
-  | "metrics" -> Metrics
-  | "ping" -> Ping
-  | "shutdown" -> Shutdown
-  | "set-faults" -> Set_faults { spec = as_string (field "spec" j) }
-  | s -> bad "unknown request op %S" s
+              digest;
+              query;
+              budget = { timeout_s; conflicts = C.field_opt f "conflicts" C.int };
+            }
+      | "metrics" -> Metrics
+      | "ping" -> Ping
+      | "shutdown" -> Shutdown
+      | "set-faults" -> Set_faults { spec = C.field f "spec" C.string }
+      | s -> fail c "unknown request op %S" s)
+    c
 
 let envelope_json ~tag ~rid body =
   J.Obj [ ("v", J.String version); ("id", J.Int rid); (tag, body) ]
 
-let check_envelope ~tag j =
-  (match as_string (field "v" j) with
-  | v when v = version -> ()
-  | v -> bad "protocol version %S (want %S)" v version);
-  (as_int (field "id" j), field tag j)
+let read_envelope ~tag read c =
+  C.obj
+    (fun f ->
+      (match C.field f "v" C.string with
+      | v when v = version -> ()
+      | v -> fail c "protocol version %S (want %S)" v version);
+      let rid = C.field f "id" C.int in
+      (rid, C.field f tag read))
+    c
 
 let encode_request { rid; request } =
   J.to_string (envelope_json ~tag:"req" ~rid (request_json request))
 
-let total name f s =
-  match J.of_string s with
+let total name read s =
+  match C.parse read s with
+  | Ok v -> Ok v
   | Error e -> Error (name ^ ": " ^ e)
-  | Ok j -> ( try Ok (f j) with Bad msg -> Error (name ^ ": " ^ msg))
 
 let decode_request s =
-  total "request" (fun j ->
-      let rid, body = check_envelope ~tag:"req" j in
-      { rid; request = request_of_json body })
+  total "request"
+    (fun c ->
+      let rid, request = read_envelope ~tag:"req" read_request c in
+      { rid; request })
     s
 
 (* ------------------------------------------------------------------ *)
@@ -474,66 +450,53 @@ let answer_json = function
   | Counted (Error r) ->
       J.Obj [ ("a", J.String "count"); ("error", reason_json r) ]
 
-let answer_of_json j =
-  match as_string (field "a" j) with
-  | "verdict" -> Verdict (verdict_of_json (field "verdict" j))
-  | "min-flip" -> (
-      match opt_field "error" j with
-      | Some r -> Min_flip (Error (reason_of_json r))
-      | None ->
-          Min_flip
-            (Ok
-               (match field "ok" j with
-               | J.Null -> None
-               | v -> Some (as_int v))))
-  | "sidedness" -> (
-      match opt_field "error" j with
-      | Some r -> Sidedness (Error (reason_of_json r))
-      | None ->
-          let side_of_json s : Fannet.Sensitivity.formal_side =
-            {
-              Fannet.Sensitivity.fs_node = as_int (field "node" s);
-              positive_flip = as_bool (field "pos" s);
-              negative_flip = as_bool (field "neg" s);
-            }
-          in
-          Sidedness
-            (Ok (Array.of_list (List.map side_of_json (as_list (field "ok" j))))))
-  | "certified" ->
-      Certified
-        {
-          verdict = verdict_of_json (field "verdict" j);
-          cert =
-            (match field "cert" j with
-            | J.Null -> None
-            | c -> (
-                match Count.Certificate.verdict_of_json c with
-                | Ok cert -> Some cert
-                | Error e -> bad "certificate: %s" e));
-        }
-  | "count" -> (
-      match opt_field "error" j with
-      | Some r -> Counted (Error (reason_of_json r))
-      | None ->
-          let bigcount name =
-            match Util.Bigcount.of_json (field name j) with
-            | Ok b -> b
-            | Error e -> bad "%s: %s" name e
-          in
-          Counted
-            (Ok
-               {
-                 flips = bigcount "flips";
-                 total = bigcount "total";
-                 count_cert =
-                   (match field "cert" j with
-                   | J.Null -> None
-                   | c -> (
-                       match Count.Certificate.of_json c with
-                       | Ok cert -> Some cert
-                       | Error e -> bad "count certificate: %s" e));
-               }))
-  | s -> bad "unknown answer form %S" s
+let read_side c : Fannet.Sensitivity.formal_side =
+  C.obj
+    (fun f ->
+      {
+        Fannet.Sensitivity.fs_node = C.field f "node" C.int;
+        positive_flip = C.field f "pos" C.bool;
+        negative_flip = C.field f "neg" C.bool;
+      })
+    c
+
+let nullable read c = if C.null c then None else Some (read c)
+
+(* Fields are asked for in [answer_json]'s order, so a certificate is
+   read in one pass (see [Util.Json.Cursor]); any other order reads the
+   same answer. *)
+let read_answer c =
+  C.obj
+    (fun f ->
+      let error () = C.field_opt f "error" read_reason in
+      match C.field f "a" C.string with
+      | "verdict" -> Verdict (C.field f "verdict" read_verdict)
+      | "min-flip" -> (
+          match error () with
+          | Some r -> Min_flip (Error r)
+          | None -> Min_flip (Ok (C.field f "ok" (nullable C.int))))
+      | "sidedness" -> (
+          match error () with
+          | Some r -> Sidedness (Error r)
+          | None ->
+              Sidedness (Ok (Array.of_list (C.field f "ok" (C.list read_side)))))
+      | "certified" ->
+          let verdict = C.field f "verdict" read_verdict in
+          let cert = C.field f "cert" (nullable Count.Certificate.read_verdict) in
+          Certified { verdict; cert }
+      | "count" -> (
+          (* "error" is looked for after the certificate, so a certified
+             count is read in one pass; an "error" field still wins. *)
+          match C.field_opt f "flips" Util.Bigcount.read with
+          | None -> Counted (Error (C.field f "error" read_reason))
+          | Some flips -> (
+              let total = C.field f "total" Util.Bigcount.read in
+              let count_cert = C.field f "cert" (nullable Count.Certificate.read) in
+              match error () with
+              | Some r -> Counted (Error r)
+              | None -> Counted (Ok { flips; total; count_cert })))
+      | s -> fail c "unknown answer form %S" s)
+    c
 
 let stats_json (s : server_stats) =
   J.Obj
@@ -549,18 +512,21 @@ let stats_json (s : server_stats) =
       ("networks", J.Int s.networks);
     ]
 
-let stats_of_json j =
-  {
-    submitted = as_int (field "submitted" j);
-    served = as_int (field "served" j);
-    rejected = as_int (field "rejected" j);
-    failed = as_int (field "failed" j);
-    cache_hits = as_int (field "cache_hits" j);
-    cache_misses = as_int (field "cache_misses" j);
-    cache_len = as_int (field "cache_len" j);
-    in_flight = as_int (field "in_flight" j);
-    networks = as_int (field "networks" j);
-  }
+let read_stats c =
+  C.obj
+    (fun f ->
+      {
+        submitted = C.field f "submitted" C.int;
+        served = C.field f "served" C.int;
+        rejected = C.field f "rejected" C.int;
+        failed = C.field f "failed" C.int;
+        cache_hits = C.field f "cache_hits" C.int;
+        cache_misses = C.field f "cache_misses" C.int;
+        cache_len = C.field f "cache_len" C.int;
+        in_flight = C.field f "in_flight" C.int;
+        networks = C.field f "networks" C.int;
+      })
+    c
 
 let reply_json = function
   | Loaded { digest } ->
@@ -588,29 +554,26 @@ let reply_json = function
   | Server_error e ->
       J.Obj [ ("op", J.String "server-error"); ("error", J.String e) ]
 
-let reply_of_json j =
-  match as_string (field "op" j) with
-  | "loaded" -> Loaded { digest = as_string (field "digest" j) }
-  | "answer" ->
-      Answer
-        {
-          cached = as_bool (field "cached" j);
-          answer = answer_of_json (field "answer" j);
-        }
-  | "overloaded" ->
-      Overloaded
-        {
-          in_flight = as_int (field "in_flight" j);
-          cap = as_int (field "cap" j);
-        }
-  | "metrics" ->
-      Metrics_reply
-        { stats = stats_of_json (field "stats" j); obs = field "obs" j }
-  | "pong" -> Pong
-  | "bye" -> Bye
-  | "protocol-error" -> Protocol_error (as_string (field "error" j))
-  | "server-error" -> Server_error (as_string (field "error" j))
-  | s -> bad "unknown reply op %S" s
+let read_reply c =
+  C.obj
+    (fun f ->
+      match C.field f "op" C.string with
+      | "loaded" -> Loaded { digest = C.field f "digest" C.string }
+      | "answer" ->
+          let cached = C.field f "cached" C.bool in
+          Answer { cached; answer = C.field f "answer" read_answer }
+      | "overloaded" ->
+          let in_flight = C.field f "in_flight" C.int in
+          Overloaded { in_flight; cap = C.field f "cap" C.int }
+      | "metrics" ->
+          let stats = C.field f "stats" read_stats in
+          Metrics_reply { stats; obs = C.field f "obs" C.value }
+      | "pong" -> Pong
+      | "bye" -> Bye
+      | "protocol-error" -> Protocol_error (C.field f "error" C.string)
+      | "server-error" -> Server_error (C.field f "error" C.string)
+      | s -> fail c "unknown reply op %S" s)
+    c
 
 let encode_reply { rid; reply } =
   J.to_string (envelope_json ~tag:"rep" ~rid (reply_json reply))
@@ -635,16 +598,11 @@ let encode_answer_reply ~rid ~cached answer =
     ]
 
 let decode_reply s =
-  total "reply" (fun j ->
-      let rid, body = check_envelope ~tag:"rep" j in
-      { rid; reply = reply_of_json body })
+  total "reply"
+    (fun c ->
+      let rid, reply = read_envelope ~tag:"rep" read_reply c in
+      { rid; reply })
     s
-
-(* Total variant of the raising decoder above, exported for the verdict
-   store which must treat journal payloads as untrusted bytes. Shadows
-   the internal one after its last internal use. *)
-let answer_of_json j =
-  try Ok (answer_of_json j) with Bad msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Cacheability and equality                                           *)

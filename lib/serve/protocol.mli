@@ -6,7 +6,9 @@
     either a typed message or an [Error] description, never an exception
     — and deterministic in the encode direction (field order is fixed),
     which is what makes {!query_key} a canonical cache key and lets the
-    bench assert bit-identical cached certificates.
+    bench assert bit-identical cached certificates. Decoding reads the
+    bytes with a {!Util.Json.Cursor}, builds no JSON tree and accepts
+    object fields in any order.
 
     The full field-level format is specified in DESIGN.md §fannet-wire/1;
     the QCheck battery in [test/test_serve.ml] pins down
@@ -152,9 +154,12 @@ val answer_json : answer -> Util.Json.t
 (** The [answer] sub-document exactly as [encode_reply] embeds it — the
     bytes the bench compares for cache-hit bit-identity. *)
 
-val answer_of_json : Util.Json.t -> (answer, string) result
-(** Total inverse of {!answer_json}, for consumers (the verdict store)
-    that must treat persisted payloads as untrusted bytes. *)
+val read_answer : Util.Json.Cursor.t -> answer
+(** Reads the [answer] sub-document straight from the bytes, with no
+    JSON tree: the one answer decoder, which {!decode_reply} uses for
+    replies and the verdict store for journal records. It raises only
+    the cursor's error, so under {!Util.Json.Cursor.parse} it is total
+    on untrusted bytes. *)
 
 val network_digest : string -> string
 (** The hex digest naming a network on the wire ([Loaded], [Query]),

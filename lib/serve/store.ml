@@ -46,29 +46,23 @@ let payload_of ~key answer =
    pass the independent lib/cert checker — persisted bytes are
    untrusted. *)
 let decode_payload payload =
-  match J.of_string payload with
+  let record =
+    J.Cursor.obj (fun f ->
+        let key = J.Cursor.field f "key" J.Cursor.string in
+        (key, J.Cursor.field f "answer" Protocol.read_answer))
+  in
+  match J.Cursor.parse record payload with
   | Error _ -> None
-  | Ok j -> (
-      match j with
-      | J.Obj kvs -> (
-          match (List.assoc_opt "key" kvs, List.assoc_opt "answer" kvs) with
-          | Some (J.String key), Some aj -> (
-              match Protocol.answer_of_json aj with
-              | Error _ -> None
-              | Ok a ->
-                  if not (Protocol.answer_decided a) then None
-                  else
-                    let cert_ok =
-                      match a with
-                      | Protocol.Certified { cert = Some c; _ } -> (
-                          match Cert.Verdict.check c with
-                          | Ok () -> true
-                          | Error _ -> false)
-                      | _ -> true
-                    in
-                    if cert_ok then Some (key, a) else None)
-          | _ -> None)
-      | _ -> None)
+  | Ok (key, a) ->
+      if not (Protocol.answer_decided a) then None
+      else
+        let cert_ok =
+          match a with
+          | Protocol.Certified { cert = Some c; _ } -> (
+              match Cert.Verdict.check c with Ok () -> true | Error _ -> false)
+          | _ -> true
+        in
+        if cert_ok then Some (key, a) else None
 
 (* Scan journal [contents]: returns records in append order (including
    duplicates), the byte offset of the end of the last well-framed

@@ -75,12 +75,14 @@ let to_json = function
   | Exact n -> Json.Int n
   | Huge l -> Json.Obj [ ("huge_log2", Json.Float l) ]
 
-let of_json = function
-  | Json.Int n when n >= 0 -> Ok (Exact n)
-  | Json.Int _ -> Error "negative count"
+let read c =
+  let fail = Json.Cursor.fail c in
+  match Json.Cursor.value c with
+  | Json.Int n when n >= 0 -> Exact n
+  | Json.Int _ -> fail "negative count"
   | Json.Obj kvs -> (
       match List.assoc_opt "huge_log2" kvs with
-      | Some (Json.Float l) -> Ok (Huge l)
-      | Some (Json.Int l) -> Ok (Huge (float_of_int l))
-      | _ -> Error "malformed huge count")
-  | _ -> Error "malformed count"
+      | Some (Json.Float l) -> Huge l
+      | Some (Json.Int l) -> Huge (float_of_int l)
+      | _ -> fail "malformed huge count")
+  | _ -> fail "malformed count"

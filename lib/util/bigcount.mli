@@ -58,4 +58,6 @@ val to_json : t -> Json.t
 (** [Exact n] as a JSON int, [Huge l] as [{"huge_log2": l}] — both
     deterministic, so counts are safe inside cache-keyed payloads. *)
 
-val of_json : Json.t -> (t, string) result
+val read : Json.Cursor.t -> t
+(** Reads {!to_json}'s form; a negative or malformed count fails the
+    cursor. *)

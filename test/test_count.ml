@@ -142,7 +142,7 @@ let test_certificate_roundtrip_deterministic () =
   | None -> Alcotest.fail "certificate missing"
   | Some cert -> (
       let bytes = Util.Json.to_string (Count.Certificate.to_json cert) in
-      match Count.Certificate.of_json (Count.Certificate.to_json cert) with
+      match Count.Certificate.of_string bytes with
       | Error e -> Alcotest.fail ("roundtrip: " ^ e)
       | Ok cert' ->
           Alcotest.(check string)
@@ -447,13 +447,67 @@ let test_checkpoint_resume () =
   let clean = Count.Exact.count f ~project:[ x; y ] in
   Alcotest.check bigcount "resumed count equals clean count"
     clean.Count.Exact.count resumed.Count.Exact.count;
-  (* A different key must refuse the file. *)
+  Alcotest.(check bool) "a completed run leaves no file" false
+    (Sys.file_exists path);
+  (* A different key must refuse an interrupted run's file. *)
+  let stopped =
+    Count.Exact.count
+      ~budget:(Resil.Budget.create ~timeout_s:0.0 ())
+      ~checkpoint:path ~ckpt_key:key f ~project:[ x; y ]
+  in
+  Alcotest.(check bool) "interrupted run keeps its file" true
+    (stopped.Count.Exact.status <> Count.Exact.Decided && Sys.file_exists path);
   (match
      Count.Exact.count ~checkpoint:path ~ckpt_key:"other-query" f
        ~project:[ x; y ]
    with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "foreign checkpoint accepted");
+  Sys.remove path;
+  Unix.rmdir dir
+
+(* A finished count must not answer for another network: the file is
+   gone once a count completes, and an interrupted count's file carries
+   its network's digest in the key. *)
+let test_checkpoint_other_network () =
+  let dir = Filename.temp_file "fannet_count" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "count.ckpt" in
+  let input = [| 112; 87 |] in
+  let spec = N.symmetric ~delta:1 ~bias_noise:false in
+  let count ?budget ?checkpoint net =
+    Fannet.Robustness.probability ?budget ?checkpoint ~ckpt_key:"k" net spec
+      ~input ~label:(Nn.Qnet.predict net input)
+  in
+  let a = Fixture.small_qnet () in
+  (* The same net with the second output's bias raised: (112, 87) keeps
+     its label and no ±1 vector flips it. *)
+  let b =
+    let layers = a.Nn.Qnet.layers in
+    let out = layers.(1) in
+    Nn.Qnet.create
+      [| layers.(0); { out with Nn.Qnet.bias = [| 13; 2000 |] } |]
+  in
+  let flips r = r.Fannet.Robustness.flips in
+  let direct_a = count a and direct_b = count b in
+  Alcotest.(check bool) "the two nets count differently" false
+    (B.equal (flips direct_a) (flips direct_b));
+  Alcotest.check bigcount "checkpointed count of a" (flips direct_a)
+    (flips (count ~checkpoint:path a));
+  Alcotest.(check bool) "a completed run leaves no file" false
+    (Sys.file_exists path);
+  Alcotest.check bigcount "same file and key, other net: its own count"
+    (flips direct_b)
+    (flips (count ~checkpoint:path b));
+  let stopped =
+    count ~budget:(Resil.Budget.create ~timeout_s:0.0 ()) ~checkpoint:path a
+  in
+  Alcotest.(check bool) "interrupted run keeps its file" true
+    (stopped.Fannet.Robustness.status <> Ok () && Sys.file_exists path);
+  (match count ~checkpoint:path b with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "another network's checkpoint accepted");
   Sys.remove path;
   Unix.rmdir dir
 
@@ -601,6 +655,8 @@ let () =
           Alcotest.test_case "typed exhaustion" `Quick
             test_budget_exhaustion_typed;
           Alcotest.test_case "checkpoint resume" `Quick test_checkpoint_resume;
+          Alcotest.test_case "checkpoint of another network" `Quick
+            test_checkpoint_other_network;
           Alcotest.test_case "certified resume" `Quick
             test_certified_checkpoint_matches_direct;
         ] );

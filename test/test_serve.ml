@@ -596,6 +596,144 @@ let test_answer_reply_splice_every_form () =
         [ 0; 1; max_int ])
     forms
 
+(* The certified replies the codec tests below read: the 2-4-2 net at
+   ±2, a refutation at (100, 100) (about 230 KB on the wire) and a model
+   at (112, 87), and the certified count at (112, 87). *)
+let certified_answers =
+  lazy
+    (let net = Fixture.small_qnet () in
+     let spec = N.symmetric ~delta:2 ~bias_noise:false in
+     let certified input =
+       let label = Nn.Qnet.predict net input in
+       let cv = B.certified_exists_flip net spec ~input ~label in
+       P.Certified { verdict = cv.B.cv_verdict; cert = cv.B.cv_cert }
+     in
+     let counted =
+       let input = [| 112; 87 |] in
+       let r =
+         Fannet.Robustness.probability
+           ~mode:(Fannet.Robustness.Exact_mode { certify = true })
+           net spec ~input ~label:(Nn.Qnet.predict net input)
+       in
+       P.Counted
+         (Ok
+            {
+              P.flips = r.Fannet.Robustness.flips;
+              total = r.Fannet.Robustness.total;
+              count_cert = r.Fannet.Robustness.certificate;
+            })
+     in
+     [
+       ("certified refutation", certified [| 100; 100 |]);
+       ("certified model", certified [| 112; 87 |]);
+       ("certified count", counted);
+     ])
+
+let answer_reply answer = { P.rid = 17; reply = P.Answer { cached = true; answer } }
+
+(* Every object in the tree, at every depth, with its fields reordered. *)
+let rec permute_fields order = function
+  | J.Obj kvs ->
+      J.Obj (order (List.map (fun (k, v) -> (k, permute_fields order v)) kvs))
+  | J.List l -> J.List (List.map (permute_fields order) l)
+  | v -> v
+
+let rotate = function [] -> [] | x :: rest -> rest @ [ x ]
+
+let decodes_to_same order e =
+  match J.of_string (P.encode_reply e) with
+  | Error err -> Alcotest.failf "own encoding unparsable: %s" err
+  | Ok tree -> (
+      match P.decode_reply (J.to_string (permute_fields order tree)) with
+      | Ok e' -> P.reply_equal e e'
+      | Error _ -> false)
+
+(* The envelope, the reply, the answer, the verdict and the certificate
+   objects all come with their fields reversed, or rotated so that each
+   object's tag ("v", "op", "a", "kind", "format") comes last. *)
+let test_field_order_blind () =
+  List.iter
+    (fun (name, a) ->
+      List.iter
+        (fun (order_name, order) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, fields %s" name order_name)
+            true
+            (decodes_to_same order (answer_reply a)))
+        [ ("reversed", List.rev); ("rotated", rotate) ])
+    (Lazy.force certified_answers)
+
+let prop_field_order_blind =
+  QCheck.Test.make ~name:"protocol: decode ignores field order" ~count:300
+    (QCheck.pair arb_reply_envelope QCheck.int) (fun (e, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let shuffle kvs =
+        List.map snd
+          (List.sort compare (List.map (fun kv -> (Random.State.bits rng, kv)) kvs))
+      in
+      decodes_to_same shuffle e)
+
+(* The store reads journal records with this decoder, so it must map
+   any damage to a certified reply onto [Error] or a reply that
+   re-encodes and decodes to itself — never raise. *)
+let test_decode_reply_total_on_damage () =
+  let bytes =
+    P.encode_reply
+      (answer_reply (List.assoc "certified refutation" (Lazy.force certified_answers)))
+  in
+  Alcotest.(check bool) "a reply of about 200 KB" true (String.length bytes > 150_000);
+  let outcome what s =
+    match P.decode_reply s with
+    | Error _ -> ()
+    | Ok e -> (
+        match P.decode_reply (P.encode_reply e) with
+        | Ok e' when P.reply_equal e e' -> ()
+        | _ -> Alcotest.failf "%s: decoded to a reply that does not roundtrip" what)
+    | exception ex -> Alcotest.failf "%s: raised %s" what (Printexc.to_string ex)
+  in
+  let n = String.length bytes in
+  let i = ref 0 in
+  while !i < n do
+    outcome (Printf.sprintf "truncated at %d" !i) (String.sub bytes 0 !i);
+    List.iter
+      (fun b ->
+        let s = Bytes.of_string bytes in
+        Bytes.set s !i b;
+        outcome (Printf.sprintf "byte %d set to %C" !i b) (Bytes.to_string s))
+      [ Char.chr (Char.code bytes.[!i] lxor 1); '"'; ']'; '}'; ','; '-'; '9' ];
+    i := !i + 997
+  done
+
+(* Decoding a certified reply builds each literal's list cell and little
+   else: at most 6 minor words per certificate literal. *)
+let test_decode_allocation () =
+  let a = List.assoc "certified refutation" (Lazy.force certified_answers) in
+  let literals =
+    match a with
+    | P.Certified { cert = Some (Cert.Verdict.Refutation { cnf; assumptions; proof; _ }); _ }
+      ->
+        let clause_lits cls = List.fold_left (fun acc c -> acc + List.length c) 0 cls in
+        clause_lits cnf + List.length assumptions
+        + clause_lits
+            (List.map (function Cert.Rup.Learn c | Cert.Rup.Delete c -> c) proof)
+    | _ -> Alcotest.fail "expected a refutation certificate"
+  in
+  let bytes = P.encode_reply (answer_reply a) in
+  let decode () =
+    match P.decode_reply bytes with
+    | Ok e -> e
+    | Error err -> Alcotest.failf "decode failed: %s" err
+  in
+  ignore (decode ());
+  let before = Gc.minor_words () in
+  let e = decode () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "decodes to the answer" true (P.reply_equal e (answer_reply a));
+  let per_literal = words /. float_of_int literals in
+  if per_literal > 6. then
+    Alcotest.failf "%.0f minor words for %d literals: %.2f per literal (at most 6)"
+      words literals per_literal
+
 (* ================================================================== *)
 (* LRU cache                                                           *)
 (* ================================================================== *)
@@ -1765,6 +1903,13 @@ let () =
           Alcotest.test_case "query_key ignores budget" `Quick test_query_key_ignores_budget;
           Alcotest.test_case "answer_decided" `Quick test_answer_decided;
           Alcotest.test_case "counted cert roundtrip" `Quick test_counted_cert_roundtrip;
+          qc prop_field_order_blind;
+          Alcotest.test_case "certified answers: field order" `Quick
+            test_field_order_blind;
+          Alcotest.test_case "certified reply: damage is an Error" `Quick
+            test_decode_reply_total_on_damage;
+          Alcotest.test_case "certified reply: decode allocation" `Quick
+            test_decode_allocation;
         ] );
       ( "lru",
         [

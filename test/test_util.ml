@@ -526,6 +526,91 @@ let test_json_numbers_pinned () =
   check "[7\n,8\t]" (Ok (List [ Int 7; Int 8 ]));
   check "[9\r]" (Ok (List [ Int 9 ]))
 
+(* Emitter bytes pinned: the renderings of one fixed document, captured
+   before the emitter wrote digits and plain strings straight into its
+   buffer. Wire replies, journal records and certificates must keep
+   these bytes. *)
+let pinned_doc =
+  let open Util.Json in
+  let ctl = String.init 32 Char.chr in
+  Obj
+    [
+      ("ints", List [ Int min_int; Int max_int; Int 0; Int (-1); Int (-42); Int 7; Int 1000000 ]);
+      ("text", String ("q\"b\\s/" ^ ctl ^ "\x7f\xc3\xa9"));
+      (ctl, Bool true);
+      ("empty", List [ List []; Obj []; List [ List []; Obj [ ("", Obj []) ] ] ]);
+      ( "nested",
+        Obj
+          [
+            ("a", List [ Null; Bool false; Float 2.5; Float (-0.125) ]);
+            ("b", Obj [ ("c", String "") ]);
+          ] );
+    ]
+
+(* Each control character escaped: \uXXXX, or \t \n \r. *)
+let pinned_ctl =
+  String.concat ""
+    [
+      {|\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n|};
+      {|\u000b\u000c\r\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015|};
+      {|\u0016\u0017\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f|};
+    ]
+
+let pinned_text = {|"q\"b\\s/|} ^ pinned_ctl ^ "\x7f\xc3\xa9\""
+
+let test_json_emitter_pinned () =
+  let compact =
+    String.concat ""
+      [
+        {|{"ints":[-4611686018427387904,4611686018427387903,0,-1,-42,7,1000000],|};
+        {|"text":|} ^ pinned_text ^ ",";
+        {|"|} ^ pinned_ctl ^ {|":true,|};
+        {|"empty":[[],{},[[],{"":{}}]],|};
+        {|"nested":{"a":[null,false,2.5,-0.125],"b":{"c":""}}}|};
+      ]
+  in
+  let pretty =
+    String.concat "\n"
+      [
+        "{";
+        {|  "ints": [|};
+        "    -4611686018427387904,";
+        "    4611686018427387903,";
+        "    0,";
+        "    -1,";
+        "    -42,";
+        "    7,";
+        "    1000000";
+        "  ],";
+        {|  "text": |} ^ pinned_text ^ ",";
+        {|  "|} ^ pinned_ctl ^ {|": true,|};
+        {|  "empty": [|};
+        "    [],";
+        "    {},";
+        "    [";
+        "      [],";
+        "      {";
+        {|        "": {}|};
+        "      }";
+        "    ]";
+        "  ],";
+        {|  "nested": {|};
+        {|    "a": [|};
+        "      null,";
+        "      false,";
+        "      2.5,";
+        "      -0.125";
+        "    ],";
+        {|    "b": {|};
+        {|      "c": ""|};
+        "    }";
+        "  }";
+        "}";
+      ]
+  in
+  Alcotest.(check string) "to_string" compact (Util.Json.to_string pinned_doc);
+  Alcotest.(check string) "pretty" pretty (Util.Json.pretty pinned_doc)
+
 (* JSON has no infinities or NaN: they render as null, which parses. *)
 let test_json_non_finite_floats () =
   let open Util.Json in
@@ -634,19 +719,23 @@ let test_bigcount_ratio_and_order () =
   Alcotest.(check bool) "log2 of zero" true (Bc.log2 Bc.zero = neg_infinity)
 
 let test_bigcount_json_roundtrip () =
+  let read s = Util.Json.Cursor.parse Bc.read s in
   let roundtrip c =
-    match Bc.of_json (Bc.to_json c) with
+    match read (Util.Json.to_string (Bc.to_json c)) with
     | Ok c' -> Alcotest.check bigcount "roundtrip" c c'
-    | Error e -> Alcotest.failf "of_json failed: %s" e
+    | Error e -> Alcotest.failf "read failed: %s" e
   in
   List.iter roundtrip [ Bc.zero; Bc.one; Bc.of_int 123456; Bc.pow2 200 ];
   (* Deterministic bytes: the cache-key property. *)
   Alcotest.(check string) "bytes stable"
     (Util.Json.to_string (Bc.to_json (Bc.pow2 200)))
     (Util.Json.to_string (Bc.to_json (Bc.pow2 200)));
-  match Bc.of_json (Util.Json.String "nope") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "garbage JSON must be rejected"
+  List.iter
+    (fun s ->
+      match read s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s must be rejected" s)
+    [ {|"nope"|}; "-3"; {|{"huge_log2":"x"}|} ]
 
 let () =
   Alcotest.run "util"
@@ -715,6 +804,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
           Alcotest.test_case "file roundtrip" `Quick test_json_file_roundtrip;
           Alcotest.test_case "numbers pinned" `Quick test_json_numbers_pinned;
+          Alcotest.test_case "emitter bytes pinned" `Quick test_json_emitter_pinned;
           Alcotest.test_case "non-finite floats" `Quick test_json_non_finite_floats;
           QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );

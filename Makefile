@@ -21,14 +21,22 @@ fuzz-smoke:
 	dune exec bin/fannet_cli.exe -- fuzz --cases 200 --seed 42 --quiet
 
 # One certified tolerance bracket end-to-end on the fast pipeline
-# (~1 min): solve with proof logging, re-check every DRUP proof and
+# (~30 s): solve with proof logging, re-check every DRUP proof and
 # witness with lib/cert, and emit the textual proof artefacts. Exit 1
 # means a counterexample was found and certified - also a pass for this
 # target; only exit 2 (invalid certificate or usage error) fails it.
+# The artefacts must be byte-identical to the pinned digests: a change
+# that means to move the search or the encoding updates them and says so.
+CERTIFY_SMOKE_DRUP_MD5 = 259ee99df902d2e0fb1fe7494e90e501
+CERTIFY_SMOKE_CNF_MD5 = 492cc13f13f0277ebac34ee846dbb9cd
 certify-smoke:
 	dune exec bin/fannet_cli.exe -- certify --fast --bracket --max-delta 1 \
 	  --proof certify_smoke.drup || [ $$? -eq 1 ]
-	rm -f certify_smoke.drup certify_smoke.drup.cnf
+	drup=$$(md5sum < certify_smoke.drup | cut -d' ' -f1); \
+	  cnf=$$(md5sum < certify_smoke.drup.cnf | cut -d' ' -f1); \
+	  rm -f certify_smoke.drup certify_smoke.drup.cnf; \
+	  echo "certify-smoke md5: drup $$drup cnf $$cnf"; \
+	  [ "$$drup" = $(CERTIFY_SMOKE_DRUP_MD5) ] && [ "$$cnf" = $(CERTIFY_SMOKE_CNF_MD5) ]
 
 # Fault-injection smoke (~seconds): the full resilience suite (budget
 # exhaustion, cancellation, torn checkpoints, kill-and-resume, the
@@ -39,8 +47,8 @@ certify-smoke:
 # --retries must not re-run it. A --limit below 1 is a usage error, and
 # the default bias corpus, cut at --limit 100 per input, says so on
 # stderr. So are a --timeout that is not a finite number > 0, a
-# --max-mem below 1, and a --checkpoint or --cert-out whose directory is
-# missing: each is refused before any analysis runs.
+# --max-mem below 1, and a --checkpoint, --cert-out, --proof or --metrics
+# whose directory is missing: each is refused before any analysis runs.
 faults-smoke:
 	dune exec test/test_resil.exe -- -q
 	dune exec bin/fannet_cli.exe -- bias --limit 0 2>/dev/null; [ $$? -eq 2 ]
@@ -56,6 +64,10 @@ faults-smoke:
 	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--checkpoint'"
 	out=$$(dune exec bin/fannet_cli.exe -- count --delta 1 --cert-out /nonexistent/d/c.json 2>&1); \
 	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--cert-out'"
+	out=$$(dune exec bin/fannet_cli.exe -- certify --fast --bracket --max-delta 1 --proof /nonexistent/d/p.drup 2>&1); \
+	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--proof'"
+	out=$$(dune exec bin/fannet_cli.exe -- tolerance --metrics /nonexistent/d/m.json 2>&1); \
+	  [ $$? -eq 2 ] && echo "$$out" | grep -q "option '--metrics'"
 	dune exec bin/fannet_cli.exe -- bias 2>&1 >/dev/null | grep -q "corpus truncated at --limit 100"
 	dune exec bin/fannet_cli.exe -- tolerance --timeout 0.001; [ $$? -eq 2 ]
 	FANNET_FAULTS=backend.unknown dune exec bin/fannet_cli.exe -- tolerance; 	  [ $$? -eq 2 ]

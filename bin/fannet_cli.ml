@@ -105,9 +105,31 @@ let input_index =
   let doc = "Index of the analysed (correctly classified) test input." in
   Arg.(value & opt int 0 & info [ "input" ] ~docv:"INDEX" ~doc)
 
+(* An output file (a checkpoint, a certificate, a proof, a metrics
+   snapshot, a model) is first written after the analysis has done work,
+   so a directory it cannot be written to is refused before any: by
+   writing and removing a probe file there, which also catches a
+   read-only directory. [role] names the file in the message. *)
+let writable_dir role path =
+  let dir = Filename.dirname path in
+  match Filename.temp_file ~temp_dir:dir "fannet" ".probe" with
+  | probe ->
+      Sys.remove probe;
+      Ok path
+  | exception Sys_error _ ->
+      Error
+        (`Msg
+           (Printf.sprintf "cannot write %s %s: directory %s is missing or \
+                            not writable" role path dir))
+
+let writable_file role = Arg.conv (writable_dir role, Arg.conv_printer Arg.string)
+
 let output_file =
   let doc = "Write output to $(docv) instead of stdout." in
-  Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"FILE" ~doc)
+  Arg.(
+    value
+    & opt (some (writable_file "the output")) None
+    & info [ "o"; "output" ] ~docv:"FILE" ~doc)
 
 let metrics_file =
   let doc =
@@ -115,7 +137,10 @@ let metrics_file =
      snapshot (counters, latency histograms, span tree) to $(docv) on \
      exit — including the counterexample-found exit-1 paths."
   in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
+  Arg.(
+    value
+    & opt (some (writable_file "the metrics snapshot")) None
+    & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let with_metrics metrics f =
   match metrics with
@@ -160,24 +185,6 @@ let retries_arg =
      $(b,--max-mem): without a budget there is nothing to double."
   in
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
-
-(* A checkpoint or a certificate is first written after the analysis has
-   done work, so a directory it cannot be written to is refused before
-   any: by writing and removing a probe file there, which also catches a
-   read-only directory. [role] names the file in the message. *)
-let writable_dir role path =
-  let dir = Filename.dirname path in
-  match Filename.temp_file ~temp_dir:dir "fannet" ".probe" with
-  | probe ->
-      Sys.remove probe;
-      Ok path
-  | exception Sys_error _ ->
-      Error
-        (`Msg
-           (Printf.sprintf "cannot write %s %s: directory %s is missing or \
-                            not writable" role path dir))
-
-let writable_file role = Arg.conv (writable_dir role, Arg.conv_printer Arg.string)
 
 let checkpoint_arg =
   let doc =
@@ -266,7 +273,10 @@ let bias_flag no_bias_noise = not no_bias_noise
 
 let save_model =
   let doc = "Also save the quantized integer model to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "save-model" ] ~docv:"FILE" ~doc)
+  Arg.(
+    value
+    & opt (some (writable_file "the model")) None
+    & info [ "save-model" ] ~docv:"FILE" ~doc)
 
 let train_cmd =
   let run metrics dataset_seed init_seed save_model =
@@ -680,7 +690,10 @@ let certify_cmd =
        (assumptions folded in as unit clauses) to $(docv).cnf, for external \
        checkers such as drat-trim."
     in
-    Arg.(value & opt (some string) None & info [ "proof" ] ~docv:"FILE" ~doc)
+    Arg.(
+      value
+      & opt (some (writable_file "the proof")) None
+      & info [ "proof" ] ~docv:"FILE" ~doc)
   in
   let portfolio =
     let doc =

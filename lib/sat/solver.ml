@@ -1,13 +1,14 @@
 (* MiniSat-style CDCL. Variable state lives in parallel arrays indexed by
-   variable; watch lists are indexed by literal. The two watched literals
-   of every clause are kept in positions 0 and 1 of its literal array. *)
+   variable; watch lists are indexed by literal. Literals are handled as
+   their [Lit.to_index] ints throughout.
 
-type clause = {
-  mutable lits : Lit.t array;
-  learnt : bool;
-  mutable activity : float;
-  mutable deleted : bool;
-}
+   Every clause lives in one int arena and is named by the offset of its
+   header word, which packs [len lsl 2 lor learnt lsl 1 lor deleted]. Its
+   [len] literals follow the header, the two watched ones first; a learnt
+   clause's activity follows its literals as the bits of the float (it is
+   never negative, so the sign bit that an OCaml int lacks is always 0).
+   Deleted clauses stay in place until they hold half the arena, then
+   [compact] copies the live ones down in id order. *)
 
 type result = Sat | Unsat | Unknown
 
@@ -34,14 +35,19 @@ type t = {
   mutable nvars : int;
   mutable assigns : int array;          (* 0 unknown, 1 true, -1 false *)
   mutable level : int array;
-  mutable reason : clause option array;
+  mutable reason : int array;           (* clause id, -1 for none *)
   mutable activity : float array;
   mutable polarity : bool array;        (* saved phase *)
   mutable seen : bool array;
-  mutable watches : clause Veca.t array; (* indexed by literal *)
-  clauses : clause Veca.t;
-  learnts : clause Veca.t;
-  trail : Lit.t Veca.t;
+  mutable arena : int array;
+  mutable arena_len : int;
+  mutable arena_dead : int;             (* words held by deleted clauses *)
+  mutable watches : int array array;
+      (* indexed by literal: the count of clause ids, then the ids *)
+  clauses : int Veca.t;
+  learnts : int Veca.t;
+  mutable buf : int array;              (* literal scratch for clause intake *)
+  trail : int Veca.t;
   trail_lim : int Veca.t;
   mutable qhead : int;
   mutable var_inc : float;
@@ -65,6 +71,9 @@ type t = {
   mutable share_out_max_len : int;
   mutable share_in : (unit -> Lit.t list list) option;
 }
+
+(* The watch list of every literal not yet watched. *)
+let no_watches = [| 0 |]
 
 let var_decay = 1. /. 0.95
 let clause_decay = 1. /. 0.999
@@ -109,9 +118,13 @@ let create () =
     activity = [||];
     polarity = [||];
     seen = [||];
+    arena = [||];
+    arena_len = 0;
+    arena_dead = 0;
     watches = [||];
     clauses = Veca.create ();
     learnts = Veca.create ();
+    buf = Array.make 16 0;
     trail = Veca.create ();
     trail_lim = Veca.create ();
     qhead = 0;
@@ -259,22 +272,13 @@ let new_var s =
   s.nvars <- v + 1;
   s.assigns <- grow_array s.assigns s.nvars 0;
   s.level <- grow_array s.level s.nvars (-1);
-  s.reason <- grow_array s.reason s.nvars None;
+  s.reason <- grow_array s.reason s.nvars (-1);
   s.activity <- grow_array s.activity s.nvars 0.;
   s.polarity <- grow_array s.polarity s.nvars false;
   s.seen <- grow_array s.seen s.nvars false;
   s.heap <- grow_array s.heap s.nvars (-1);
   s.heap_index <- grow_array s.heap_index s.nvars (-1);
-  let nlits = 2 * s.nvars in
-  if Array.length s.watches < nlits then begin
-    let old = Array.length s.watches in
-    let nw = Array.make (max nlits (2 * max 16 old)) (Veca.create ()) in
-    Array.blit s.watches 0 nw 0 old;
-    for i = old to Array.length nw - 1 do
-      nw.(i) <- Veca.create ()
-    done;
-    s.watches <- nw
-  end;
+  s.watches <- grow_array s.watches (2 * s.nvars) no_watches;
   s.heap_index.(v) <- -1;
   heap_insert s v;
   v
@@ -282,8 +286,8 @@ let new_var s =
 let value_var s v = s.assigns.(v)
 
 let value_lit s l =
-  let v = s.assigns.(Lit.var l) in
-  if v = 0 then 0 else if Lit.is_pos l then v else -v
+  let v = s.assigns.(l lsr 1) in
+  if l land 1 = 0 then v else -v
 
 let decision_level s = Veca.length s.trail_lim
 
@@ -302,10 +306,49 @@ let var_bump s v =
 
 let var_decay_activity s = s.var_inc <- s.var_inc *. var_decay
 
-let clause_bump s (c : clause) =
-  c.activity <- c.activity +. s.cla_inc;
-  if c.activity > 1e20 then begin
-    Veca.iter (fun (c : clause) -> c.activity <- c.activity *. 1e-20) s.learnts;
+(* ---------- clause arena ---------- *)
+
+let clause_len s c = s.arena.(c) lsr 2
+
+let clause_activity s c =
+  Int64.float_of_bits
+    (Int64.logand (Int64.of_int s.arena.(c + 1 + clause_len s c)) Int64.max_int)
+
+let set_clause_activity s c x =
+  s.arena.(c + 1 + clause_len s c) <- Int64.to_int (Int64.bits_of_float x)
+
+(* Copies the first [n] literals of [s.buf] into a fresh clause. *)
+let alloc_clause s ~learnt n =
+  let size = n + if learnt then 2 else 1 in
+  let c = s.arena_len in
+  s.arena <- grow_array s.arena (c + size) 0;
+  let a = s.arena in
+  a.(c) <- (n lsl 2) lor if learnt then 2 else 0;
+  Array.blit s.buf 0 a (c + 1) n;
+  if learnt then a.(c + 1 + n) <- 0;
+  s.arena_len <- c + size;
+  c
+
+let watch s l c =
+  let ws = s.watches.(l) in
+  let n = ws.(0) + 1 in
+  let ws =
+    if n < Array.length ws then ws
+    else begin
+      let nw = Array.make (max 4 (2 * n)) 0 in
+      Array.blit ws 0 nw 0 n;
+      s.watches.(l) <- nw;
+      nw
+    end
+  in
+  ws.(n) <- c;
+  ws.(0) <- n
+
+let clause_bump s c =
+  let act = clause_activity s c +. s.cla_inc in
+  set_clause_activity s c act;
+  if act > 1e20 then begin
+    Veca.iter (fun c -> set_clause_activity s c (clause_activity s c *. 1e-20)) s.learnts;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
@@ -314,9 +357,9 @@ let clause_decay_activity s = s.cla_inc <- s.cla_inc *. clause_decay
 (* ---------- assignment trail ---------- *)
 
 let enqueue s l reason =
-  let v = Lit.var l in
+  let v = l lsr 1 in
   assert (s.assigns.(v) = 0);
-  s.assigns.(v) <- (if Lit.is_pos l then 1 else -1);
+  s.assigns.(v) <- (if l land 1 = 0 then 1 else -1);
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
   Veca.push s.trail l
@@ -326,10 +369,10 @@ let cancel_until s lvl =
     let bound = Veca.get s.trail_lim lvl in
     for i = Veca.length s.trail - 1 downto bound do
       let l = Veca.get s.trail i in
-      let v = Lit.var l in
+      let v = l lsr 1 in
       s.assigns.(v) <- 0;
-      s.polarity.(v) <- Lit.is_pos l;
-      s.reason.(v) <- None;
+      s.polarity.(v) <- l land 1 = 0;
+      s.reason.(v) <- -1;
       heap_insert s v
     done;
     Veca.shrink s.trail bound;
@@ -339,76 +382,106 @@ let cancel_until s lvl =
 
 (* ---------- propagation ---------- *)
 
+(* Returns the conflicting clause, or -1. *)
 let propagate s =
-  let conflict = ref None in
-  while !conflict = None && s.qhead < Veca.length s.trail do
+  let conflict = ref (-1) in
+  let a = s.arena in
+  while !conflict < 0 && s.qhead < Veca.length s.trail do
     let p = Veca.get s.trail s.qhead in
     s.qhead <- s.qhead + 1;
     s.n_propagations <- s.n_propagations + 1;
-    let false_lit = Lit.neg p in
-    let ws = s.watches.(Lit.to_index false_lit) in
-    let n = Veca.length ws in
-    let i = ref 0 and j = ref 0 in
+    let false_lit = p lxor 1 in
+    let ws = s.watches.(false_lit) in
+    let n = ws.(0) + 1 in
+    let i = ref 1 and j = ref 1 in
     while !i < n do
-      let c = Veca.get ws !i in
+      let c = ws.(!i) in
       incr i;
-      if not c.deleted then begin
+      let h = a.(c) in
+      if h land 1 = 0 then begin
         (* Normalise: the watched false literal sits at position 1. *)
-        if Lit.equal c.lits.(0) false_lit then begin
-          c.lits.(0) <- c.lits.(1);
-          c.lits.(1) <- false_lit
+        if a.(c + 1) = false_lit then begin
+          a.(c + 1) <- a.(c + 2);
+          a.(c + 2) <- false_lit
         end;
-        let first = c.lits.(0) in
+        let first = a.(c + 1) in
         if value_lit s first = 1 then begin
-          Veca.set ws !j c;
+          ws.(!j) <- c;
           incr j
         end
         else begin
-          let len = Array.length c.lits in
-          let rec find k =
-            if k >= len then -1
-            else if value_lit s c.lits.(k) <> -1 then k
-            else find (k + 1)
-          in
-          let k = find 2 in
-          if k >= 0 then begin
-            c.lits.(1) <- c.lits.(k);
-            c.lits.(k) <- false_lit;
-            Veca.push s.watches.(Lit.to_index c.lits.(1)) c
+          (* Look for a replacement watch among the other literals. *)
+          let stop = c + 1 + (h lsr 2) and k = ref (c + 3) in
+          while !k < stop && value_lit s a.(!k) = -1 do
+            incr k
+          done;
+          if !k < stop then begin
+            a.(c + 2) <- a.(!k);
+            a.(!k) <- false_lit;
+            watch s a.(c + 2) c
           end
           else begin
             (* Unit or conflicting clause; keep the watch either way. *)
-            Veca.set ws !j c;
+            ws.(!j) <- c;
             incr j;
             if value_lit s first = -1 then begin
               while !i < n do
-                Veca.set ws !j (Veca.get ws !i);
+                ws.(!j) <- ws.(!i);
                 incr j;
                 incr i
               done;
               s.qhead <- Veca.length s.trail;
-              conflict := Some c
+              conflict := c
             end
-            else enqueue s first (Some c)
+            else enqueue s first c
           end
         end
       end
     done;
-    Veca.shrink ws !j
+    (* The shared empty list is never written. *)
+    if !j < n then ws.(0) <- !j - 1
   done;
   !conflict
 
 (* ---------- clause construction ---------- *)
 
-let watch_clause s c =
-  Veca.push s.watches.(Lit.to_index c.lits.(0)) c;
-  Veca.push s.watches.(Lit.to_index c.lits.(1)) c
-
 let check_var_exists s l =
   if Lit.var l >= s.nvars then invalid_arg "Solver.add_clause: unknown variable"
 
+let reserve_buf s n = s.buf <- grow_array s.buf n 0
+
+(* Copies [lits] into [s.buf] in order and returns how many there are. *)
+let load_list s lits =
+  let n = List.length lits in
+  reserve_buf s n;
+  List.iteri (fun k l -> s.buf.(k) <- Lit.to_index l) lits;
+  n
+
+(* Puts [lits] into [s.buf] sorted and without duplicates, as
+   [List.sort_uniq] would, and returns how many there are. *)
+let load_sorted s lits =
+  List.fold_left
+    (fun n l ->
+      check_var_exists s l;
+      reserve_buf s (n + 1);
+      let b = s.buf in
+      let l = Lit.to_index l in
+      let i = ref n in
+      while !i > 0 && b.(!i - 1) > l do
+        decr i
+      done;
+      if !i > 0 && b.(!i - 1) = l then n
+      else begin
+        for k = n downto !i + 1 do
+          b.(k) <- b.(k - 1)
+        done;
+        b.(!i) <- l;
+        n + 1
+      end)
+    0 lits
+
 let add_clause s lits =
-  List.iter (check_var_exists s) lits;
+  let n = load_sorted s lits in
   if s.ok then begin
     (* The proof sink records the clause exactly as given: level-0
        simplification below is sound for the solver but the checker works
@@ -418,35 +491,35 @@ let add_clause s lits =
     (* Incremental use adds clauses after a Sat answer: drop the model's
        decisions first, then simplify at level 0. *)
     cancel_until s 0;
-    (* Level-0 simplification. *)
-    let sorted = List.sort_uniq Lit.compare lits in
-    let tautology =
-      List.exists (fun l -> List.exists (Lit.equal (Lit.neg l)) sorted) sorted
-    in
-    let alive = List.filter (fun l -> value_lit s l <> -1) sorted in
-    let satisfied = List.exists (fun l -> value_lit s l = 1) alive in
-    if not (tautology || satisfied) then
-      match alive with
-      | [] ->
+    (* Level-0 simplification: a literal and its complement sort next to
+       each other; false literals are dropped in place. *)
+    let b = s.buf in
+    let tautology = ref false and satisfied = ref false and alive = ref 0 in
+    for i = 0 to n - 1 do
+      if i > 0 && b.(i) = b.(i - 1) lxor 1 then tautology := true;
+      let v = value_lit s b.(i) in
+      if v = 1 then satisfied := true;
+      if v <> -1 then begin
+        b.(!alive) <- b.(i);
+        incr alive
+      end
+    done;
+    if not (!tautology || !satisfied) then
+      match !alive with
+      | 0 ->
           s.ok <- false;
           (match s.proof_sink with None -> () | Some f -> f (P_learn []))
-      | [ l ] ->
-          enqueue s l None;
-          if propagate s <> None then begin
+      | 1 ->
+          enqueue s b.(0) (-1);
+          if propagate s >= 0 then begin
             s.ok <- false;
             match s.proof_sink with None -> () | Some f -> f (P_learn [])
           end
-      | _ :: _ :: _ ->
-          let c =
-            {
-              lits = Array.of_list alive;
-              learnt = false;
-              activity = 0.;
-              deleted = false;
-            }
-          in
+      | n ->
+          let c = alloc_clause s ~learnt:false n in
           Veca.push s.clauses c;
-          watch_clause s c
+          watch s b.(0) c;
+          watch s b.(1) c
   end
 
 (* ---------- conflict analysis (first UIP) ---------- *)
@@ -454,45 +527,54 @@ let add_clause s lits =
 let analyze s confl =
   let learnt = ref [] in
   let path = ref 0 in
-  let p = ref None in
-  let confl = ref (Some confl) in
+  let p = ref (-1) in
+  let confl = ref confl in
   let idx = ref (Veca.length s.trail - 1) in
   let btlevel = ref 0 in
   let to_clear = ref [] in
   let stop = ref false in
   while not !stop do
-    let c = match !confl with Some c -> c | None -> assert false in
-    if c.learnt then clause_bump s c;
-    let start = match !p with None -> 0 | Some _ -> 1 in
-    for k = start to Array.length c.lits - 1 do
-      let q = c.lits.(k) in
-      let v = Lit.var q in
+    let c = !confl in
+    assert (c >= 0);
+    if s.arena.(c) land 2 <> 0 then clause_bump s c;
+    let start = if !p < 0 then 0 else 1 in
+    for k = c + 1 + start to c + clause_len s c do
+      let q = s.arena.(k) in
+      let v = q lsr 1 in
       if (not s.seen.(v)) && s.level.(v) > 0 then begin
         var_bump s v;
         s.seen.(v) <- true;
         to_clear := v :: !to_clear;
         if s.level.(v) >= decision_level s then incr path
         else begin
-          learnt := q :: !learnt;
+          learnt := Lit.of_index q :: !learnt;
           if s.level.(v) > !btlevel then btlevel := s.level.(v)
         end
       end
     done;
     (* Walk the trail back to the next marked literal. *)
-    while not s.seen.(Lit.var (Veca.get s.trail !idx)) do
+    while not s.seen.(Veca.get s.trail !idx lsr 1) do
       decr idx
     done;
     let pl = Veca.get s.trail !idx in
     decr idx;
-    s.seen.(Lit.var pl) <- false;
-    p := Some pl;
-    confl := s.reason.(Lit.var pl);
+    s.seen.(pl lsr 1) <- false;
+    p := pl;
+    confl := s.reason.(pl lsr 1);
     decr path;
     if !path = 0 then stop := true
   done;
   List.iter (fun v -> s.seen.(v) <- false) !to_clear;
-  let asserting = Lit.neg (match !p with Some pl -> pl | None -> assert false) in
-  (asserting :: !learnt, !btlevel)
+  (Lit.of_index (!p lxor 1) :: !learnt, !btlevel)
+
+(* Stores the first [n] literals of [s.buf] as a learnt clause and
+   watches the first two. *)
+let add_learnt s n =
+  let c = alloc_clause s ~learnt:true n in
+  Veca.push s.learnts c;
+  watch s s.buf.(0) c;
+  watch s s.buf.(1) c;
+  c
 
 let record_learnt s lits btlevel =
   (match s.proof_sink with None -> () | Some f -> f (P_learn lits));
@@ -507,24 +589,23 @@ let record_learnt s lits btlevel =
   | [] -> assert false
   | [ l ] ->
       cancel_until s 0;
-      enqueue s l None
-  | asserting :: rest ->
+      enqueue s (Lit.to_index l) (-1)
+  | asserting :: _ ->
       cancel_until s btlevel;
-      let arr = Array.of_list (asserting :: rest) in
+      let n = load_list s lits in
+      let b = s.buf in
       (* Position 1 must hold a literal from the backtrack level so the
          watch invariant survives future backtracking. *)
       let best = ref 1 in
-      for k = 2 to Array.length arr - 1 do
-        if s.level.(Lit.var arr.(k)) > s.level.(Lit.var arr.(!best)) then best := k
+      for k = 2 to n - 1 do
+        if s.level.(b.(k) lsr 1) > s.level.(b.(!best) lsr 1) then best := k
       done;
-      let tmp = arr.(1) in
-      arr.(1) <- arr.(!best);
-      arr.(!best) <- tmp;
-      let c = { lits = arr; learnt = true; activity = 0.; deleted = false } in
-      Veca.push s.learnts c;
-      watch_clause s c;
+      let tmp = b.(1) in
+      b.(1) <- b.(!best);
+      b.(!best) <- tmp;
+      let c = add_learnt s n in
       clause_bump s c;
-      enqueue s asserting (Some c)
+      enqueue s (Lit.to_index asserting) c
 
 (* ---------- clause import (verify-on-import) ---------- *)
 
@@ -547,8 +628,9 @@ let import_clause s lits =
     let tautology =
       List.exists (fun l -> List.exists (Lit.equal (Lit.neg l)) sorted) sorted
     in
-    let satisfied = List.exists (fun l -> value_lit s l = 1) sorted in
-    let unassigned = List.filter (fun l -> value_lit s l = 0) sorted in
+    let value l = value_lit s (Lit.to_index l) in
+    let satisfied = List.exists (fun l -> value l = 1) sorted in
+    let unassigned = List.filter (fun l -> value l = 0) sorted in
     if tautology || satisfied then ()
     else if unassigned = [] then
       (* Every literal is already false at level 0: the negation
@@ -556,42 +638,31 @@ let import_clause s lits =
       Obs.Metrics.incr m_import_rejected
     else begin
       Veca.push s.trail_lim (Veca.length s.trail);
-      List.iter (fun l -> enqueue s (Lit.neg l) None) unassigned;
+      List.iter (fun l -> enqueue s (Lit.to_index (Lit.neg l)) (-1)) unassigned;
       let confl = propagate s in
       cancel_until s 0;
-      match confl with
-      | None -> Obs.Metrics.incr m_import_rejected
-      | Some _ -> (
-          (match s.proof_sink with None -> () | Some f -> f (P_learn sorted));
-          Obs.Metrics.incr m_imported;
-          match unassigned with
-          | [] -> assert false
-          | [ l ] -> (
-              (* Simplifies to a unit at level 0 (the other literals are
-                 level-0 false) — same handling as [add_clause]. *)
-              enqueue s l None;
-              if propagate s <> None then begin
-                s.ok <- false;
-                match s.proof_sink with None -> () | Some f -> f (P_learn [])
-              end)
-          | l0 :: l1 :: _ ->
-              (* Watch two unassigned literals; level-0-false ones can
-                 never need a watch again. *)
-              let others =
-                List.filter
-                  (fun l -> not (Lit.equal l l0) && not (Lit.equal l l1))
-                  sorted
-              in
-              let c =
-                {
-                  lits = Array.of_list (l0 :: l1 :: others);
-                  learnt = true;
-                  activity = 0.;
-                  deleted = false;
-                }
-              in
-              Veca.push s.learnts c;
-              watch_clause s c)
+      if confl < 0 then Obs.Metrics.incr m_import_rejected
+      else begin
+        (match s.proof_sink with None -> () | Some f -> f (P_learn sorted));
+        Obs.Metrics.incr m_imported;
+        match unassigned with
+        | [] -> assert false
+        | [ l ] ->
+            (* Simplifies to a unit at level 0 (the other literals are
+               level-0 false) — same handling as [add_clause]. *)
+            enqueue s (Lit.to_index l) (-1);
+            if propagate s >= 0 then begin
+              s.ok <- false;
+              match s.proof_sink with None -> () | Some f -> f (P_learn [])
+            end
+        | l0 :: l1 :: _ ->
+            (* Watch two unassigned literals; level-0-false ones can
+               never need a watch again. *)
+            let others =
+              List.filter (fun l -> not (Lit.equal l l0) && not (Lit.equal l l1)) sorted
+            in
+            ignore (add_learnt s (load_list s (l0 :: l1 :: others)))
+      end
     end
   end
 
@@ -603,29 +674,76 @@ let drain_imports s =
 (* ---------- learnt-clause deletion ---------- *)
 
 let locked s c =
-  match s.reason.(Lit.var c.lits.(0)) with
-  | Some r -> r == c && value_lit s c.lits.(0) = 1
-  | None -> false
+  let l0 = s.arena.(c + 1) in
+  s.reason.(l0 lsr 1) = c && value_lit s l0 = 1
+
+(* Copies the live clauses into a fresh arena in id order and renames
+   every id held in watches, reasons, [clauses] and [learnts]. Watch lists
+   keep the relative order of their live entries, so the search is the
+   same as without compaction. *)
+let compact s =
+  let a = s.arena and live = s.arena_len - s.arena_dead in
+  let na = Array.make (max 1024 (2 * live)) 0 in
+  (* [a.(c)] becomes the new id of clause [c], or -1 once deleted. *)
+  let c = ref 0 and dst = ref 0 in
+  while !c < s.arena_len do
+    let h = a.(!c) in
+    let size = (h lsr 2) + if h land 2 <> 0 then 2 else 1 in
+    if h land 1 = 1 then a.(!c) <- -1
+    else begin
+      Array.blit a !c na !dst size;
+      a.(!c) <- !dst;
+      dst := !dst + size
+    end;
+    c := !c + size
+  done;
+  Array.iter
+    (fun ws ->
+      let j = ref 0 in
+      for i = 1 to ws.(0) do
+        let c = a.(ws.(i)) in
+        if c >= 0 then begin
+          incr j;
+          ws.(!j) <- c
+        end
+      done;
+      if !j < ws.(0) then ws.(0) <- !j)
+    s.watches;
+  for v = 0 to s.nvars - 1 do
+    if s.reason.(v) >= 0 then s.reason.(v) <- a.(s.reason.(v))
+  done;
+  let rename ids =
+    for k = 0 to Veca.length ids - 1 do
+      Veca.set ids k a.(Veca.get ids k)
+    done
+  in
+  rename s.clauses;
+  rename s.learnts;
+  s.arena <- na;
+  s.arena_len <- live;
+  s.arena_dead <- 0
 
 let reduce_db s =
-  Veca.sort (fun (a : clause) (b : clause) -> compare a.activity b.activity) s.learnts;
+  Veca.sort (fun a b -> Float.compare (clause_activity s a) (clause_activity s b)) s.learnts;
   let n = Veca.length s.learnts in
   let limit = n / 2 in
   let kept = ref 0 in
   for k = 0 to n - 1 do
     let c = Veca.get s.learnts k in
-    if k < limit && Array.length c.lits > 2 && not (locked s c) then begin
-      c.deleted <- true;
-      match s.proof_sink with
+    if k < limit && clause_len s c > 2 && not (locked s c) then begin
+      (match s.proof_sink with
       | None -> ()
-      | Some f -> f (P_delete (Array.to_list c.lits))
+      | Some f -> f (P_delete (List.init (clause_len s c) (fun k -> Lit.of_index s.arena.(c + 1 + k)))));
+      s.arena.(c) <- s.arena.(c) lor 1;
+      s.arena_dead <- s.arena_dead + clause_len s c + 2
     end
     else begin
       Veca.set s.learnts !kept c;
       incr kept
     end
   done;
-  Veca.shrink s.learnts !kept
+  Veca.shrink s.learnts !kept;
+  if 2 * s.arena_dead > s.arena_len then compact s
 
 (* ---------- search ---------- *)
 
@@ -673,12 +791,12 @@ let luby y x =
 
 let search s ~assumptions ~conflict_budget ~budget =
   let n_assumptions = List.length assumptions in
-  let assumption_arr = Array.of_list assumptions in
+  let assumption_arr = Array.of_list (List.map Lit.to_index assumptions) in
   let budget_left = ref conflict_budget in
   let result = ref None in
   while !result = None do
     match propagate s with
-    | Some confl ->
+    | confl when confl >= 0 ->
         s.n_conflicts <- s.n_conflicts + 1;
         (match !budget_left with
         | Some b -> budget_left := Some (b - 1)
@@ -710,7 +828,7 @@ let search s ~assumptions ~conflict_budget ~budget =
           var_decay_activity s;
           clause_decay_activity s
         end
-    | None -> (
+    | _ -> (
         match !budget_left with
         | Some b when b <= 0 -> result := Some Unknown
         | Some _ | None ->
@@ -730,7 +848,7 @@ let search s ~assumptions ~conflict_budget ~budget =
               | -1 -> result := Some Unsat
               | _ ->
                   Veca.push s.trail_lim (Veca.length s.trail);
-                  enqueue s a None
+                  enqueue s a (-1)
             end
             else begin
               let v = pick_branch_var s in
@@ -747,7 +865,7 @@ let search s ~assumptions ~conflict_budget ~budget =
                     next_rand s land 1 = 1
                   else s.polarity.(v)
                 in
-                enqueue s (Lit.make v pol) None
+                enqueue s (Lit.to_index (Lit.make v pol)) (-1)
               end
             end)
   done;
@@ -785,11 +903,11 @@ let solve ?(assumptions = []) ?max_conflicts ?budget s =
         | Some None | None -> (
             Resil.Faultpoint.guard "sat.oom" Out_of_memory;
             match propagate s with
-            | Some _ ->
+            | confl when confl >= 0 ->
                 s.ok <- false;
                 (match s.proof_sink with None -> () | Some f -> f (P_learn []));
                 Unsat
-            | None ->
+            | _ ->
                 drain_imports s;
                 let conflict_cap = Option.map (fun b -> max 1 b) max_conflicts in
                 let rec restart_loop i =
@@ -855,7 +973,7 @@ let solve ?(assumptions = []) ?max_conflicts ?budget s =
 
 let value s l =
   if Lit.var l >= s.nvars then invalid_arg "Solver.value: unknown variable";
-  value_lit s l = 1
+  value_lit s (Lit.to_index l) = 1
 
 let model s = Array.init s.nvars (fun v -> value_var s v = 1)
 

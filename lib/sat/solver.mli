@@ -3,9 +3,10 @@
     A MiniSat-style conflict-driven clause-learning solver: two-watched-
     literal propagation, first-UIP conflict analysis, VSIDS decision
     heuristic with phase saving, Luby restarts and activity-based learnt-
-    clause deletion. It is the decision procedure underneath the
-    bit-blasted model-checking queries (the role nuXmv's SAT engine plays
-    in the paper).
+    clause deletion. All clauses live in one [int] arena, named by their
+    offsets; deleted learnt clauses are reclaimed by compacting it, which
+    leaves the search unchanged. It is the decision procedure underneath
+    the bit-blasted model-checking queries (nuXmv's SAT engine in the paper).
 
     Typical use is incremental: allocate variables, add clauses, [solve],
     read the model, add blocking clauses, [solve] again. *)

@@ -1,5 +1,5 @@
-(** Growable array (amortised O(1) push), used for watch lists and the
-    clause database. OCaml 5.1 has no stdlib Dynarray yet. *)
+(** Growable array (amortised O(1) push), used for the solver's trail and
+    clause id lists. OCaml 5.1 has no stdlib Dynarray yet. *)
 
 type 'a t
 

@@ -416,6 +416,146 @@ let test_diversified_seeds_agree () =
         (Sat.Solver.solve sat = Sat))
     [ 0; 1; 2; 3; 7 ]
 
+(* ---------- search pin ---------- *)
+
+(* A fixed set of traced solves whose whole observable behaviour — every
+   proof event, every model and the search counters — is folded into one
+   digest. Any moved decision, learnt clause or deletion changes it. *)
+
+let lcg seed =
+  let x = ref seed in
+  fun bound ->
+    x := ((!x * 1103515245) + 12345) land 0x7fffffff;
+    (!x lsr 8) mod bound
+
+let random_3sat ~seed ~vars ~clauses =
+  let next = lcg seed in
+  ( vars,
+    List.init clauses (fun _ ->
+        List.init 3 (fun _ ->
+            let v = next vars in
+            (v, next 2 = 0))) )
+
+let search_trace () =
+  let b = Buffer.create 65536 in
+  let lits ls = List.iter (fun l -> Printf.bprintf b " %d" (Sat.Lit.to_dimacs l)) ls in
+  let traced s =
+    Sat.Solver.set_proof_sink s
+      (Some
+         (fun step ->
+           (match step with
+           | Sat.Solver.P_input ls -> Buffer.add_char b 'i'; lits ls
+           | P_learn ls -> Buffer.add_char b 'l'; lits ls
+           | P_delete ls -> Buffer.add_char b 'd'; lits ls
+           | P_empty ls -> Buffer.add_char b 'e'; lits ls);
+           Buffer.add_char b '\n'));
+    s
+  in
+  let build n clauses =
+    let s = traced (Sat.Solver.create ()) in
+    for _ = 1 to n do
+      ignore (Sat.Solver.new_var s)
+    done;
+    List.iter
+      (fun c ->
+        Sat.Solver.add_clause s (List.map (fun (v, sign) -> lit v sign) c))
+      clauses;
+    s
+  in
+  let results = ref [] in
+  let solve ?assumptions s =
+    let r = Sat.Solver.solve ?assumptions s in
+    results := r :: !results;
+    (match r with
+    | Sat ->
+        Buffer.add_string b "model ";
+        Array.iter (fun v -> Buffer.add_char b (if v then '1' else '0'))
+          (Sat.Solver.model s)
+    | Unsat -> Buffer.add_string b "unsat"
+    | Unknown -> Buffer.add_string b "unknown");
+    let st = Sat.Solver.stats s in
+    Printf.bprintf b "\nstats %d %d %d %d %d\n" st.conflicts st.decisions
+      st.propagations st.restarts st.learnt_clauses;
+    r
+  in
+  (* Pigeonhole with a tiny learnt limit: many deletions. *)
+  let n, clauses = pigeonhole_clauses ~pigeons:7 ~holes:6 in
+  let s = build n clauses in
+  Sat.Solver.set_max_learnts s 20;
+  ignore (solve s);
+  (* Random 3-SAT on both sides of the threshold, then assumptions and
+     incremental blocking on the satisfiable instances. *)
+  List.iter
+    (fun (seed, ratio) ->
+      let n, clauses = random_3sat ~seed ~vars:100 ~clauses:(100 * ratio / 10) in
+      let s = build n clauses in
+      Sat.Solver.set_max_learnts s 40;
+      if solve s = Sat then begin
+        for k = 0 to 5 do
+          ignore (solve ~assumptions:[ lit k (k mod 2 = 0); lit (k + 10) false ] s)
+        done;
+        let rec block i =
+          if i < 12 && solve s = Sat then begin
+            Sat.Solver.add_clause s
+              (List.init 20 (fun v -> lit v (not (Sat.Solver.value s (lit v true)))));
+            block (i + 1)
+          end
+        in
+        block 0
+      end)
+    [ (1, 40); (2, 42); (3, 43); (4, 44); (5, 50); (6, 60) ];
+  (* A diversified portfolio member. *)
+  let n, clauses = pigeonhole_clauses ~pigeons:6 ~holes:5 in
+  let s = build n clauses in
+  Sat.Solver.set_diversification s ~seed:3;
+  ignore (solve s);
+  (* Two solvers sharing clauses, run one after the other. *)
+  let n, clauses = random_3sat ~seed:11 ~vars:90 ~clauses:390 in
+  let a = build n clauses and c = build n clauses in
+  let a_out = Queue.create () and c_out = Queue.create () in
+  let drain q () = let l = List.of_seq (Queue.to_seq q) in Queue.clear q; l in
+  Sat.Solver.set_clause_hooks a ~export:(fun l -> Queue.push l a_out)
+    ~import:(drain c_out) ();
+  Sat.Solver.set_clause_hooks c ~export:(fun l -> Queue.push l c_out)
+    ~export_max_len:12 ~import:(drain a_out) ();
+  Sat.Solver.set_diversification a ~seed:1;
+  Sat.Solver.set_diversification c ~seed:2;
+  ignore (solve a);
+  ignore (solve c);
+  ignore (solve ~assumptions:[ lit 0 true ] a);
+  (Buffer.contents b, !results)
+
+let test_search_pinned () =
+  let trace, results = search_trace () in
+  Alcotest.(check bool) "the set has Sat answers" true (List.mem Sat.Solver.Sat results);
+  Alcotest.(check bool) "the set has Unsat answers" true
+    (List.mem Sat.Solver.Unsat results);
+  Alcotest.(check bool) "the set deletes clauses" true
+    (List.exists
+       (fun line -> String.length line > 0 && line.[0] = 'd')
+       (String.split_on_char '\n' trace));
+  Alcotest.(check string) "search digest" "ad29ef3e72513a43c3bd02a9a737ce0f"
+    (Digest.to_hex (Digest.string trace))
+
+(* Learnt clauses come and go over many [reduce_db] rounds; reclaiming
+   the deleted ones keeps the solver within a fixed multiple of its size
+   with just the CNF loaded. *)
+let test_memory_bounded () =
+  let n, clauses = pigeonhole_clauses ~pigeons:10 ~holes:9 in
+  let s = solver_of_clauses n clauses in
+  let loaded = Obj.reachable_words (Obj.repr s) in
+  let peak = ref loaded in
+  for _ = 1 to 100 do
+    Sat.Solver.set_max_learnts s 50;
+    ignore (Sat.Solver.solve ~max_conflicts:200 s);
+    peak := max !peak (Obj.reachable_words (Obj.repr s))
+  done;
+  Alcotest.(check bool) "many conflicts" true ((Sat.Solver.stats s).conflicts >= 10_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %d words within 8x the loaded %d" !peak loaded)
+    true
+    (!peak <= 8 * loaded)
+
 (* ---------- dimacs ---------- *)
 
 let test_dimacs_roundtrip () =
@@ -452,6 +592,8 @@ let () =
           Alcotest.test_case "assumptions" `Quick test_assumptions;
           Alcotest.test_case "incremental blocking" `Quick test_incremental_blocking;
           Alcotest.test_case "conflict budget" `Quick test_max_conflicts_unknown;
+          Alcotest.test_case "search pinned" `Quick test_search_pinned;
+          Alcotest.test_case "memory bounded" `Quick test_memory_bounded;
         ] );
       ( "solver-property",
         [

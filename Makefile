@@ -121,12 +121,16 @@ chaos-smoke:
 # Model-counting smoke (~10 s): the counting suite — exact counts
 # against brute-force enumeration, fannet-count-cert/1 certificates
 # re-checked by the independent validator and tampering rejected,
-# plain = certified counts on a network, the root-first decomposition
-# (a robust input's certified count is one refutation), jobs=1 vs
-# jobs=4 byte-identity (certificate included), the (ε, δ) envelope over 20 seeds and at a
-# pinned seed, tight-ε = exact, and checkpoint exhaust-and-resume. (A
-# certified count across the daemon is in serve-smoke.) Then the CLI
-# must refuse bad (ε, δ) parameters with a usage error (exit 2).
+# plain (one Bnb walk) = certified counts on a network, the root-first
+# decomposition (a robust input's certified count is one refutation),
+# jobs=1 vs jobs=4 byte-identity (certificate included), the (ε, δ)
+# envelope over 20 seeds and at a pinned seed, tight-ε = exact,
+# checkpoint exhaust-and-resume for both engines, each refusing the
+# other's file, and a budget that stops a heavy walk. (A certified count
+# across the daemon is in serve-smoke.) Then the CLI must refuse bad
+# (ε, δ) parameters with a usage error (exit 2), and a plain count at
+# the defaults (input 0, ±15, 887,503,681 vectors) must finish within
+# 30 s with no flip.
 count-smoke:
 	dune exec test/test_count.exe -- -q
 	@echo "count-smoke: checking (eps, delta) usage-error rejection paths"
@@ -138,11 +142,17 @@ count-smoke:
 	  st=$$?; [ $$st -eq 2 ] || { echo "FAIL: --approx-delta 0 exited $$st, want usage error 2"; exit 1; }
 	@dune exec bin/fannet_cli.exe -- count --approx --approx-delta 1.5 2>/dev/null; \
 	  st=$$?; [ $$st -eq 2 ] || { echo "FAIL: --approx-delta 1.5 exited $$st, want usage error 2"; exit 1; }
+	@echo "count-smoke: a plain count at the defaults within 30 s"
+	@dune build bin/fannet_cli.exe
+	@out=$$(timeout 30 dune exec bin/fannet_cli.exe -- count); st=$$?; \
+	  [ $$st -eq 0 ] || { echo "FAIL: fannet count exited $$st, want 0"; exit 1; }; \
+	  echo "$$out" | grep -q "0 of 887503681 vectors flip" || { echo "FAIL: fannet count printed: $$out"; exit 1; }
 
 # E22 scaling-ladder smoke (< 15 s): the asserted subset of the deep &
 # binarized ladder — gene-panel rungs cross-checked against the explicit
 # enumerator (verdicts, flip counts and a lib/cert-validated certified
-# verdict, sign comparators included), the 64-input 3-layer relu rung
+# verdict, sign comparators included; each plain count, one Bnb walk,
+# within 10 ms), the 64-input 3-layer relu rung
 # where pure interval bounds return Unknown but symbolic-bounds Bnb
 # decides, and the deep binarized rung whose revalidated counterexample
 # Bnb must find. Emits BENCH_ladder.json; exit 2 on any violated

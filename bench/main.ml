@@ -1283,6 +1283,11 @@ let bench_ladder ?(smoke = false) ~out () =
             in
             if rep.Fannet.Robustness.status <> Ok () then
               failwith (Printf.sprintf "E22: %s count did not finish" id);
+            (* A plain count is one Bnb walk: tens of microseconds here. *)
+            if smoke && count_s > 0.010 then
+              failwith
+                (Printf.sprintf "E22: %s plain count took %.4f s > 10 ms" id
+                   count_s);
             if
               not
                 (Util.Bigcount.equal rep.Fannet.Robustness.flips

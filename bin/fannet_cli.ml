@@ -75,13 +75,14 @@ let backend =
   in
   Arg.(value & opt backend_conv Fannet.Backend.Bnb & info [ "backend" ] ~docv:"BACKEND" ~doc)
 
+let jobs_with doc =
+  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
+
 let jobs =
-  let doc =
+  jobs_with
     "Worker domains for the per-sample verification loops. Defaults to \
      $(b,FANNET_JOBS) or the machine's recommended domain count; 1 forces the \
      sequential path (results are identical at every setting)."
-  in
-  Arg.(value & opt (some int) None & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
 (* A converter that accepts only the values [ok] admits, so an
    unusable value is a usage error before any work is done. *)
@@ -186,17 +187,18 @@ let retries_arg =
   in
   Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N" ~doc)
 
-let checkpoint_arg =
-  let doc =
-    "Persist progress to $(docv) (fannet-ckpt/1 format, atomic writes) and \
-     resume from it when it already exists, so a killed run continues \
-     where it stopped. The file is removed when the analysis completes. \
-     Its directory must exist and be writable."
-  in
+let checkpoint_with doc =
   Arg.(
     value
     & opt (some (writable_file "a checkpoint")) None
     & info [ "checkpoint" ] ~docv:"FILE" ~doc)
+
+let checkpoint_arg =
+  checkpoint_with
+    "Persist progress to $(docv) (fannet-ckpt/1 format, atomic writes) and \
+     resume from it when it already exists, so a killed run continues \
+     where it stopped. The file is removed when the analysis completes. \
+     Its directory must exist and be writable."
 
 let budget_of timeout max_mem =
   match (timeout, max_mem) with
@@ -1219,7 +1221,11 @@ let count_cmd =
     Arg.(value & flag & info [ "approx" ] ~doc)
   in
   let exact_arg =
-    let doc = "Use the exact cube-decomposition counter (the default)." in
+    let doc =
+      "Use the exact counter (the default): one branch-and-bound walk over \
+       the noise box, or certified cube-decomposition #SAT with \
+       $(b,--certify)."
+    in
     Arg.(value & flag & info [ "exact" ] ~doc)
   in
   let epsilon_arg =
@@ -1244,8 +1250,9 @@ let count_cmd =
   in
   let certify_arg =
     let doc =
-      "Attach a $(b,fannet-count-cert/1) certificate to the exact count and \
-       re-check it with the independent validator before reporting."
+      "Count with the certified engine (cube-decomposition #SAT), attach a \
+       $(b,fannet-count-cert/1) certificate to the exact count and re-check \
+       it with the independent validator before reporting."
     in
     Arg.(value & flag & info [ "certify" ] ~doc)
   in
@@ -1258,6 +1265,24 @@ let count_cmd =
       value
       & opt (some (writable_file "the count certificate")) None
       & info [ "cert-out" ] ~docv:"FILE" ~doc)
+  in
+  let jobs =
+    jobs_with
+      "Worker domains for the training pipeline and for a certified count, \
+       whose cubes fan out (the certificate bytes are identical at every \
+       setting). A plain count is one sequential walk. Defaults to \
+       $(b,FANNET_JOBS) or the machine's recommended domain count."
+  in
+  let checkpoint_arg =
+    checkpoint_with
+      "Persist the exact count's progress to $(docv) (fannet-ckpt/1 format, \
+       atomic writes) and resume from it when it already exists, so a \
+       killed or timed-out run continues where it stopped. A plain count \
+       saves the walk's pending boxes and its mass (at most once a second \
+       and when stopped), a certified count its decided cubes and their \
+       proofs; neither resumes the other's file. \
+       The file is removed when the count completes. Its directory must \
+       exist and be writable."
   in
   let run metrics dataset_seed init_seed input_index delta no_bias_noise approx
       exact epsilon adelta seed certify cert_out jobs timeout max_mem retries
@@ -1301,7 +1326,7 @@ let count_cmd =
         bias_noise
     in
     (* Retries resume from the checkpoint (when given), so each attempt
-       keeps the previous attempt's decided cubes. *)
+       keeps the previous attempt's progress. *)
     let r =
       with_retries ~retries (budget_of timeout max_mem) (fun budget ->
           let r =
@@ -1340,7 +1365,8 @@ let count_cmd =
   in
   let doc =
     "Quantitative robustness: count the noise vectors that flip one input's \
-     classification — exactly (cube-decomposition #SAT, optionally with a \
+     classification — exactly (one branch-and-bound walk over the noise \
+     box; with $(b,--certify), cube-decomposition #SAT with a \
      $(b,fannet-count-cert/1) certificate checked by the independent \
      validator) or (ε, δ)-approximately (XOR hashing). The flip count over \
      the noise-space cardinality is the misclassification probability under \

@@ -194,8 +194,8 @@ let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = tru
                    (N.to_string v))
         | B.Robust | B.Unknown _ -> ())
   end;
-  (* Counting agreement: the exact counter, plain and certified (they
-     decide cubes on different sessions), must reproduce the brute-force
+  (* Counting agreement: the exact counter, plain (one Bnb walk) and
+     certified (SAT cube decomposition), must reproduce the brute-force
      flip count, its certificate must pass the independent checker, jobs
      must not change a byte of the answer, and the tight-ε approximate
      counter — whose pivot (1191) exceeds every fuzz-sized flip set, so

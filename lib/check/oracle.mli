@@ -27,8 +27,9 @@
       witness is valid — sampled by the driver ([?check_portfolio]
       controls it here; it spawns domains per query);
     - {b counting agreement}: the exact counter
-      ({!Fannet.Robustness.probability}), plain and certified, reproduces
-      the brute-force flip count, is zero exactly when the enumerator proves the range robust,
+      ({!Fannet.Robustness.probability}), plain (a Bnb walk) and
+      certified (SAT), reproduces the brute-force flip count, is zero
+      exactly when the enumerator proves the range robust,
       carries a [fannet-count-cert/1] certificate that passes the
       independent checker, answers byte-identically (certificate
       included) at [jobs] 1 and 4, and the tight-ε approximate counter

@@ -111,13 +111,27 @@ let report_to_string r =
 
 type mass = { from : int; to_ : int; mass : Util.Bigcount.t }
 
-let count_models ?budget ~mode f ~project =
+(* The mass of [input] predicted as class [c]: exactly, the non-flip
+   mass of the Bnb walk that takes [c] as the label; approximately, an
+   (ε, δ) count of [predicted_is c] on the input's encoding. *)
+let class_mass ?budget ~mode net spec ~input enc c =
   match (mode : Robustness.mode) with
   | Robustness.Exact_mode _ ->
-      let r = Count.Exact.count ?budget f ~project in
-      (r.Count.Exact.count, r.Count.Exact.status)
+      let cursor, status =
+        Bnb.count_flips_from ?budget
+          (Bnb.fresh_cursor spec ~input Bnb.no_mass)
+          net spec ~input ~label:c
+      in
+      ( cursor.Bnb.found.Bnb.kept,
+        match status with
+        | `Complete -> Count.Exact.Decided
+        | `Budget r -> Count.Exact.Exhausted r )
   | Robustness.Approx_mode { epsilon; delta; seed } ->
-      let r = Count.Approx.count ?budget ~epsilon ~delta ~seed f ~project in
+      let enc = Lazy.force enc in
+      let r =
+        Count.Approx.count ?budget ~epsilon ~delta ~seed
+          (Encode.predicted_is enc c) ~project:(Encode.noise_vars enc)
+      in
       (r.Count.Approx.estimate, r.Count.Approx.status)
 
 let flip_mass_by_class ?budget ?(mode = Robustness.default_mode) ~n_classes net
@@ -130,13 +144,10 @@ let flip_mass_by_class ?budget ?(mode = Robustness.default_mode) ~n_classes net
       if label < 0 || label >= n_classes then
         invalid_arg "Bias.flip_mass_by_class: bad label";
       if !failure = None then begin
-        let enc = Encode.encode net ~input spec in
-        let project = Encode.noise_vars enc in
+        let enc = lazy (Encode.encode net ~input spec) in
         for c = 0 to n_classes - 1 do
           if c <> label && !failure = None then begin
-            let m, status =
-              count_models ?budget ~mode (Encode.predicted_is enc c) ~project
-            in
+            let m, status = class_mass ?budget ~mode net spec ~input enc c in
             (match status with
             | Count.Exact.Decided ->
                 let key = (label, c) in

@@ -389,11 +389,12 @@ let split ~lo ~hi =
   lo2.(d) <- mid + 1;
   ((lo, hi1), (lo2, hi))
 
+let root_box (spec : Noise.spec) n_dims =
+  (Array.make n_dims spec.Noise.delta_lo, Array.make n_dims spec.Noise.delta_hi)
+
 let initial_box ?box m (spec : Noise.spec) =
   match box with
-  | None ->
-      ( Array.make m.n_dims spec.Noise.delta_lo,
-        Array.make m.n_dims spec.Noise.delta_hi )
+  | None -> root_box spec m.n_dims
   | Some ranges ->
       if Array.length ranges <> m.n_dims then
         invalid_arg "Bnb: box dimension mismatch";
@@ -536,18 +537,6 @@ let min_l1_flip ?budget net spec ~input ~label =
 
 exception Limit_reached
 
-(* Saturating at [max_int], as {!Noise.spec_size} does: a 64-input box at
-   delta 1 already holds 3^64 points. *)
-let sat_add a b = if a > max_int - b then max_int else a + b
-
-let box_volume ~lo ~hi =
-  let vol = ref 1 in
-  for d = 0 to Array.length lo - 1 do
-    let w = hi.(d) - lo.(d) + 1 in
-    vol := if !vol > max_int / w then max_int else !vol * w
-  done;
-  !vol
-
 let iter_box ~lo ~hi f =
   let n = Array.length lo in
   let point = Array.copy lo in
@@ -561,109 +550,156 @@ let iter_box ~lo ~hi f =
   in
   go 0
 
-(* Resumable enumeration. The DFS is run on an explicit stack of pending
-   boxes so that the exact search state is serializable: [pending] holds
-   the boxes still to process (top first — pushing the left child last
-   preserves the recursive left-first order), [emitted] the number of
-   flips already produced across all runs. A budget stop only happens
-   {e between} boxes (the box being classified is either fully processed
-   or still on the stack), so resuming from a cursor replays nothing and
-   skips nothing — the concatenated output is bit-identical to an
-   uninterrupted run. *)
-type cursor = {
-  pending : (int array * int array) list;
-  emitted : int;
-}
+(* Points in a box, exact while they fit an int and [Huge] beyond; the
+   product runs in {!Util.Bigcount.pow}'s order, so a whole uniform box
+   equals {!Noise.spec_count} bit for bit. *)
+let box_count ~lo ~hi =
+  let vol = ref Util.Bigcount.one in
+  for d = 0 to Array.length lo - 1 do
+    let w = hi.(d) - lo.(d) + 1 in
+    if w > 1 then vol := Util.Bigcount.mul !vol (Util.Bigcount.of_int w)
+  done;
+  !vol
 
-let fresh_cursor net spec ~input ~label =
-  let m = build net spec ~input ~label in
-  { pending = [ initial_box m spec ]; emitted = 0 }
+(* Resumable walk. The depth-first search runs on an explicit stack of
+   pending boxes so that its exact state is serializable: [pending] holds
+   the boxes still to process, top first (pushing the left child last
+   keeps the recursive left-first order). A budget stop only happens
+   {e between} boxes (the poll precedes the pop, so the box being
+   classified is either fully processed or still on the stack), so
+   resuming from a cursor replays nothing and skips nothing. *)
+type box = int array * int array
 
-let enumerate_flips_from ?(limit = 10_000) ?budget ?(progress_every = 256)
-    ?on_progress cursor net spec ~input ~label =
+type 'a cursor = { pending : box list; found : 'a }
+
+let box_to_json (lo, hi) =
+  Util.Json.Obj [ ("lo", Util.Json.of_ints lo); ("hi", Util.Json.of_ints hi) ]
+
+let read_box c =
+  let module C = Util.Json.Cursor in
+  let ints c = Array.of_list (C.list C.int c) in
+  C.obj
+    (fun f ->
+      let lo = C.field f "lo" ints in
+      let hi = C.field f "hi" ints in
+      if Array.length lo <> Array.length hi then C.fail c "box arity";
+      (lo, hi))
+    c
+
+let fresh_cursor (spec : Noise.spec) ~input found =
+  let bias_dim = if spec.Noise.bias_noise then 1 else 0 in
+  { pending = [ root_box spec (Array.length input + bias_dim) ]; found }
+
+(* The walk shared by enumeration and counting. Every decided box goes to
+   [leaf] with whether its points flip: a robust box, an all-flipping
+   box, or a single point. [on_progress] runs every [progress_every]
+   boxes, at a box boundary. An exception from [leaf] (the enumeration
+   limit) propagates with [pending] already past the box that raised
+   it. *)
+let walk ?budget ~progress_every ~on_progress ~leaf m pending =
   if progress_every < 1 then invalid_arg "Bnb: progress_every must be >= 1";
-  let m = build net spec ~input ~label in
-  let n_inputs = Array.length input in
-  let pending = ref cursor.pending in
-  let emitted = ref cursor.emitted in
-  let fresh = ref [] in
-  (* newly found this run, newest first *)
   let boxes = ref 0 in
-  let add point =
-    if !emitted >= limit then raise Limit_reached;
-    incr emitted;
-    fresh := vector_of_point spec ~n_inputs point :: !fresh
-  in
-  let cursor_now () = { pending = !pending; emitted = !emitted } in
   let rec loop () =
     match !pending with
     | [] -> `Complete
     | (lo, hi) :: rest ->
         incr boxes;
-        (* Poll before the pop: on a stop the current box stays pending
-           and the cursor is exact. *)
         poll_budget budget !boxes;
         pending := rest;
         (match classify m ~lo ~hi with
-        | `Robust -> ()
-        | `All_flip -> iter_box ~lo ~hi add
+        | `Robust -> leaf ~flips:false ~lo ~hi
+        | `All_flip -> leaf ~flips:true ~lo ~hi
         | `Split _ ->
-            if is_point ~lo ~hi then begin
-              if flips_at_point m lo then add lo
-            end
+            if is_point ~lo ~hi then leaf ~flips:(flips_at_point m lo) ~lo ~hi
             else begin
               let box1, box2 = split ~lo ~hi in
               pending := box1 :: box2 :: !pending
             end);
-        (match on_progress with
-        | Some f when !boxes mod progress_every = 0 ->
-            f (cursor_now ()) (List.rev !fresh)
-        | Some _ | None -> ());
+        if !boxes mod progress_every = 0 then on_progress ();
         loop ()
   in
+  match
+    Resil.Budget.poll budget;
+    loop ()
+  with
+  | s -> s
+  | exception Resil.Budget.Stopped r -> `Budget r
+
+let enumerate_flips_from ?(limit = 10_000) ?budget ?(progress_every = 256)
+    ?on_progress cursor net spec ~input ~label =
+  let m = build net spec ~input ~label in
+  let n_inputs = Array.length input in
+  let pending = ref cursor.pending in
+  let emitted = ref cursor.found in
+  let fresh = ref [] in
+  (* newly found this run, newest first *)
+  let add point =
+    if !emitted >= limit then raise Limit_reached;
+    incr emitted;
+    fresh := vector_of_point spec ~n_inputs point :: !fresh
+  in
+  let leaf ~flips ~lo ~hi = if flips then iter_box ~lo ~hi add in
+  let cursor_now () = { pending = !pending; found = !emitted } in
+  let on_progress =
+    match on_progress with
+    | Some f -> fun () -> f (cursor_now ()) (List.rev !fresh)
+    | None -> ignore
+  in
   let status =
-    match
-      Resil.Budget.poll budget;
-      loop ()
-    with
-    | s -> s
+    match walk ?budget ~progress_every ~on_progress ~leaf m pending with
+    | (`Complete | `Budget _) as s -> s
     | exception Limit_reached -> `Truncated
-    | exception Resil.Budget.Stopped r -> `Budget r
   in
   (List.rev !fresh, status, cursor_now ())
 
 let enumerate_flips ?limit ?budget net spec ~input ~label =
   let vectors, status, _ =
     enumerate_flips_from ?limit ?budget
-      (fresh_cursor net spec ~input ~label)
+      (fresh_cursor spec ~input 0)
       net spec ~input ~label
   in
   (vectors, status)
 
-let count_flips ?(limit = max_int) net spec ~input ~label =
+type mass = { flips : Util.Bigcount.t; kept : Util.Bigcount.t }
+
+let no_mass = { flips = Util.Bigcount.zero; kept = Util.Bigcount.zero }
+
+(* [reached] is the early stop: once it holds of the flip mass, the
+   count raises [Limit_reached]. *)
+let count_walk ?budget ?on_progress ~reached cursor net spec ~input ~label =
   let m = build net spec ~input ~label in
-  let count = ref 0 in
+  let pending = ref cursor.pending in
+  let flips = ref cursor.found.flips and kept = ref cursor.found.kept in
+  let leaf ~flips:f ~lo ~hi =
+    let side = if f then flips else kept in
+    side := Util.Bigcount.add !side (box_count ~lo ~hi);
+    if f && reached !flips then raise Limit_reached
+  in
+  let cursor_now () =
+    { pending = !pending; found = { flips = !flips; kept = !kept } }
+  in
+  let on_progress =
+    match on_progress with
+    | Some f -> fun () -> f (cursor_now ())
+    | None -> ignore
+  in
+  let status = walk ?budget ~progress_every:256 ~on_progress ~leaf m pending in
+  (cursor_now (), status)
+
+let count_flips_from ?budget ?on_progress cursor net spec ~input ~label =
+  count_walk ?budget ?on_progress
+    ~reached:(fun _ -> false)
+    cursor net spec ~input ~label
+
+let count_flips ?(limit = max_int) net spec ~input ~label =
   (* A saturated count reaches any [limit], so it reports [`Truncated]:
      a lower bound. *)
-  let add n =
-    count := sat_add !count n;
-    if !count >= limit then raise Limit_reached
+  let reached = function
+    | Util.Bigcount.Exact n -> n >= limit
+    | Util.Bigcount.Huge _ -> true
   in
-  let rec go ~lo ~hi =
-    match classify m ~lo ~hi with
-    | `Robust -> ()
-    | `All_flip -> add (box_volume ~lo ~hi)
-    | `Split _ ->
-        if is_point ~lo ~hi then begin
-          if flips_at_point m lo then add 1
-        end
-        else begin
-          let (lo1, hi1), (lo2, hi2) = split ~lo ~hi in
-          go ~lo:lo1 ~hi:hi1;
-          go ~lo:lo2 ~hi:hi2
-        end
-  in
-  let lo, hi = initial_box m spec in
-  match go ~lo ~hi with
-  | () -> (!count, `Complete)
-  | exception Limit_reached -> (!count, `Truncated)
+  let cursor = fresh_cursor spec ~input no_mass in
+  match count_walk ~reached cursor net spec ~input ~label with
+  | { found = { flips = Util.Bigcount.Exact n; _ }; _ }, `Complete ->
+      (n, `Complete)
+  | _ | (exception Limit_reached) -> (limit, `Truncated)

@@ -78,40 +78,49 @@ val enumerate_flips :
     ([limit] defaults to 10_000). [`Budget] (only with a [?budget])
     returns the flips found so far. *)
 
-(** {1 Resumable enumeration}
+(** {1 Resumable walks}
 
-    The enumeration's depth-first search runs on an explicit box stack,
-    so its exact state is a serializable {!cursor}. A budget stop only
-    happens between boxes; resuming from the returned cursor continues
-    the run with nothing replayed and nothing skipped — the concatenated
-    vector lists of any interrupted-and-resumed chain are bit-identical
-    to a single uninterrupted {!enumerate_flips}. The checkpoint/resume
-    machinery in {!Extract} persists cursors in [fannet-ckpt/1] files. *)
+    Enumeration and counting run the same depth-first search on an
+    explicit box stack, so its exact state is a serializable {!cursor}.
+    A budget stop only happens between boxes; resuming from the returned
+    cursor continues the run with nothing replayed and nothing skipped:
+    an interrupted-and-resumed chain emits the vectors, or ends at the
+    mass, of one uninterrupted walk. {!Extract} and {!Robustness} persist
+    cursors in [fannet-ckpt/1] files. *)
 
-type cursor = {
-  pending : (int array * int array) list;
-      (** boxes still to process, top of stack first *)
-  emitted : int;  (** flips produced across all runs so far *)
+type box = int array * int array
+(** Per-dimension noise bounds, bias node first when it is noisy. *)
+
+type 'a cursor = {
+  pending : box list;  (** boxes still to process, top of stack first *)
+  found : 'a;
+      (** what the walk produced across all runs so far: the emitted
+          flip count when enumerating, the {!mass} when counting *)
 }
 
-val fresh_cursor :
-  Nn.Qnet.t -> Noise.spec -> input:int array -> label:int -> cursor
-(** The cursor an uninterrupted enumeration starts from (the full noise
-    box, nothing emitted). *)
+val fresh_cursor : Noise.spec -> input:int array -> 'a -> 'a cursor
+(** The cursor an uninterrupted walk starts from: the full noise box,
+    with the given nothing-found-yet value ([0], or {!no_mass}). *)
+
+val box_to_json : box -> Util.Json.t
+(** [{"lo":[..],"hi":[..]}]. *)
+
+val read_box : Util.Json.Cursor.t -> box
+(** The inverse of {!box_to_json}, read from the bytes. *)
 
 val enumerate_flips_from :
   ?limit:int ->
   ?budget:Resil.Budget.t ->
   ?progress_every:int ->
-  ?on_progress:(cursor -> Noise.vector list -> unit) ->
-  cursor ->
+  ?on_progress:(int cursor -> Noise.vector list -> unit) ->
+  int cursor ->
   Nn.Qnet.t ->
   Noise.spec ->
   input:int array ->
   label:int ->
   Noise.vector list
   * [ `Complete | `Truncated | `Budget of Resil.Budget.reason ]
-  * cursor
+  * int cursor
 (** Continue from a cursor. Returns only the vectors found {e this run}
     (the caller holds the prefix), the status, and the cursor to resume
     from after [`Budget]. [limit] bounds the {e total} emitted count,
@@ -119,6 +128,30 @@ val enumerate_flips_from :
     (default 256) processed boxes with the current cursor and this run's
     vectors so far, a consistent pair at a box boundary — the checkpoint
     hook; it must not mutate the cursor. *)
+
+type mass = {
+  flips : Util.Bigcount.t;  (** noise vectors that flip the label *)
+  kept : Util.Bigcount.t;  (** noise vectors that keep it *)
+}
+
+val no_mass : mass
+
+val count_flips_from :
+  ?budget:Resil.Budget.t ->
+  ?on_progress:(mass cursor -> unit) ->
+  mass cursor ->
+  Nn.Qnet.t ->
+  Noise.spec ->
+  input:int array ->
+  label:int ->
+  mass cursor * [ `Complete | `Budget of Resil.Budget.reason ]
+(** The enumeration's walk with a counting leaf: a robust or all-flipping
+    box adds its whole volume to one side of the mass, a point adds one.
+    The returned cursor carries the mass so far; after [`Budget] it is
+    the partial mass and the cursor to resume from, after [`Complete]
+    [flips + kept] is the noise-space cardinality. With [label] set to a
+    class [c], [kept] is the mass the network predicts as [c].
+    [on_progress] is the checkpoint hook, called every 256 boxes. *)
 
 val min_l1_flip :
   ?budget:Resil.Budget.t ->
@@ -143,10 +176,11 @@ val count_flips :
   input:int array ->
   label:int ->
   int * [ `Complete | `Truncated ]
-(** Number of flipping vectors, counting whole all-flipping boxes without
-    enumerating them point by point ([limit] caps the count). Box volumes
-    and the running count saturate at [max_int]; a saturated count (e.g.
-    a whole 3^64 box) reports [`Truncated], a lower bound. *)
+(** The saturating [int] view of an unbudgeted {!count_flips_from}: the
+    flip count when it is below [limit] (default [max_int]). The walk
+    stops as soon as the count reaches [limit] and reports
+    [(limit, `Truncated)], a lower bound — so a whole 3^64 box reports
+    [(max_int, `Truncated)]. *)
 
 (**/**)
 

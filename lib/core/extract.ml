@@ -31,68 +31,41 @@ let ckpt_key net spec ~input ~label ~limit =
   Digest.to_hex
     (Digest.string (Marshal.to_string (net, spec, input, label, limit) []))
 
-let ints_to_json arr =
-  Util.Json.List (Array.to_list (Array.map (fun i -> Util.Json.Int i) arr))
-
-let ints_of_json = function
-  | Util.Json.List l ->
-      let ok = List.for_all (function Util.Json.Int _ -> true | _ -> false) l in
-      if ok then
-        Some
-          (Array.of_list
-             (List.map (function Util.Json.Int i -> i | _ -> 0) l))
-      else None
-  | _ -> None
-
 let vector_to_json (v : Noise.vector) =
   Util.Json.Obj
-    [ ("bias", Util.Json.Int v.Noise.bias); ("inputs", ints_to_json v.Noise.inputs) ]
+    [
+      ("bias", Util.Json.Int v.Noise.bias);
+      ("inputs", Util.Json.of_ints v.Noise.inputs);
+    ]
 
-let vector_of_json j =
-  match (Util.Json.member "bias" j, Option.bind (Util.Json.member "inputs" j) ints_of_json) with
-  | Some (Util.Json.Int bias), Some inputs -> Some { Noise.bias; inputs }
-  | _ -> None
-
-let box_to_json (lo, hi) =
-  Util.Json.Obj [ ("lo", ints_to_json lo); ("hi", ints_to_json hi) ]
-
-let box_of_json j =
-  match
-    ( Option.bind (Util.Json.member "lo" j) ints_of_json,
-      Option.bind (Util.Json.member "hi" j) ints_of_json )
-  with
-  | Some lo, Some hi when Array.length lo = Array.length hi -> Some (lo, hi)
-  | _ -> None
-
-let ckpt_to_json ~key (cursor : Bnb.cursor) vectors =
+let ckpt_to_json ~key (cursor : int Bnb.cursor) vectors =
   Util.Json.Obj
     [
       ("key", Util.Json.String key);
-      ("emitted", Util.Json.Int cursor.Bnb.emitted);
+      ("emitted", Util.Json.Int cursor.Bnb.found);
       ("vectors", Util.Json.List (List.map vector_to_json vectors));
-      ("pending", Util.Json.List (List.map box_to_json cursor.Bnb.pending));
+      ("pending", Util.Json.List (List.map Bnb.box_to_json cursor.Bnb.pending));
     ]
 
-let ckpt_of_json json =
-  let all parse = function
-    | Util.Json.List l ->
-        let parsed = List.map parse l in
-        if List.for_all Option.is_some parsed then
-          Some (List.map Option.get parsed)
-        else None
-    | _ -> None
+let read_ckpt c =
+  let module C = Util.Json.Cursor in
+  let ints c = Array.of_list (C.list C.int c) in
+  let vector c =
+    C.obj
+      (fun f ->
+        let bias = C.field f "bias" C.int in
+        { Noise.bias; inputs = C.field f "inputs" ints })
+      c
   in
-  match
-    ( Util.Json.member "key" json,
-      Util.Json.member "emitted" json,
-      Option.bind (Util.Json.member "vectors" json) (all vector_of_json),
-      Option.bind (Util.Json.member "pending" json) (all box_of_json) )
-  with
-  | Some (Util.Json.String key), Some (Util.Json.Int emitted), Some vectors,
-    Some pending
-    when emitted = List.length vectors ->
-      Some (key, { Bnb.pending; emitted }, vectors)
-  | _ -> None
+  let read f =
+    let key = C.field f "key" C.string in
+    let found = C.field f "emitted" C.int in
+    let vectors = C.field f "vectors" (C.list vector) in
+    let pending = C.field f "pending" (C.list Bnb.read_box) in
+    if found <> List.length vectors then C.fail c "emitted count mismatch";
+    (key, { Bnb.pending; found }, vectors)
+  in
+  C.obj read c
 
 let save_ckpt ~key ~path cursor vectors =
   Resil.Ckpt.save ~kind:"extract" ~path (ckpt_to_json ~key cursor vectors)
@@ -105,18 +78,15 @@ let save_ckpt ~key ~path cursor vectors =
 let load_ckpt ~key ~path =
   if not (Sys.file_exists path) then `Fresh
   else
-    match Resil.Ckpt.load ~kind:"extract" ~path with
+    match Resil.Ckpt.load_with ~kind:"extract" ~path read_ckpt with
     | Error msg -> `Damaged msg
-    | Ok json -> (
-        match ckpt_of_json json with
-        | None -> `Damaged (path ^ ": malformed extract checkpoint payload")
-        | Some (k, cursor, vectors) ->
-            if k = key then `Resume (cursor, vectors)
-            else
-              `Mismatch
-                (path
-               ^ ": checkpoint belongs to a different extract run \
-                  (network/spec/input/limit changed)"))
+    | Ok (k, cursor, vectors) ->
+        if k = key then `Resume (cursor, vectors)
+        else
+          `Mismatch
+            (path
+           ^ ": checkpoint belongs to a different extract run \
+              (network/spec/input/limit changed)")
 
 let for_input ?(limit = 10_000) ?budget ?checkpoint net spec ~input ~label
     ~input_index =
@@ -132,12 +102,12 @@ let for_input ?(limit = 10_000) ?budget ?checkpoint net spec ~input ~label
       let key = ckpt_key net spec ~input ~label ~limit in
       let cursor, prefix =
         match load_ckpt ~key ~path with
-        | `Fresh -> (Bnb.fresh_cursor net spec ~input ~label, [])
+        | `Fresh -> (Bnb.fresh_cursor spec ~input 0, [])
         | `Resume (cursor, vectors) -> (cursor, vectors)
         | `Damaged msg ->
             Printf.eprintf
               "warning: %s — ignoring the checkpoint and starting over\n%!" msg;
-            (Bnb.fresh_cursor net spec ~input ~label, [])
+            (Bnb.fresh_cursor spec ~input 0, [])
         | `Mismatch msg -> invalid_arg msg
       in
       let on_progress cursor fresh =

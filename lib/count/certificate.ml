@@ -133,8 +133,6 @@ let proof_fields c f =
 
 let read_proof c = C.obj (proof_fields c) c
 
-let proof_of_string s = C.parse read_proof s
-
 let triple_json (name, lo, hi) = J.List [ J.String name; J.Int lo; J.Int hi ]
 
 let triple c =
@@ -195,23 +193,6 @@ let entry_mass cube_size = function
   | Unsat_cube _ -> B.zero
   | Full_cube _ -> cube_size
   | Enum_cube { witnesses; _ } -> B.of_int (List.length witnesses)
-
-let describe t =
-  let u = ref 0 and fl = ref 0 and e = ref 0 and w = ref 0 in
-  List.iter
-    (fun { proof; _ } ->
-      match proof with
-      | Unsat_cube _ -> incr u
-      | Full_cube _ -> incr fl
-      | Enum_cube { witnesses; _ } ->
-          incr e;
-          w := !w + List.length witnesses)
-    t.entries;
-  Printf.sprintf
-    "%s: count %s over %d dims (+%d free); cubes: %d unsat, %d full, %d \
-     enumerated (%d witnesses)"
-    version (B.to_string t.count) (Array.length t.vars) (Array.length t.free)
-    !u !fl !e !w
 
 let check f ~project t =
   let ( let* ) r k = match r with Ok v -> k v | Error _ as e -> e in

@@ -53,8 +53,6 @@ val check :
 (** Full re-validation against the original query (see above). Never
     raises. *)
 
-val describe : t -> string
-
 val to_json : t -> Util.Json.t
 (** Deterministic encoding — certificate bytes are cache-stable. *)
 
@@ -76,5 +74,5 @@ val read_verdict : Util.Json.Cursor.t -> Cert.Verdict.t
 val proof_to_json : proof -> Util.Json.t
 (** Exposed for checkpoint payloads, which persist decided cubes. *)
 
-val proof_of_string : string -> (proof, string) result
+val read_proof : Util.Json.Cursor.t -> proof
 (** Inverse of {!proof_to_json}, read from the bytes. *)

@@ -70,6 +70,3 @@ let mutual_information xs ys =
 
 let feature_label_mi ~values ~labels ~bins =
   mutual_information (discretize values ~bins) labels
-
-let feature_feature_mi ~values1 ~values2 ~bins =
-  mutual_information (discretize values1 ~bins) (discretize values2 ~bins)

@@ -18,7 +18,3 @@ val entropy : int array -> float
 
 val feature_label_mi : values:int array -> labels:int array -> bins:int -> float
 (** MI between a raw (undigitised) feature column and discrete labels. *)
-
-val feature_feature_mi :
-  values1:int array -> values2:int array -> bins:int -> float
-(** MI between two raw feature columns, both quantile-binned. *)

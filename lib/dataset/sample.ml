@@ -9,8 +9,6 @@ let label_of_int = function
   | 1 -> L1
   | n -> invalid_arg (Printf.sprintf "Sample.label_of_int: %d" n)
 
-let label_to_string = function L0 -> "L0" | L1 -> "L1"
-
 let label_equal a b =
   match (a, b) with L0, L0 | L1, L1 -> true | L0, L1 | L1, L0 -> false
 

@@ -16,7 +16,6 @@ val label_to_int : label -> int
 val label_of_int : int -> label
 (** Inverse of [label_to_int]; raises [Invalid_argument] otherwise. *)
 
-val label_to_string : label -> string
 val label_equal : label -> label -> bool
 
 val project : t -> int array -> t

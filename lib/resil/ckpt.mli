@@ -24,10 +24,24 @@ val save : kind:string -> path:string -> Util.Json.t -> unit
     no rename) to exercise the detection path. Raises [Sys_error] on
     I/O failure. *)
 
+val save_string : kind:string -> path:string -> string -> unit
+(** [save] of data already in its JSON text, which is written as it
+    is. *)
+
 val load : kind:string -> path:string -> (Util.Json.t, string) result
 (** Read back the ["data"] payload. Errors (all strings mention [path]):
     missing file, torn/truncated content, checksum mismatch, malformed
     JSON, wrong format version or kind. Never raises on bad content. *)
+
+val load_with :
+  kind:string ->
+  path:string ->
+  (Util.Json.Cursor.t -> 'a) ->
+  ('a, string) result
+(** [load] with the ["data"] payload read by a {!Util.Json.Cursor}
+    reader straight from the file's bytes, with no tree. The errors are
+    [load]'s; a payload [read] rejects (by {!Util.Json.Cursor.fail} or
+    a reader's parse error) is a corrupt payload. *)
 
 val fnv1a64 : string -> int64
 (** The footer checksum: FNV-1a, 64-bit. Exposed for tests. *)

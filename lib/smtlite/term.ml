@@ -162,24 +162,6 @@ and eval_formula asg f =
   | And fs -> List.for_all (eval_formula asg) fs
   | Or fs -> List.exists (eval_formula asg) fs
 
-let vars_of_term t =
-  let module M = Map.Make (Int) in
-  let rec go_t acc (t : term) =
-    match t.node with
-    | Const _ -> acc
-    | Var v -> M.add v.vid v acc
-    | Add (a, b) | Sub (a, b) | Max (a, b) -> go_t (go_t acc a) b
-    | Mulc (_, a) | Neg a | Relu a | Sign a -> go_t acc a
-    | Ite (c, a, b) -> go_t (go_t (go_f acc c) a) b
-  and go_f acc (f : formula) =
-    match f.fnode with
-    | True | False -> acc
-    | Le (a, b) | Lt (a, b) | Eq (a, b) -> go_t (go_t acc a) b
-    | Not g -> go_f acc g
-    | And fs | Or fs -> List.fold_left go_f acc fs
-  in
-  List.map snd (M.bindings (go_t M.empty t))
-
 let vars_of_formula f =
   let module M = Map.Make (Int) in
   let rec go_t acc (t : term) =

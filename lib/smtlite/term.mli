@@ -82,6 +82,5 @@ val eval_formula : assignment -> formula -> bool
 val vars_of_formula : formula -> var list
 (** Distinct variables, ordered by creation id. *)
 
-val vars_of_term : term -> var list
 val pp_term : Format.formatter -> term -> unit
 val pp_formula : Format.formatter -> formula -> unit

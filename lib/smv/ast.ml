@@ -35,11 +35,6 @@ let value_equal a b =
   | VSym x, VSym y -> String.equal x y
   | (VInt _ | VBool _ | VSym _), _ -> false
 
-let pp_value fmt = function
-  | VInt v -> Format.fprintf fmt "%d" v
-  | VBool b -> Format.fprintf fmt "%s" (if b then "TRUE" else "FALSE")
-  | VSym s -> Format.fprintf fmt "%s" s
-
 let domain_values = function
   | Range (lo, hi) ->
       if lo > hi then invalid_arg "Ast.domain_values: empty range";

@@ -41,8 +41,6 @@ type program = {
 type value = VInt of int | VBool of bool | VSym of string
 
 val value_equal : value -> value -> bool
-val pp_value : Format.formatter -> value -> unit
-
 val domain_values : domain -> value list
 (** All values of a finite domain, in order. *)
 

@@ -149,9 +149,6 @@ let successors prog indices state =
   in
   List.concat_map next_for input_valuations
 
-let state_to_assoc prog state =
-  List.mapi (fun i (n, _) -> (n, state.(i))) prog.Ast.state_vars
-
 let eval_in_state prog state e =
   let indices = make_indices prog in
   let env = make_env prog indices state [||] in

@@ -39,9 +39,6 @@ val explore : ?state_limit:int -> Ast.program -> (outcome, error) result
     the distinct [`State_limit] case so callers can budget/retry rather
     than treat it as a broken model. *)
 
-val state_to_assoc : Ast.program -> state -> (string * Ast.value) list
-(** Pair each state variable name with its value. *)
-
 val eval_in_state :
   Ast.program -> state -> Ast.expr -> (Ast.value, string) result
 (** Evaluate an expression (over state variables and DEFINEs only) in a

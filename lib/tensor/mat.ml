@@ -91,9 +91,6 @@ let approx_equal ?(eps = 1e-9) a b =
   a.rows = b.rows && a.cols = b.cols
   && Array.for_all2 (fun x y -> Float.abs (x -. y) <= eps) a.data b.data
 
-let frobenius m =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0. m.data)
-
 let to_rows m = Array.init m.rows (fun r -> row m r)
 
 let pp fmt m =

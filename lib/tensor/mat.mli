@@ -41,7 +41,5 @@ val axpy : float -> t -> t -> unit
 val map : (float -> float) -> t -> t
 val transpose : t -> t
 val approx_equal : ?eps:float -> t -> t -> bool
-val frobenius : t -> float
-
 val to_rows : t -> float array array
 val pp : Format.formatter -> t -> unit

@@ -395,6 +395,12 @@ module Cursor = struct
     | '-' | '0' .. '9' -> if not (fast_int c) then ignore (number_text c)
     | ch -> fail c (Printf.sprintf "unexpected %C" ch)
 
+  let with_bytes read c =
+    skip_ws c;
+    let start = c.pos in
+    let v = read c in
+    (v, String.sub c.s start (c.pos - start))
+
   let rec value c =
     skip_ws c;
     if c.pos >= String.length c.s then fail c "unexpected end of input";
@@ -556,6 +562,8 @@ let of_string s = Cursor.parse Cursor.value s
 let member key = function
   | Obj fields -> List.assoc_opt key fields
   | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None
+
+let of_ints a = List (Array.to_list (Array.map (fun i -> Int i) a))
 
 let write_file path v =
   let oc = open_out path in

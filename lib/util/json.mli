@@ -34,6 +34,9 @@ val of_string : string -> (t, string) result
 val member : string -> t -> t option
 (** Field lookup in an [Obj]; [None] on other constructors. *)
 
+val of_ints : int array -> t
+(** An int array as a [List] of [Int]s. *)
+
 val write_file : string -> t -> unit
 val parse_file : string -> (t, string) result
 
@@ -77,6 +80,9 @@ module Cursor : sig
 
   val value : t -> json
   (** Any value, as a tree. *)
+
+  val with_bytes : (t -> 'a) -> t -> 'a * string
+  (** [read]'s value and the bytes it was read from. *)
 
   (** {2 Objects}
 

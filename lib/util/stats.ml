@@ -3,15 +3,9 @@ let check_nonempty name a =
 
 let sum a = Array.fold_left ( +. ) 0. a
 
-let sum_int a = Array.fold_left ( + ) 0 a
-
 let mean a =
   check_nonempty "Stats.mean" a;
   sum a /. float_of_int (Array.length a)
-
-let mean_int a =
-  check_nonempty "Stats.mean_int" a;
-  float_of_int (sum_int a) /. float_of_int (Array.length a)
 
 let variance a =
   check_nonempty "Stats.variance" a;

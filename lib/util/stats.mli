@@ -33,5 +33,3 @@ val histogram : float array -> bins:int -> lo:float -> hi:float -> int array
     (they have no bucket; [int_of_float nan] is unspecified). *)
 
 val sum : float array -> float
-val sum_int : int array -> int
-val mean_int : int array -> float

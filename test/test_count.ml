@@ -74,7 +74,7 @@ let test_free_variable_factoring () =
   let x = T.var ~name:"x" ~lo:0 ~hi:9 in
   let y = T.var ~name:"y" ~lo:(-5) ~hi:6 in
   let f = T.le (T.of_var x) (T.const 3) in
-  let r = Count.Exact.count ~certify:true f ~project:[ x; y ] in
+  let r = Count.Exact.count f ~project:[ x; y ] in
   Alcotest.check bigcount "4 * 12 free width" (B.of_int (4 * 12))
     r.Count.Exact.count;
   Alcotest.(check int) "brute agrees" (4 * 12) (brute f [ x; y ]);
@@ -91,7 +91,7 @@ let test_huge_space () =
     List.init 5 (fun i ->
         T.var ~name:(Printf.sprintf "h%d" i) ~lo:1 ~hi:100_000)
   in
-  let r = Count.Exact.count ~certify:true T.tru ~project:vars in
+  let r = Count.Exact.count T.tru ~project:vars in
   (match r.Count.Exact.count with
   | B.Huge l ->
       Alcotest.(check bool)
@@ -106,7 +106,7 @@ let test_huge_space () =
       Alcotest.(check (result unit string))
         "huge certificate validates" (Ok ())
         (Count.Certificate.check T.tru ~project:vars cert));
-  let r = Count.Exact.count ~certify:true T.fls ~project:vars in
+  let r = Count.Exact.count T.fls ~project:vars in
   Alcotest.check bigcount "fls counts nothing" B.zero r.Count.Exact.count;
   match r.Count.Exact.certificate with
   | None -> Alcotest.fail "certificate missing"
@@ -429,11 +429,14 @@ let test_checkpoint_resume () =
   let key = "test-count-query" in
   (* Drive with growing deadlines until a run completes (the first few
      exhaust mid-count and persist their frontier); the result must match
-     a clean uninterrupted run. *)
+     a clean uninterrupted run. Every run loads and re-saves all decided
+     cubes with their proofs, so a checkpoint that costs more than linear
+     time per cube runs out of attempts. *)
+  let stops = ref 0 in
   let rec drive attempts =
     if attempts > 60 then Alcotest.fail "checkpointed run never finished";
     let budget =
-      Resil.Budget.create ~timeout_s:(0.0005 *. float_of_int attempts) ()
+      Resil.Budget.create ~timeout_s:(0.001 *. float_of_int attempts) ()
     in
     let r =
       Count.Exact.count ~budget ~checkpoint:path ~ckpt_key:key ~ckpt_every:1 f
@@ -441,10 +444,15 @@ let test_checkpoint_resume () =
     in
     match r.Count.Exact.status with
     | Count.Exact.Decided -> r
-    | Count.Exact.Exhausted _ -> drive (attempts + 1)
+    | Count.Exact.Exhausted _ ->
+        incr stops;
+        drive (attempts + 1)
   in
   let resumed = drive 0 in
   let clean = Count.Exact.count f ~project:[ x; y ] in
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped and resumed at least 10 times (%d)" !stops)
+    true (!stops >= 10);
   Alcotest.check bigcount "resumed count equals clean count"
     clean.Count.Exact.count resumed.Count.Exact.count;
   Alcotest.(check bool) "a completed run leaves no file" false
@@ -527,7 +535,7 @@ let test_certified_checkpoint_matches_direct () =
       Resil.Budget.create ~timeout_s:(0.0003 *. float_of_int attempts) ()
     in
     let r =
-      Count.Exact.count ~budget ~certify:true ~checkpoint:path ~ckpt_key:key
+      Count.Exact.count ~budget ~checkpoint:path ~ckpt_key:key
         ~ckpt_every:1 f ~project:[ x ]
     in
     match r.Count.Exact.status with
@@ -535,7 +543,7 @@ let test_certified_checkpoint_matches_direct () =
     | Count.Exact.Exhausted _ -> drive (attempts + 1)
   in
   let resumed = drive 0 in
-  let direct = Count.Exact.count ~certify:true f ~project:[ x ] in
+  let direct = Count.Exact.count f ~project:[ x ] in
   let cert_bytes what (r : Count.Exact.result) =
     match r.Count.Exact.certificate with
     | Some c -> Util.Json.to_string (Count.Certificate.to_json c)
@@ -552,7 +560,7 @@ let test_certified_checkpoint_matches_direct () =
   let x = T.var ~name:"x" ~lo:0 ~hi:15 and y = T.var ~name:"y" ~lo:0 ~hi:15 in
   let f = T.le (T.of_var x) (T.of_var y) in
   let count ?budget () =
-    Count.Exact.count ?budget ~certify:true ~enum_limit:256 ~checkpoint:path
+    Count.Exact.count ?budget ~enum_limit:256 ~checkpoint:path
       ~ckpt_key:"root" f ~project:[ x; y ]
   in
   let interrupted timeout_s =
@@ -574,11 +582,287 @@ let test_certified_checkpoint_matches_direct () =
   let resumed = count () in
   Alcotest.(check bool) "resumed run decided" true
     (resumed.Count.Exact.status = Count.Exact.Decided);
-  let direct = Count.Exact.count ~certify:true ~enum_limit:256 f ~project:[ x; y ] in
+  let direct = Count.Exact.count ~enum_limit:256 f ~project:[ x; y ] in
   Alcotest.(check string) "root interrupted mid-decision: bytes survive resume"
     (cert_bytes "direct" direct) (cert_bytes "resumed" resumed);
   if Sys.file_exists path then Sys.remove path;
   Unix.rmdir dir
+
+(* ---------- the plain walk ---------- *)
+
+(* The default pipeline's Leukemia network and its analysed inputs. *)
+let leukemia =
+  lazy
+    (let p = Fannet.Pipeline.run () in
+     (p.Fannet.Pipeline.qnet, Fannet.Pipeline.analysis_inputs p))
+
+let test_walk_budget () =
+  (* Input 0 at ±50 is a walk of minutes; a 0.2 s budget must stop it
+     promptly with the partial mass, not run on. *)
+  let net, inputs = Lazy.force leukemia in
+  let input, label = inputs.(0) in
+  let spec = N.symmetric ~delta:50 ~bias_noise:true in
+  let t0 = Unix.gettimeofday () in
+  let r =
+    Fannet.Robustness.probability
+      ~budget:(Resil.Budget.create ~timeout_s:0.2 ())
+      net spec ~input ~label
+  in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check bool) "stopped by the budget" true
+    (r.Fannet.Robustness.status <> Ok ());
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped within 1 s (took %.3f s)" elapsed)
+    true (elapsed < 1.0);
+  Alcotest.(check int) "no solver call" 0 r.Fannet.Robustness.solver_calls
+
+let test_count_flips_limit () =
+  (* Input 19 at ±15 is a walk of seconds over 887,503,681 vectors; a
+     limit of 1000 must end it at the 1000th flip. *)
+  let net, inputs = Lazy.force leukemia in
+  let input, label = inputs.(19) in
+  let spec = N.symmetric ~delta:15 ~bias_noise:true in
+  let t0 = Unix.gettimeofday () in
+  let count, status = Fannet.Bnb.count_flips ~limit:1000 net spec ~input ~label in
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Alcotest.(check int) "the limit" 1000 count;
+  Alcotest.(check bool) "truncated" true (status = `Truncated);
+  Alcotest.(check bool)
+    (Printf.sprintf "stopped within 1 s (took %.3f s)" elapsed)
+    true (elapsed < 1.0)
+
+let with_ckpt_dir f =
+  let dir = Filename.temp_file "fannet_count" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  let path = Filename.concat dir "count.ckpt" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists path then Sys.remove path;
+      Unix.rmdir dir)
+    (fun () -> f path)
+
+let test_walk_checkpoint_resume () =
+  (* Input 19 at ±12 has 66,713 flipping vectors over a walk of a few
+     hundred milliseconds: growing deadlines stop it several times, each
+     run resuming from the saved boxes and mass. *)
+  let net, inputs = Lazy.force leukemia in
+  let input, label = inputs.(19) in
+  let spec = N.symmetric ~delta:12 ~bias_noise:true in
+  with_ckpt_dir @@ fun path ->
+  let stops = ref 0 in
+  let rec drive attempts =
+    if attempts > 60 then Alcotest.fail "checkpointed walk never finished";
+    let budget =
+      Resil.Budget.create ~timeout_s:(0.01 *. float_of_int attempts) ()
+    in
+    let r =
+      Fannet.Robustness.probability ~budget ~checkpoint:path ~ckpt_key:"walk"
+        net spec ~input ~label
+    in
+    match r.Fannet.Robustness.status with
+    | Ok () -> r
+    | Error _ ->
+        Alcotest.(check bool) "a stopped walk keeps its file" true
+          (Sys.file_exists path);
+        incr stops;
+        drive (attempts + 1)
+  in
+  let resumed = drive 0 in
+  let clean = Fannet.Robustness.probability net spec ~input ~label in
+  Alcotest.(check bool) "the walk was stopped at least twice" true
+    (!stops >= 2);
+  Alcotest.check bigcount "resumed count equals the uninterrupted count"
+    clean.Fannet.Robustness.flips resumed.Fannet.Robustness.flips;
+  Alcotest.check bigcount "66713 flips" (B.of_int 66713)
+    clean.Fannet.Robustness.flips;
+  Alcotest.(check bool) "a completed walk leaves no file" false
+    (Sys.file_exists path)
+
+let test_walk_whole_huge_box () =
+  (* With its label flipped, every one of the 3^64 vectors of this rung
+     flips: the walk counts the whole box exactly, where the int view
+     saturates. *)
+  let r =
+    Nn.Ladder.rung ~family:Nn.Ladder.Relu_quantized ~n_inputs:64 ~n_layers:3
+      ~seed:60
+  in
+  let input = r.Nn.Ladder.input in
+  let label = 1 - Nn.Qnet.predict r.Nn.Ladder.qnet input in
+  let spec = N.symmetric ~delta:1 ~bias_noise:false in
+  let rep = Fannet.Robustness.probability r.Nn.Ladder.qnet spec ~input ~label in
+  Alcotest.(check bool) "complete" true (rep.Fannet.Robustness.status = Ok ());
+  Alcotest.check bigcount "3^64 flips" (N.spec_count spec ~n_inputs:64)
+    rep.Fannet.Robustness.flips;
+  Alcotest.check bigcount "total" (N.spec_count spec ~n_inputs:64)
+    rep.Fannet.Robustness.total
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let test_checkpoint_kinds_refuse_each_other () =
+  (* A plain count's file holds Bnb boxes and a mass, a certified count's
+     file decided cubes with proofs: neither engine may resume the
+     other's, whatever the key says. *)
+  let net = Fixture.small_qnet () in
+  let input = [| 112; 87 |] in
+  let spec = N.symmetric ~delta:3 ~bias_noise:false in
+  let label = Nn.Qnet.predict net input in
+  with_ckpt_dir @@ fun path ->
+  let count ?budget certify =
+    Fannet.Robustness.probability ?budget
+      ~mode:(Fannet.Robustness.Exact_mode { certify })
+      ~checkpoint:path ~ckpt_key:"same key" net spec ~input ~label
+  in
+  List.iter
+    (fun (writer, reader) ->
+      let what =
+        Printf.sprintf "certify=%b file read with certify=%b" writer reader
+      in
+      if Sys.file_exists path then Sys.remove path;
+      let stopped =
+        count ~budget:(Resil.Budget.create ~timeout_s:0.0 ()) writer
+      in
+      Alcotest.(check bool) (what ^ ": the stopped count keeps its file") true
+        (stopped.Fannet.Robustness.status <> Ok () && Sys.file_exists path);
+      match count reader with
+      | exception Invalid_argument msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: the error names the file (%s)" what msg)
+            true (contains ~sub:path msg)
+      | _ -> Alcotest.failf "%s: resumed the other engine's checkpoint" what)
+    [ (false, true); (true, false) ]
+
+(* Hidden-layer shape of a network: every hidden layer Sign, two layers,
+   or deeper. *)
+type family = Two_layer | Deep | Binarized
+
+let family_of (net : Nn.Qnet.t) =
+  let layers = net.Nn.Qnet.layers in
+  let hidden = Array.sub layers 0 (Array.length layers - 1) in
+  let sign (l : Nn.Qnet.qlayer) = l.Nn.Qnet.act = Nn.Qnet.Sign in
+  if Array.for_all sign hidden then Binarized
+  else if Array.length layers = 2 then Two_layer
+  else Deep
+
+(* A fuzz-generator network that [keep] accepts, drawn from [rng]. *)
+let rec draw_net rng keep =
+  let net = Check.Gen.network rng in
+  if keep net then net else draw_net rng keep
+
+let brute_spec net spec ~input ~label =
+  let n = ref 0 in
+  N.iter_vectors spec ~n_inputs:(Array.length input) (fun v ->
+      if N.predict net spec ~input v <> label then incr n);
+  !n
+
+(* Every (family, noise kind, bias noise) combination on fresh networks
+   from [seed], at the widest noise of at most ~125 vectors and at an
+   input that some vector flips when one of twenty draws has one: for
+   every class as the label, the plain count must equal brute force and
+   the certified count. *)
+let prop_plain_equals_brute_and_certified =
+  QCheck.Test.make ~name:"plain count = brute force = certified count"
+    ~count:4
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      List.for_all
+        (fun (family, noise, bias_noise) ->
+          let net = draw_net rng (fun n -> family_of n = family) in
+          let n_inputs = Nn.Qnet.in_dim net in
+          let delta =
+            match n_inputs + Bool.to_int bias_noise with
+            | 1 -> 20
+            | 2 -> 5
+            | 3 -> 2
+            | _ -> 1
+          in
+          let spec = noise ~delta ~bias_noise in
+          let probe () =
+            let input = Check.Gen.input rng ~n:n_inputs in
+            let label = Nn.Qnet.predict net input in
+            (input, label, brute_spec net spec ~input ~label)
+          in
+          let rec pick k =
+            let (_, _, b) as c = probe () in
+            if b > 0 || k = 0 then c else pick (k - 1)
+          in
+          let input, _, _ = pick 19 in
+          (* Every class as the label: the prediction's count, and the
+             other classes' (mixed or whole-space) counts. *)
+          List.for_all
+            (fun label ->
+              let brute = brute_spec net spec ~input ~label in
+              let count certify =
+                Fannet.Robustness.probability
+                  ~mode:(Fannet.Robustness.Exact_mode { certify })
+                  net spec ~input ~label
+              in
+              let plain = count false and certified = count true in
+              plain.Fannet.Robustness.status = Ok ()
+              && B.equal plain.Fannet.Robustness.flips (B.of_int brute)
+              && B.equal certified.Fannet.Robustness.flips (B.of_int brute)
+              && B.equal plain.Fannet.Robustness.total
+                   certified.Fannet.Robustness.total)
+            (List.init (Nn.Qnet.out_dim net) Fun.id))
+        (List.concat_map
+           (fun family ->
+             List.concat_map
+               (fun bias_noise ->
+                 [
+                   (family, N.symmetric, bias_noise);
+                   (family, N.absolute, bias_noise);
+                 ])
+               [ false; true ])
+           [ Two_layer; Deep; Binarized ]))
+
+(* Flip masses by class on three-output networks must match a
+   brute-force tally of [Noise.predict] per (from, to) pair. *)
+let prop_flip_mass_equals_brute =
+  QCheck.Test.make ~name:"flip_mass_by_class = brute-force tally" ~count:40
+    QCheck.(make ~print:string_of_int Gen.(int_bound 1_000_000))
+    (fun seed ->
+      let rng = Util.Rng.create seed in
+      let net = draw_net rng (fun n -> Nn.Qnet.out_dim n = 3) in
+      let noise = if Util.Rng.bool rng then N.absolute else N.symmetric in
+      let spec = noise ~delta:3 ~bias_noise:(Util.Rng.bool rng) in
+      (* Labels are drawn, not predicted, so the mass moved to the
+         prediction is never empty. *)
+      let inputs =
+        Array.init 2 (fun _ ->
+            (Check.Gen.input rng ~n:(Nn.Qnet.in_dim net), Util.Rng.int rng 3))
+      in
+      let table = Hashtbl.create 8 in
+      Array.iter
+        (fun (input, label) ->
+          N.iter_vectors spec ~n_inputs:(Array.length input) (fun v ->
+              let key = (label, N.predict net spec ~input v) in
+              if snd key <> label then
+                Hashtbl.replace table key
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt table key))))
+        inputs;
+      let brute =
+        List.sort compare
+          (Hashtbl.fold (fun (f, t) n acc -> (f, t, n) :: acc) table [])
+      in
+      match Fannet.Bias.flip_mass_by_class ~n_classes:3 net spec ~inputs with
+      | Error _ -> false
+      | Ok masses ->
+          let counted =
+            List.sort compare
+              (List.map
+                 (fun (m : Fannet.Bias.mass) ->
+                   match m.Fannet.Bias.mass with
+                   | B.Exact n -> (m.Fannet.Bias.from, m.Fannet.Bias.to_, n)
+                   | B.Huge _ -> (m.Fannet.Bias.from, m.Fannet.Bias.to_, -1))
+                 masses)
+          in
+          counted = brute)
 
 (* ---------- core surfaces ---------- *)
 
@@ -660,9 +944,23 @@ let () =
           Alcotest.test_case "certified resume" `Quick
             test_certified_checkpoint_matches_direct;
         ] );
+      ( "walk",
+        [
+          Alcotest.test_case "budget stops a heavy walk" `Quick
+            test_walk_budget;
+          Alcotest.test_case "checkpoint resume" `Quick
+            test_walk_checkpoint_resume;
+          Alcotest.test_case "count_flips stops at its limit" `Quick
+            test_count_flips_limit;
+          Alcotest.test_case "whole 3^64 box" `Quick test_walk_whole_huge_box;
+          Alcotest.test_case "plain and certified files refuse each other"
+            `Quick test_checkpoint_kinds_refuse_each_other;
+          QCheck_alcotest.to_alcotest prop_plain_equals_brute_and_certified;
+        ] );
       ( "surfaces",
         [
           Alcotest.test_case "density and bias mass" `Quick
             test_density_and_bias_mass;
+          QCheck_alcotest.to_alcotest prop_flip_mass_equals_brute;
         ] );
     ]

@@ -155,10 +155,11 @@ count-smoke:
 # within 10 ms), the 64-input 3-layer relu rung
 # where pure interval bounds return Unknown but symbolic-bounds Bnb
 # decides, and the deep binarized rung whose revalidated counterexample
-# Bnb must find. Emits BENCH_ladder.json; exit 2 on any violated
+# Bnb must find. Writes the untracked BENCH_ladder.smoke.json (the
+# tracked BENCH_ladder.json is the full run's); exit 2 on any violated
 # assertion.
 ladder-smoke:
-	dune exec bench/main.exe -- --ladder --smoke
+	dune exec bench/main.exe -- --ladder --smoke -o BENCH_ladder.smoke.json
 
 # Repository-benchmark smoke (~40 s): each perfbench workload for 2 s
 # untraced, then paper-batch and certify-cold traced so their
@@ -186,9 +187,11 @@ bench:
 # reuse (0 re-encodes on a repeat search) and a portfolio race whose
 # winning certificate must pass the independent RUP checker. Asserts
 # no-regression everywhere and speedup > 1 only on multi-core, full
-# runs — deliberately non-flaky, so `make check` includes it.
+# runs — deliberately non-flaky, so `make check` includes it. Writes the
+# untracked BENCH_parallel.smoke.json, so the gate leaves the tracked
+# BENCH_parallel.json as `make bench` last wrote it.
 bench-parallel:
-	dune exec bench/main.exe -- --parallel
+	dune exec bench/main.exe -- --parallel -o BENCH_parallel.smoke.json
 
 # Scaling-ladder section (E22, ~1 min): {6, 64, 784} inputs x {2, 3, 4}
 # layers x {relu-quantized, binarized} at noise deltas 1-2 — interval vs
@@ -202,7 +205,9 @@ fmt:
 	dune fmt
 
 # BENCH_parallel.json and BENCH_ladder.json are tracked artefacts
-# (regenerated by their bench targets), so clean leaves them alone.
+# (regenerated by `make bench` and `make bench-ladder`), so clean leaves
+# them alone; the smoke gates' copies go.
 clean:
 	dune clean
-	rm -f certify_smoke.drup certify_smoke.drup.cnf metrics_smoke.json serve_smoke.out
+	rm -f certify_smoke.drup certify_smoke.drup.cnf metrics_smoke.json serve_smoke.out \
+	  BENCH_ladder.smoke.json BENCH_parallel.smoke.json

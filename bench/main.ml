@@ -1457,9 +1457,11 @@ let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let parallel_only = Array.exists (( = ) "--parallel") Sys.argv in
   let ladder_only = Array.exists (( = ) "--ladder") Sys.argv in
-  let out =
+  (* [-o FILE] replaces the file --ladder writes, or else the parallel
+     section's. *)
+  let out ~default =
     let rec find i =
-      if i >= Array.length Sys.argv then "BENCH_parallel.json"
+      if i >= Array.length Sys.argv then default
       else if Sys.argv.(i) = "-o" && i + 1 < Array.length Sys.argv then
         Sys.argv.(i + 1)
       else find (i + 1)
@@ -1478,7 +1480,7 @@ let () =
     print_endline "FANNet bench (parallel engine gate)";
     print_endline "===================================";
     let p = Fannet.Pipeline.run ~config:Fannet.Pipeline.fast_config () in
-    bench_parallel ~smoke:true p ~out;
+    bench_parallel ~smoke:true p ~out:(out ~default:"BENCH_parallel.json");
     print_endline "\nParallel bench completed."
   end
   else if ladder_only then begin
@@ -1487,7 +1489,7 @@ let () =
        (`make ladder-smoke`, part of `make check`). *)
     print_endline "FANNet bench (scaling ladder)";
     print_endline "=============================";
-    bench_ladder ~smoke ~out:"BENCH_ladder.json" ();
+    bench_ladder ~smoke ~out:(out ~default:"BENCH_ladder.json") ();
     print_endline "\nLadder bench completed."
   end
   else begin
@@ -1510,7 +1512,7 @@ let () =
     ablation_feature_selection ();
     extension_multiclass ();
     extension_absolute_noise p;
-    bench_parallel ~smoke:false p ~out;
+    bench_parallel ~smoke:false p ~out:(out ~default:"BENCH_parallel.json");
     bench_ladder ~smoke:false ~out:"BENCH_ladder.json" ();
     timing_suite p;
     print_endline "\nAll experiment sections completed."

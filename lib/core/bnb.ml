@@ -20,9 +20,10 @@ let unsound_relaxation_for_tests = ref false
    flips iff m_j < thr.(j) for some adversary j.
 
    The model also carries the search's workspace: one mutable [node] per
-   hidden node, which [propagate] overwrites for every box, and one
-   scratch node for the margins. A built model is therefore single-use
-   per call: each search builds its own and keeps it on its domain, so
+   hidden node, which [propagate] overwrites for every box, one scratch
+   node for the margins, and the margin forms of the exact box the walk
+   is inside (see [walk]). A built model is therefore single-use per
+   call: each search builds its own and keeps it on its domain, so
    nothing is shared and nothing needs a lock. *)
 
 (* Symbolic state of one node over the current box: an affine lower and
@@ -57,10 +58,14 @@ type model = {
   act0 : Nn.Qnet.act;
   nodes0 : node array;  (* workspace: layer-0 nodes over [pre_coef] rows *)
   mid : slayer array;  (* layers 1 .. L-2 *)
+  post : node array;  (* the last hidden layer's workspace nodes *)
   out_coef : int array array;  (* per adversary *)
   out_const : int array;
   thr : int array;
   margin : node;  (* workspace: scratch for one margin at a time *)
+  mutable exact : bool;  (* [propagate] relaxed no node on the last box *)
+  mutable ex_const : int array;  (* per margin, its exact form over the *)
+  mutable ex_coef : int array array;  (* stored box; empty until needed *)
 }
 
 let new_node lo_k up_k =
@@ -149,17 +154,22 @@ let build (net : Nn.Qnet.t) (spec : Noise.spec) ~input ~label =
   let thr =
     Array.of_list (List.map (fun j -> if j > label then 0 else 1) adversaries)
   in
+  let nodes0 = Array.map (fun row -> new_node row row) pre_coef in
   {
     n_dims;
     pre_const;
     pre_coef;
     act0 = layer0.Nn.Qnet.act;
-    nodes0 = Array.map (fun row -> new_node row row) pre_coef;
+    nodes0;
     mid;
+    post = (if n_layers = 2 then nodes0 else mid.(n_layers - 3).nodes);
     out_coef;
     out_const;
     thr;
     margin = own_node n_dims;
+    exact = false;
+    ex_const = [||];
+    ex_coef = [||];
   }
 
 let n_margins m = Array.length m.out_coef
@@ -222,6 +232,24 @@ let eval_upper const coef ~lo ~hi =
   done;
   !acc
 
+(* Both concrete bounds of one linear form in a single pass over its
+   coefficients: the same sums as [eval_lower] and [eval_upper]. *)
+let eval_both s const coef ~lo ~hi =
+  let lob = ref const and upb = ref const in
+  for d = 0 to Array.length coef - 1 do
+    let a = coef.(d) in
+    if a >= 0 then begin
+      lob := !lob + (a * lo.(d));
+      upb := !upb + (a * hi.(d))
+    end
+    else begin
+      lob := !lob + (a * hi.(d));
+      upb := !upb + (a * lo.(d))
+    end
+  done;
+  s.lob <- !lob;
+  s.upb <- !upb
+
 (* Both sides constant: the node ranges over [[l, u]]. *)
 let set_range s l u =
   s.lo_lin <- false;
@@ -237,17 +265,18 @@ let set_range s l u =
      upper: pre - lob   (valid since lob < 0)   or the constant upb,
      lower: the pre lower form (relu(x) >= x)   or the constant 0,
    picking the smaller-area side DeepPoly-style (linear iff upb >= -lob).
-   An unstable Sign collapses to the constant envelope [-1, 1]. *)
+   An unstable Sign collapses to the constant envelope [-1, 1]. Returns
+   whether the node was relaxed, i.e. is no longer exact on the box. *)
 let relax act s =
   match act with
-  | Nn.Qnet.Identity -> ()
+  | Nn.Qnet.Identity -> false
   | Nn.Qnet.Sign ->
-      if s.lob >= 0 then set_range s 1 1
-      else if s.upb < 0 then set_range s (-1) (-1)
-      else set_range s (-1) 1
+      if s.lob >= 0 then (set_range s 1 1; false)
+      else if s.upb < 0 then (set_range s (-1) (-1); false)
+      else (set_range s (-1) 1; true)
   | Nn.Qnet.Relu ->
-      if s.lob >= 0 then ()
-      else if s.upb <= 0 then set_range s 0 0
+      if s.lob >= 0 then false
+      else if s.upb <= 0 then (set_range s 0 0; false)
       else begin
         let keep_linear = s.upb >= -s.lob in
         if not keep_linear then begin
@@ -260,7 +289,8 @@ let relax act s =
            s.up_lin <- false;
            s.up_c <- s.upb
          end);
-        s.lob <- 0
+        s.lob <- 0;
+        true
       end
 
 (* Adds [c] times a source side ([src], linear iff [src_lin]) to a
@@ -311,41 +341,52 @@ let combine coefs srcs bias dst ~lo ~hi =
   dst.upb <- (if !up_lin then eval_upper !up_c dst.up_k ~lo ~hi else !up_c)
 
 (* Post-activation symbolic state of every hidden layer over a box, left
-   in the workspace; returns the last hidden layer's nodes. *)
+   in the workspace ([m.post] is the last hidden layer); records in
+   [m.exact] whether every node stayed exact. A layer-0 node's two sides
+   share its [pre_coef] row, so both bounds come from one pass. *)
 let propagate m ~lo ~hi =
-  Array.iteri
-    (fun k s ->
-      let const = m.pre_const.(k) in
-      s.lo_lin <- true;
-      s.up_lin <- true;
-      s.lo_c <- const;
-      s.up_c <- const;
-      s.lob <- eval_lower const s.lo_k ~lo ~hi;
-      s.upb <- eval_upper const s.up_k ~lo ~hi;
-      relax m.act0 s)
-    m.nodes0;
-  Array.fold_left
-    (fun post (l : slayer) ->
-      Array.iteri
-        (fun k s ->
-          combine l.w.(k) post l.b.(k) s ~lo ~hi;
-          relax l.act s)
-        l.nodes;
-      l.nodes)
-    m.nodes0 m.mid
+  let exact = ref true in
+  for k = 0 to Array.length m.nodes0 - 1 do
+    let s = m.nodes0.(k) in
+    let const = m.pre_const.(k) in
+    s.lo_lin <- true;
+    s.up_lin <- true;
+    s.lo_c <- const;
+    s.up_c <- const;
+    eval_both s const s.lo_k ~lo ~hi;
+    if relax m.act0 s then exact := false
+  done;
+  let post = ref m.nodes0 in
+  for i = 0 to Array.length m.mid - 1 do
+    let l = m.mid.(i) in
+    for k = 0 to Array.length l.nodes - 1 do
+      let s = l.nodes.(k) in
+      combine l.w.(k) !post l.b.(k) s ~lo ~hi;
+      if relax l.act s then exact := false
+    done;
+    post := l.nodes
+  done;
+  m.exact <- !exact
 
-(* Box classification: [`Robust] (no point flips), [`All_flip] (every
-   point flips), or [`Split] with the worst lower-bound slack (used to
-   order children). *)
-let classify m ~lo ~hi =
-  let post = propagate m ~lo ~hi in
+(* Margin [j]'s bounds over a box, left in [m.margin]: from the
+   propagated workspace, or from the stored exact forms. *)
+let margin_live m j ~lo ~hi =
+  combine m.out_coef.(j) m.post m.out_const.(j) m.margin ~lo ~hi
+
+let margin_stored m j ~lo ~hi =
+  eval_both m.margin m.ex_const.(j) m.ex_coef.(j) ~lo ~hi
+
+(* Box classification from each margin's bounds: [`Robust] (no point
+   flips), [`All_flip] (every point flips), or [`Split] with the worst
+   lower-bound slack (used to order children). *)
+let verdict margin m ~lo ~hi =
   let robust = ref true in
   let worst_slack = ref max_int in
   let all_flip = ref false in
   let s = m.margin in
   for j = 0 to n_margins m - 1 do
     if not !all_flip then begin
-      combine m.out_coef.(j) post m.out_const.(j) s ~lo ~hi;
+      margin m j ~lo ~hi;
       if s.upb < m.thr.(j) then all_flip := true
       else begin
         if s.lob < m.thr.(j) then robust := false;
@@ -357,6 +398,27 @@ let classify m ~lo ~hi =
   if !all_flip then `All_flip
   else if !robust then `Robust
   else `Split !worst_slack
+
+let classify m ~lo ~hi =
+  propagate m ~lo ~hi;
+  verdict margin_live m ~lo ~hi
+
+(* Keeps the margin forms of the box [propagate] last saw, which must
+   have been exact: each margin's lower and upper forms are then the same
+   linear form (constant margins keep zero coefficients). *)
+let store_forms m ~lo ~hi =
+  let n = n_margins m in
+  if Array.length m.ex_coef = 0 then begin
+    m.ex_const <- Array.make n 0;
+    m.ex_coef <- Array.init n (fun _ -> Array.make m.n_dims 0)
+  end;
+  for j = 0 to n - 1 do
+    margin_live m j ~lo ~hi;
+    let s = m.margin in
+    m.ex_const.(j) <- s.lo_c;
+    if s.lo_lin then Array.blit s.lo_k 0 m.ex_coef.(j) 0 m.n_dims
+    else Array.fill m.ex_coef.(j) 0 m.n_dims 0
+  done
 
 let vector_of_point (spec : Noise.spec) ~n_inputs point =
   if spec.Noise.bias_noise then
@@ -371,8 +433,11 @@ let widest_dim ~lo ~hi =
   !best
 
 let is_point ~lo ~hi =
-  let rec go d = d >= Array.length lo || (lo.(d) = hi.(d) && go (d + 1)) in
-  go 0
+  let d = ref 0 in
+  while !d < Array.length lo && lo.(!d) = hi.(!d) do
+    incr d
+  done;
+  !d = Array.length lo
 
 (* Floor division, matching [split]: plain (lo+hi)/2 truncates toward zero,
    so on an all-negative range the `All_flip` witness midpoint would
@@ -595,34 +660,65 @@ let fresh_cursor (spec : Noise.spec) ~input found =
    box, or a single point. [on_progress] runs every [progress_every]
    boxes, at a box boundary. An exception from [leaf] (the enumeration
    limit) propagates with [pending] already past the box that raised
-   it. *)
+   it.
+
+   Exact boxes. When [propagate] relaxes no node on a box, every hidden
+   node keeps one stable phase over it, so each margin's lower and upper
+   forms are the same exact linear form. A sub-box keeps those phases
+   (its node bounds lie inside the box's; a ReLU that is zero all over
+   it may trade its form for the constant 0, which has the same values),
+   so its margins are the same functions, and bounding a linear form
+   over a box is exact at its corners: classifying the sub-box from the
+   box's stored margin forms,
+   at O(margins * dims), gives what [classify] would, with no
+   propagation. When an exact box splits, the walk stores its forms and
+   notes [floor], the stack depth below its two children. The stack is
+   depth-first, so exactly the boxes popped while the depth stays at or
+   above [floor] lie inside it; the first pop below ends the subtree.
+   The visited boxes, their order, the poll cadence and [pending] are
+   those of a walk that propagates every box; a resumed cursor starts
+   with no floor and classifies the rest of a stopped subtree in full,
+   to the same result. *)
 let walk ?budget ~progress_every ~on_progress ~leaf m pending =
   if progress_every < 1 then invalid_arg "Bnb: progress_every must be >= 1";
   let boxes = ref 0 in
-  let rec loop () =
-    match !pending with
-    | [] -> `Complete
-    | (lo, hi) :: rest ->
-        incr boxes;
-        poll_budget budget !boxes;
-        pending := rest;
-        (match classify m ~lo ~hi with
-        | `Robust -> leaf ~flips:false ~lo ~hi
-        | `All_flip -> leaf ~flips:true ~lo ~hi
-        | `Split _ ->
-            if is_point ~lo ~hi then leaf ~flips:(flips_at_point m lo) ~lo ~hi
-            else begin
-              let box1, box2 = split ~lo ~hi in
-              pending := box1 :: box2 :: !pending
-            end);
-        if !boxes mod progress_every = 0 then on_progress ();
-        loop ()
-  in
+  let depth = ref (List.length !pending) in
+  let floor = ref max_int in
   match
     Resil.Budget.poll budget;
-    loop ()
+    while not (List.is_empty !pending) do
+      match !pending with
+      | [] -> ()
+      | (lo, hi) :: rest ->
+          incr boxes;
+          poll_budget budget !boxes;
+          pending := rest;
+          decr depth;
+          let cls =
+            if !depth >= !floor then verdict margin_stored m ~lo ~hi
+            else begin
+              floor := max_int;
+              classify m ~lo ~hi
+            end
+          in
+          (match cls with
+          | `Robust -> leaf ~flips:false ~lo ~hi
+          | `All_flip -> leaf ~flips:true ~lo ~hi
+          | `Split _ ->
+              if is_point ~lo ~hi then leaf ~flips:(flips_at_point m lo) ~lo ~hi
+              else begin
+                if !floor = max_int && m.exact then begin
+                  store_forms m ~lo ~hi;
+                  floor := !depth
+                end;
+                let box1, box2 = split ~lo ~hi in
+                pending := box1 :: box2 :: !pending;
+                depth := !depth + 2
+              end);
+          if !boxes mod progress_every = 0 then on_progress ()
+    done
   with
-  | s -> s
+  | () -> `Complete
   | exception Resil.Budget.Stopped r -> `Budget r
 
 let enumerate_flips_from ?(limit = 10_000) ?budget ?(progress_every = 256)
@@ -664,16 +760,13 @@ type mass = { flips : Util.Bigcount.t; kept : Util.Bigcount.t }
 
 let no_mass = { flips = Util.Bigcount.zero; kept = Util.Bigcount.zero }
 
-(* [reached] is the early stop: once it holds of the flip mass, the
-   count raises [Limit_reached]. *)
-let count_walk ?budget ?on_progress ~reached cursor net spec ~input ~label =
+let count_flips_from ?budget ?on_progress cursor net spec ~input ~label =
   let m = build net spec ~input ~label in
   let pending = ref cursor.pending in
   let flips = ref cursor.found.flips and kept = ref cursor.found.kept in
   let leaf ~flips:f ~lo ~hi =
     let side = if f then flips else kept in
-    side := Util.Bigcount.add !side (box_count ~lo ~hi);
-    if f && reached !flips then raise Limit_reached
+    side := Util.Bigcount.add !side (box_count ~lo ~hi)
   in
   let cursor_now () =
     { pending = !pending; found = { flips = !flips; kept = !kept } }
@@ -686,20 +779,29 @@ let count_walk ?budget ?on_progress ~reached cursor net spec ~input ~label =
   let status = walk ?budget ~progress_every:256 ~on_progress ~leaf m pending in
   (cursor_now (), status)
 
-let count_flips_from ?budget ?on_progress cursor net spec ~input ~label =
-  count_walk ?budget ?on_progress
-    ~reached:(fun _ -> false)
-    cursor net spec ~input ~label
+(* [box_count] as an int, saturating at [max_int]: the int view of a
+   count needs no [Util.Bigcount]. *)
+let box_volume ~lo ~hi =
+  let vol = ref 1 in
+  for d = 0 to Array.length lo - 1 do
+    let w = hi.(d) - lo.(d) + 1 in
+    if w > 1 then vol := if !vol > max_int / w then max_int else !vol * w
+  done;
+  !vol
 
 let count_flips ?(limit = max_int) net spec ~input ~label =
+  let m = build net spec ~input ~label in
   (* A saturated count reaches any [limit], so it reports [`Truncated]:
      a lower bound. *)
-  let reached = function
-    | Util.Bigcount.Exact n -> n >= limit
-    | Util.Bigcount.Huge _ -> true
+  let flips = ref 0 in
+  let leaf ~flips:f ~lo ~hi =
+    if f then begin
+      let v = box_volume ~lo ~hi in
+      flips := if v > max_int - !flips then max_int else !flips + v;
+      if !flips >= limit then raise Limit_reached
+    end
   in
-  let cursor = fresh_cursor spec ~input no_mass in
-  match count_walk ~reached cursor net spec ~input ~label with
-  | { found = { flips = Util.Bigcount.Exact n; _ }; _ }, `Complete ->
-      (n, `Complete)
-  | _ | (exception Limit_reached) -> (limit, `Truncated)
+  let pending = ref [ root_box spec m.n_dims ] in
+  match walk ~progress_every:max_int ~on_progress:ignore ~leaf m pending with
+  | `Complete -> (!flips, `Complete)
+  | `Budget _ | (exception Limit_reached) -> (limit, `Truncated)

@@ -16,7 +16,11 @@
     because boxes shrink to single points, which are evaluated concretely
     through the exact layered forward. Every call builds its own bound
     workspace and classifies each box once, so concurrent calls from
-    different domains share no state.
+    different domains share no state. A box on which no node is relaxed
+    is exact: every margin is one linear form over it and over each of
+    its sub-boxes, so the walk behind enumeration and counting
+    classifies the boxes below it from those forms, without propagating
+    them through the network.
 
     Any depth is supported; hidden layers may be ReLU, Sign (binarized
     networks) or Identity, and the output layer must be Identity. Both
@@ -176,8 +180,9 @@ val count_flips :
   input:int array ->
   label:int ->
   int * [ `Complete | `Truncated ]
-(** The saturating [int] view of an unbudgeted {!count_flips_from}: the
-    flip count when it is below [limit] (default [max_int]). The walk
+(** The saturating [int] view of an unbudgeted {!count_flips_from} (the
+    same walk, counting flips in an [int] and nothing else): the flip
+    count when it is below [limit] (default [max_int]). The walk
     stops as soon as the count reaches [limit] and reports
     [(limit, `Truncated)], a lower bound — so a whole 3^64 box reports
     [(max_int, `Truncated)]. *)

@@ -110,9 +110,12 @@ let for_input ?(limit = 10_000) ?budget ?checkpoint net spec ~input ~label
             (Bnb.fresh_cursor spec ~input 0, [])
         | `Mismatch msg -> invalid_arg msg
       in
-      let on_progress cursor fresh =
-        save_ckpt ~key ~path cursor (prefix @ fresh)
+      (* Each save rewrites the whole corpus so far. *)
+      let save =
+        Resil.Ckpt.throttle (fun (cursor, fresh) ->
+            save_ckpt ~key ~path cursor (prefix @ fresh))
       in
+      let on_progress cursor fresh = save (cursor, fresh) in
       let fresh, st, final =
         Bnb.enumerate_flips_from ~limit ?budget ~on_progress cursor net spec
           ~input ~label

@@ -49,7 +49,7 @@ val for_input :
     to 10_000; [Truncated] when it bites).
 
     [checkpoint] names a [fannet-ckpt/1] file: progress is saved there
-    periodically (atomic tmp+rename) and on a [Budget] stop, and an
+    at most once a second (atomic tmp+rename) and on a [Budget] stop, and an
     existing checkpoint for the {e same} query (network, spec, input,
     label, limit — validated by digest) is resumed seamlessly. A torn or
     corrupt checkpoint is reported on stderr and ignored (fresh start);

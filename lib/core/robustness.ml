@@ -68,9 +68,8 @@ let load_walk ~path ~key =
   | Ok c -> c
 
 (* One Bnb walk; with a checkpoint it resumes from the file, saves its
-   progress there at most once a second (a save every 256 boxes would
-   make a long walk up to twice as slow), and leaves the file behind
-   only when stopped. *)
+   progress there at most once a second ({!Resil.Ckpt.throttle}), and
+   leaves the file behind only when stopped. *)
 let walk ?budget ?checkpoint ~key net spec ~input ~label =
   let fresh () = Bnb.fresh_cursor spec ~input Bnb.no_mass in
   match checkpoint with
@@ -79,13 +78,7 @@ let walk ?budget ?checkpoint ~key net spec ~input ~label =
       let cursor =
         if Sys.file_exists path then load_walk ~path ~key else fresh ()
       in
-      let saved = ref (Obs.Clock.now_ns ()) in
-      let on_progress c =
-        if Obs.Clock.elapsed_s ~since:!saved >= 1.0 then begin
-          save_walk ~path ~key c;
-          saved := Obs.Clock.now_ns ()
-        end
-      in
+      let on_progress = Resil.Ckpt.throttle (save_walk ~path ~key) in
       let c, status =
         Bnb.count_flips_from ?budget ~on_progress cursor net spec ~input ~label
       in

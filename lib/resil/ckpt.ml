@@ -39,6 +39,14 @@ let save_string ~kind ~path data =
 
 let save ~kind ~path data = save_string ~kind ~path (Util.Json.to_string data)
 
+let throttle save =
+  let saved = ref (Obs.Clock.now_ns ()) in
+  fun x ->
+    if Obs.Clock.elapsed_s ~since:!saved >= 1.0 then begin
+      save x;
+      saved := Obs.Clock.now_ns ()
+    end
+
 let read_all path =
   let ic = open_in_bin path in
   Fun.protect

@@ -28,6 +28,13 @@ val save_string : kind:string -> path:string -> string -> unit
 (** [save] of data already in its JSON text, which is written as it
     is. *)
 
+val throttle : ('a -> unit) -> 'a -> unit
+(** [throttle save] is the progress hook of a checkpointed walk: it runs
+    [save] at most once a second, the first time a second after
+    [throttle] is called. A walk that rewrites its whole state on every
+    progress call would spend more time saving than walking; the caller
+    still saves once more where the walk stops. *)
+
 val load : kind:string -> path:string -> (Util.Json.t, string) result
 (** Read back the ["data"] payload. Errors (all strings mention [path]):
     missing file, torn/truncated content, checksum mismatch, malformed

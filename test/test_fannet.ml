@@ -405,6 +405,191 @@ let test_ladder_search_trees_pinned () =
         (fun () -> ignore (verdict ~max_boxes:(boxes - 1) ())))
     ladder_golden
 
+(* ---------- the Bnb walk, pinned ---------- *)
+
+(* The default pipeline network and its 32 analysis inputs, built once. *)
+let pipeline =
+  lazy
+    (let p = Fannet.Pipeline.run () in
+     (p.Fannet.Pipeline.qnet, Fannet.Pipeline.analysis_inputs p))
+
+let vector_line (v : N.vector) =
+  Printf.sprintf "%d|%s\n" v.N.bias
+    (String.concat "," (Array.to_list (Array.map string_of_int v.N.inputs)))
+
+let walk_status = function
+  | `Complete -> "complete"
+  | `Truncated -> "truncated"
+  | `Budget _ -> "budget"
+
+let md5 b = Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The digests below were captured from the walk that propagated every
+   box through the whole network. Classifying an exact box's sub-boxes
+   from its stored margin forms must visit the same boxes in the same
+   order, so every vector comes back in the same place. *)
+let test_extract_corpus_pinned () =
+  let net, inputs = Lazy.force pipeline in
+  let corpus, status =
+    Fannet.Extract.for_inputs ~jobs:1 net (N.symmetric ~delta:15 ~bias_noise:true)
+      ~inputs
+  in
+  let b = Buffer.create 1_000_000 in
+  List.iter
+    (fun (c : Fannet.Extract.counterexample) ->
+      Buffer.add_string b
+        (Printf.sprintf "%d %d %d " c.input_index c.true_label c.predicted);
+      Buffer.add_string b (vector_line c.vector))
+    corpus;
+  Alcotest.(check int) "vectors" 30_132 (List.length corpus);
+  Alcotest.(check string) "status" "truncated" (Fannet.Extract.status_to_string status);
+  Alcotest.(check string) "ordered corpus" "927f066e8304d8f26603fa052045079a" (md5 b)
+
+(* (delta, bias noise, enumeration digest, count digest) over the 32
+   inputs: [enumerate_flips ~limit:2_000] lists each input's status,
+   size and vectors in order; [count_flips ~limit:1_000_000] its count
+   and status (inputs 19 and 23 reach the limit at +-15). *)
+let walk_grid_golden =
+  [
+    (5, true, "59927f7e0d502ee8a1b3a923a49910cc", "51a17045b8022f728170872bda59845f");
+    (11, false, "59927f7e0d502ee8a1b3a923a49910cc", "51a17045b8022f728170872bda59845f");
+    (15, true, "11ae6993950c8703685ad61afed05e90", "b76eb8d2a0b159983dbf630980acf98e");
+  ]
+
+let test_walk_grid_pinned () =
+  let net, inputs = Lazy.force pipeline in
+  List.iter
+    (fun (delta, bias_noise, enum_md5, count_md5) ->
+      let spec = N.symmetric ~delta ~bias_noise in
+      let be = Buffer.create 100_000 and bc = Buffer.create 1_000 in
+      Array.iteri
+        (fun i (input, label) ->
+          let vs, st = Fannet.Bnb.enumerate_flips ~limit:2_000 net spec ~input ~label in
+          Buffer.add_string be
+            (Printf.sprintf "#%d %s %d\n" i (walk_status st) (List.length vs));
+          List.iter (fun v -> Buffer.add_string be (vector_line v)) vs;
+          let n, st = Fannet.Bnb.count_flips ~limit:1_000_000 net spec ~input ~label in
+          Buffer.add_string bc (Printf.sprintf "#%d %d %s\n" i n (walk_status st)))
+        inputs;
+      let name = Printf.sprintf "+-%d bias=%b" delta bias_noise in
+      Alcotest.(check string) (name ^ " enumerate") enum_md5 (md5 be);
+      Alcotest.(check string) (name ^ " count") count_md5 (md5 bc))
+    walk_grid_golden
+
+(* Nets whose hidden layers are all Identity: every node is stable on
+   every box, so the root box is exact and the whole walk below it is
+   classified from the root's margin forms. *)
+let identity_net_gen =
+  let open QCheck.Gen in
+  let* n_in = int_range 2 3 in
+  let* widths = list_size (int_range 1 2) (int_range 2 3) in
+  let weight = int_range (-8) 8 in
+  let dims = Array.of_list ((n_in :: widths) @ [ 2 ]) in
+  let* layers =
+    flatten_l
+      (List.init (Array.length dims - 1) (fun li ->
+           let rows = dims.(li + 1) and cols = dims.(li) in
+           let* weights = array_size (return rows) (array_size (return cols) weight) in
+           let* bias = array_size (return rows) (int_range (-30) 30) in
+           return { Nn.Qnet.weights; bias; act = Nn.Qnet.Identity }))
+  in
+  let* input = array_size (return n_in) (int_range 1 60) in
+  return (Nn.Qnet.create (Array.of_list layers), input)
+
+let arb_identity_net =
+  QCheck.make
+    ~print:(fun ((net : Nn.Qnet.t), input) ->
+      Printf.sprintf "net %s input [%s]" (Nn.Qnet.to_string net)
+        (String.concat ";" (Array.to_list (Array.map string_of_int input))))
+    identity_net_gen
+
+let prop_identity_walk_equals_explicit =
+  QCheck.Test.make ~name:"identity hidden layers: enumerate, count = brute force"
+    ~count:60 arb_identity_net (fun ((net : Nn.Qnet.t), input) ->
+      List.for_all
+        (fun (label, delta, bias_noise) ->
+          let spec = N.symmetric ~delta ~bias_noise in
+          let brute =
+            Fannet.Extract.explicit_for_input net spec ~input ~label ~input_index:0
+              ~limit:1_000_000
+            |> List.map (fun (c : Fannet.Extract.counterexample) -> c.vector)
+          in
+          let vectors, st = Fannet.Bnb.enumerate_flips ~limit:1_000_000 net spec ~input ~label in
+          let count, st_count = Fannet.Bnb.count_flips net spec ~input ~label in
+          st = `Complete
+          && List.sort N.compare vectors = List.sort N.compare brute
+          && st_count = `Complete
+          && count = List.length brute)
+        [ (Nn.Qnet.predict net input, 3, false); (0, 2, true); (1, 4, false) ])
+
+(* A stop inside an exact subtree leaves boxes whose margin forms only
+   the stopped walk held; the resumed walk classifies them afresh and
+   must end where the uninterrupted walk ends. *)
+let test_resume_inside_exact_subtree () =
+  let net =
+    Nn.Qnet.create
+      [|
+        {
+          Nn.Qnet.weights = [| [| 3; -2 |]; [| -1; 2 |]; [| 2; 1 |] |];
+          bias = [| 1; 0; -4 |];
+          act = Nn.Qnet.Identity;
+        };
+        {
+          Nn.Qnet.weights = [| [| 2; -1; 1 |]; [| -1; 2; 2 |] |];
+          bias = [| 0; 1 |];
+          act = Nn.Qnet.Identity;
+        };
+      |]
+  in
+  let input = [| 21; 17 |] in
+  let label = Nn.Qnet.predict net input in
+  let spec = N.symmetric ~delta:60 ~bias_noise:true in
+  let fresh found = Fannet.Bnb.fresh_cursor spec ~input found in
+  (* Cancels the budget at the first progress call; the walk stops at
+     its next poll, between two boxes of the root's exact subtree. *)
+  let stopper () =
+    let budget = Resil.Budget.unlimited () in
+    (budget, fun _ -> Resil.Budget.cancel (Resil.Budget.cancellation budget))
+  in
+  let all, st, _ =
+    Fannet.Bnb.enumerate_flips_from ~limit:max_int (fresh 0) net spec ~input ~label
+  in
+  Alcotest.(check bool) "uninterrupted enumeration complete" true (st = `Complete);
+  let budget, stop = stopper () in
+  let head, st, cursor =
+    Fannet.Bnb.enumerate_flips_from ~limit:max_int ~budget ~progress_every:100
+      ~on_progress:(fun c _ -> stop c)
+      (fresh 0) net spec ~input ~label
+  in
+  Alcotest.(check bool) "enumeration stopped" true
+    (match st with `Budget _ -> true | _ -> false);
+  Alcotest.(check bool) "boxes left" true (cursor.Fannet.Bnb.pending <> []);
+  let tail, st, _ =
+    Fannet.Bnb.enumerate_flips_from ~limit:max_int cursor net spec ~input ~label
+  in
+  Alcotest.(check bool) "resumed enumeration complete" true (st = `Complete);
+  Alcotest.(check bool) "resumed = uninterrupted" true
+    (List.equal N.equal all (head @ tail));
+  let whole, st = Fannet.Bnb.count_flips_from (fresh Fannet.Bnb.no_mass) net spec ~input ~label in
+  Alcotest.(check bool) "uninterrupted count complete" true (st = `Complete);
+  let budget, stop = stopper () in
+  let part, st =
+    Fannet.Bnb.count_flips_from ~budget ~on_progress:stop
+      (fresh Fannet.Bnb.no_mass) net spec ~input ~label
+  in
+  Alcotest.(check bool) "count stopped" true
+    (match st with `Budget _ -> true | _ -> false);
+  Alcotest.(check bool) "count boxes left" true (part.Fannet.Bnb.pending <> []);
+  let resumed, st = Fannet.Bnb.count_flips_from part net spec ~input ~label in
+  Alcotest.(check bool) "resumed count complete" true (st = `Complete);
+  let mass (c : Fannet.Bnb.mass Fannet.Bnb.cursor) =
+    ( Util.Bigcount.to_string c.Fannet.Bnb.found.Fannet.Bnb.flips,
+      Util.Bigcount.to_string c.Fannet.Bnb.found.Fannet.Bnb.kept )
+  in
+  Alcotest.(check (pair string string)) "resumed mass" (mass whole) (mass resumed);
+  Alcotest.(check int) "flips counted = enumerated" (List.length all)
+    (int_of_string (fst (mass whole)))
+
 let test_count_flips_saturates () =
   (* Regression: box volumes were multiplied without saturating. With the
      label flipped, the whole 3^64 box of this rung flips, and the count
@@ -1349,6 +1534,11 @@ let () =
           Alcotest.test_case "ladder search trees pinned" `Quick
             test_ladder_search_trees_pinned;
           Alcotest.test_case "count_flips saturates" `Quick test_count_flips_saturates;
+          Alcotest.test_case "extract corpus pinned" `Quick test_extract_corpus_pinned;
+          Alcotest.test_case "walk grid pinned" `Quick test_walk_grid_pinned;
+          QCheck_alcotest.to_alcotest prop_identity_walk_equals_explicit;
+          Alcotest.test_case "resume inside an exact subtree" `Quick
+            test_resume_inside_exact_subtree;
           Alcotest.test_case "midpoint floors on negative boxes" `Quick
             test_bnb_midpoint_floor_negative_box;
           QCheck_alcotest.to_alcotest prop_interval_sound_wrt_explicit;

@@ -614,6 +614,42 @@ let test_extract_checkpoint_resume_equals_uninterrupted () =
   Alcotest.(check bool) "checkpoint removed on completion" false
     (Sys.file_exists path)
 
+(* The pipeline's input 19 at +-15 %: a 10,000-vector corpus over a
+   walk of thousands of boxes. Short deadlines stop it many times, each
+   stop saves the cursor and the corpus so far, and the run that
+   finishes must hand back the uninterrupted corpus. *)
+let test_extract_pipeline_resume_under_deadlines () =
+  let p = Fannet.Pipeline.run () in
+  let input, label = (Fannet.Pipeline.analysis_inputs p).(19) in
+  let net = p.Fannet.Pipeline.qnet in
+  let spec = N.symmetric ~delta:15 ~bias_noise:true in
+  let uninterrupted, status =
+    Fannet.Extract.for_input net spec ~input ~label ~input_index:19
+  in
+  Alcotest.(check bool) "baseline truncated at the limit" true
+    (status = Fannet.Extract.Truncated);
+  let path = tmp_file ".ckpt" in
+  Sys.remove path;
+  let finished = ref None and stops = ref 0 in
+  while !finished = None && !stops < 2_000 do
+    let budget = R.create ~timeout_s:(0.0002 *. float_of_int (!stops + 1)) () in
+    match
+      Fannet.Extract.for_input ~budget ~checkpoint:path net spec ~input ~label
+        ~input_index:19
+    with
+    | cexs, Fannet.Extract.Truncated -> finished := Some cexs
+    | _, Fannet.Extract.Complete -> Alcotest.fail "unexpected completion"
+    | _, Fannet.Extract.Budget _ -> incr stops
+  done;
+  (match !finished with
+  | None -> Alcotest.fail "never finished under repeated deadlines"
+  | Some resumed ->
+      Alcotest.(check bool) "stopped and resumed several times" true (!stops >= 2);
+      Alcotest.(check bool) "identical corpus, identical order" true
+        (cex_list_equal uninterrupted resumed));
+  Alcotest.(check bool) "checkpoint removed on completion" false
+    (Sys.file_exists path)
+
 let test_extract_checkpoint_survives_torn_write () =
   with_clean_faults (fun () ->
       let net = tiny_qnet () in
@@ -862,6 +898,8 @@ let () =
         [
           Alcotest.test_case "extract kill-and-resume" `Quick
             test_extract_checkpoint_resume_equals_uninterrupted;
+          Alcotest.test_case "extract pipeline resume under deadlines" `Quick
+            test_extract_pipeline_resume_under_deadlines;
           Alcotest.test_case "extract torn checkpoint" `Quick
             test_extract_checkpoint_survives_torn_write;
           Alcotest.test_case "extract query mismatch" `Quick

@@ -1,4 +1,4 @@
-.PHONY: build test check bench bench-parallel bench-ladder fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke perfbench-smoke fmt clean
+.PHONY: build test check bench bench-ladder fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke perfbench-smoke fmt clean
 
 build:
 	dune build
@@ -9,9 +9,10 @@ test:
 # Tier-1 verification: build, unit/property tests, the differential
 # fuzzing oracle (all five backends against the explicit enumerator),
 # one end-to-end certified verdict, an instrumented profile run whose
-# metrics snapshot must self-validate, and the parallel-engine
-# no-regression gate (work stealing, warm sessions, portfolio).
-check: build test fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke bench-parallel perfbench-smoke
+# metrics snapshot must self-validate, the serving, crash-isolation,
+# counting and scaling-ladder smokes, and the repository benchmark's
+# smoke run.
+check: build test fuzz-smoke certify-smoke metrics-smoke faults-smoke serve-smoke chaos-smoke count-smoke ladder-smoke perfbench-smoke
 
 # Differential fuzzing subset for CI (< 10 s): 200 random cases, fixed
 # seed, fails with a shrunk reproducer on any backend disagreement.
@@ -157,9 +158,11 @@ count-smoke:
 # decides, and the deep binarized rung whose revalidated counterexample
 # Bnb must find. Writes the untracked BENCH_ladder.smoke.json (the
 # tracked BENCH_ladder.json is the full run's); exit 2 on any violated
-# assertion.
+# assertion. The bench must refuse an argument it does not know (exit 2)
+# rather than fall through to the full multi-minute suite.
 ladder-smoke:
 	dune exec bench/main.exe -- --ladder --smoke -o BENCH_ladder.smoke.json
+	dune exec bench/main.exe -- --parallel 2>/dev/null; [ $$? -eq 2 ]
 
 # Repository-benchmark smoke (~40 s): each perfbench workload for 2 s
 # untraced, then paper-batch and certify-cold traced so their
@@ -178,20 +181,9 @@ perfbench-smoke:
 	    || { echo "FAIL: perfbench $$w --trace $$tr is not correct or has failures"; exit 1; }; \
 	done
 
-# Full evaluation suite (E1-E15, E19, E22 + Bechamel timings); takes minutes.
+# Full evaluation suite (E1-E14, E22 + Bechamel timings); takes minutes.
 bench:
 	dune exec bench/main.exe
-
-# Parallel-engine gate (E15 + E19, smoke-sized, < 10 s): jobs=1 vs
-# jobs=N verdict equality, work-stealing effort accounting, warm-pool
-# reuse (0 re-encodes on a repeat search) and a portfolio race whose
-# winning certificate must pass the independent RUP checker. Asserts
-# no-regression everywhere and speedup > 1 only on multi-core, full
-# runs — deliberately non-flaky, so `make check` includes it. Writes the
-# untracked BENCH_parallel.smoke.json, so the gate leaves the tracked
-# BENCH_parallel.json as `make bench` last wrote it.
-bench-parallel:
-	dune exec bench/main.exe -- --parallel -o BENCH_parallel.smoke.json
 
 # Scaling-ladder section (E22, ~1 min): {6, 64, 784} inputs x {2, 3, 4}
 # layers x {relu-quantized, binarized} at noise deltas 1-2 — interval vs
@@ -204,10 +196,10 @@ bench-ladder:
 fmt:
 	dune fmt
 
-# BENCH_parallel.json and BENCH_ladder.json are tracked artefacts
-# (regenerated by `make bench` and `make bench-ladder`), so clean leaves
-# them alone; the smoke gates' copies go.
+# BENCH_ladder.json is a tracked artefact (regenerated by `make bench`
+# and `make bench-ladder`), so clean leaves it alone; the smoke gate's
+# copy goes.
 clean:
 	dune clean
 	rm -f certify_smoke.drup certify_smoke.drup.cnf metrics_smoke.json serve_smoke.out \
-	  BENCH_ladder.smoke.json BENCH_parallel.smoke.json
+	  BENCH_ladder.smoke.json

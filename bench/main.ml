@@ -1,9 +1,9 @@
 (* Benchmark harness: regenerates every evaluation artefact of the paper
-   (DESIGN.md experiment index E1-E15, E19, E22), printing the measured
-   rows next to the paper's reported values, then runs a Bechamel timing
-   suite over the main code paths.
+   (DESIGN.md experiment index E1-E14, E22), printing the measured rows
+   next to the paper's reported values, then runs a Bechamel timing suite
+   over the main code paths.
 
-   Run with: dune exec bench/main.exe [--parallel | --ladder [--smoke]] *)
+   Run with: dune exec bench/main.exe [--ladder [--smoke] [-o FILE]] *)
 
 let section title = Printf.printf "\n=== %s ===\n%!" title
 
@@ -695,434 +695,6 @@ let extension_absolute_noise (p : Fannet.Pipeline.t) =
     \ literature - both run on the same engines)"
 
 (* ------------------------------------------------------------------ *)
-(* E15 - parallel engine, cascade prefilter, incremental search        *)
-(* ------------------------------------------------------------------ *)
-
-(* A small fixed network for the incremental-SMT comparison: bit-blasting
-   the full pipeline network takes tens of seconds per UNSAT probe (the
-   scalability wall measured in E7), so the warm-vs-cold session contrast
-   is shown on a model where both sides finish in milliseconds. *)
-let small_qnet () =
-  Nn.Qnet.create
-    [|
-      {
-        Nn.Qnet.weights =
-          [|
-            [| 31; -22 |]; [| -13; 41 |]; [| 17; 9 |]; [| -25; 14 |];
-          |];
-        bias = [| 55; -31; 12; -7 |];
-        act = Nn.Qnet.Relu;
-      };
-      {
-        Nn.Qnet.weights = [| [| 21; -33; 11; -9 |]; [| -20; 31; -12; 10 |] |];
-        bias = [| 13; 0 |];
-        act = Nn.Qnet.Identity;
-      };
-    |]
-
-let bench_parallel ?(smoke = false) (p : Fannet.Pipeline.t) ~out =
-  section "E15 bench_parallel (domain pool + cascade prefilter + incremental search)";
-  let all_inputs = Fannet.Pipeline.analysis_inputs p in
-  let inputs =
-    if smoke then Array.sub all_inputs 0 (min 6 (Array.length all_inputs))
-    else all_inputs
-  in
-  let delta = 15 in
-  let max_delta = if smoke then 30 else 50 in
-  (* Exercise the pool even on single-core machines: chunking and domain
-     spawning must preserve results regardless of the hardware count. *)
-  let njobs = max 2 (Util.Parallel.default_jobs ()) in
-  let table =
-    Util.Table.create
-      ~header:
-        [ "analysis"; "backend"; "jobs=1 (s)"; Printf.sprintf "jobs=%d (s)" njobs;
-          "speedup"; "equal"; "prefilter hit rate" ]
-  in
-  let analyses = ref [] in
-  let run_analysis name backend f =
-    let cascade = match backend with Fannet.Backend.Cascade _ -> true | _ -> false in
-    let r1, t1 = time_of (fun () -> f ~jobs:1 backend) in
-    if cascade then Fannet.Backend.reset_cascade_stats ();
-    let rn, tn = time_of (fun () -> f ~jobs:njobs backend) in
-    let stats = if cascade then Some (Fannet.Backend.cascade_stats ()) else None in
-    let equal = r1 = rn in
-    if not equal then
-      failwith (Printf.sprintf "E15: %s verdicts differ between jobs=1 and jobs=%d" name njobs);
-    let hit_rate = Option.map Fannet.Backend.cascade_hit_rate stats in
-    Util.Table.add_row table
-      [
-        name;
-        Fannet.Backend.to_string backend;
-        Printf.sprintf "%.3f" t1;
-        Printf.sprintf "%.3f" tn;
-        Printf.sprintf "%.2fx" (t1 /. tn);
-        string_of_bool equal;
-        (match hit_rate with
-        | Some r -> Printf.sprintf "%.0f%%" (100. *. r)
-        | None -> "-");
-      ];
-    analyses :=
-      Util.Json.Obj
-        ([
-           ("analysis", Util.Json.String name);
-           ("backend", Util.Json.String (Fannet.Backend.to_string backend));
-           ("jobs1_s", Util.Json.Float t1);
-           ("jobsN_s", Util.Json.Float tn);
-           ("speedup", Util.Json.Float (t1 /. tn));
-           ("verdicts_equal", Util.Json.Bool equal);
-         ]
-        @
-        match stats with
-        | None -> []
-        | Some s ->
-            [
-              ("interval_hits", Util.Json.Int s.Fannet.Backend.interval_hits);
-              ("escalations", Util.Json.Int s.Fannet.Backend.escalations);
-              ( "hit_rate",
-                Util.Json.Float (Fannet.Backend.cascade_hit_rate s) );
-            ])
-      :: !analyses;
-    r1
-  in
-  let misclassified ~jobs backend =
-    List.map
-      (fun (f : Fannet.Tolerance.flip) -> (f.input_index, f.predicted))
-      (Fannet.Tolerance.misclassified_at ~jobs backend p.qnet ~bias_noise ~delta
-         ~inputs)
-  in
-  let tolerance ~jobs backend =
-    [ (Fannet.Tolerance.network_tolerance ~jobs backend p.qnet ~bias_noise
-         ~max_delta ~inputs, 0) ]
-  in
-  let extract ~jobs _backend =
-    let spec = Fannet.Noise.symmetric ~delta ~bias_noise in
-    let cexs, _ =
-      Fannet.Extract.for_inputs ~limit_per_input:50 ~jobs p.qnet spec ~inputs
-    in
-    List.map
-      (fun (c : Fannet.Extract.counterexample) -> (c.input_index, c.predicted))
-      cexs
-  in
-  let mis_bnb = run_analysis "misclassified_at" Fannet.Backend.Bnb misclassified in
-  let mis_cascade =
-    run_analysis "misclassified_at" Fannet.Backend.default_cascade misclassified
-  in
-  if mis_bnb <> mis_cascade then
-    failwith "E15: cascade(bnb) disagrees with bnb on misclassified_at";
-  ignore (run_analysis "extract_for_inputs" Fannet.Backend.Bnb extract);
-  let tol_bnb = run_analysis "network_tolerance" Fannet.Backend.Bnb tolerance in
-  let tol_cascade =
-    run_analysis "network_tolerance" Fannet.Backend.default_cascade tolerance
-  in
-  if tol_bnb <> tol_cascade then
-    failwith "E15: cascade(bnb) disagrees with bnb on network_tolerance";
-  Util.Table.print table;
-  (* Incremental bit-blasted binary search: one warm session with assumable
-     range literals vs re-encoding the network at every probe. *)
-  let qnet = small_qnet () in
-  let sinput = [| 112; 87 |] in
-  let slabel = Nn.Qnet.predict qnet sinput in
-  let smt_max_delta = 40 in
-  let warm, warm_t =
-    time_of (fun () ->
-        Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Smt qnet
-          ~bias_noise:false ~max_delta:smt_max_delta ~input:sinput ~label:slabel)
-  in
-  let cold, cold_t =
-    time_of (fun () ->
-        (* The pre-incremental procedure: a fresh Tseitin encoding and solver
-           per probe of the same monotone binary search. *)
-        let flips d =
-          let spec = Fannet.Noise.symmetric ~delta:d ~bias_noise:false in
-          match
-            Fannet.Backend.exists_flip Fannet.Backend.Smt qnet spec ~input:sinput
-              ~label:slabel
-          with
-          | Fannet.Backend.Flip _ -> true
-          | Fannet.Backend.Robust -> false
-          | Fannet.Backend.Unknown _ -> failwith "E15: smt probe unknown"
-        in
-        if not (flips smt_max_delta) then None
-        else if flips 0 then Some 0
-        else begin
-          let rec search lo hi =
-            if hi - lo <= 1 then hi
-            else
-              let mid = (lo + hi) / 2 in
-              if flips mid then search lo mid else search mid hi
-          in
-          Some (search 0 smt_max_delta)
-        end)
-  in
-  let bnb_ref =
-    Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Bnb qnet ~bias_noise:false
-      ~max_delta:smt_max_delta ~input:sinput ~label:slabel
-  in
-  if warm <> cold || warm <> bnb_ref then
-    failwith "E15: incremental smt min-flip disagrees with cold smt or bnb";
-  let show = function Some d -> Printf.sprintf "+-%d%%" d | None -> "robust" in
-  Printf.printf
-    "incremental smt min-flip (small net): %s in %.3fs warm session vs %.3fs\n\
-    \ re-encoding per probe (%.2fx); bnb agrees (%s)\n"
-    (show warm) warm_t cold_t (cold_t /. warm_t) (show bnb_ref);
-  (* ---------------------------------------------------------------- *)
-  (* E19: work-stealing effort accounting, warm session pool reuse and  *)
-  (* the diversified solver portfolio with a certified winner.          *)
-  (* ---------------------------------------------------------------- *)
-  section "E19 bench_parallel_v2 (work stealing + warm sessions + portfolio)";
-  let cores = Domain.recommended_domain_count () in
-  let single_core = cores <= 1 in
-  (* Speedup contract: with real cores a parallel ladder must beat
-     jobs=1; on a single-core box the honest ratio is <= 1 and the gate
-     is no-regression only — domain spawning and stealing may not cost
-     more than a bounded constant factor. *)
-  let no_regression_floor = 0.15 in
-  (* Sub-10ms smoke timings are dominated by domain-spawn constants and
-     scheduler noise, so the ratio floor alone would flake; a failure
-     additionally requires an absolute regression worth caring about. *)
-  let abs_regression_slack_s = 0.05 in
-  let assert_speedup name ~t1 ~tn =
-    let sp = t1 /. tn in
-    if single_core then begin
-      if sp < no_regression_floor && tn -. t1 > abs_regression_slack_s then
-        failwith
-          (Printf.sprintf
-             "E19: %s single-core ratio %.2fx below the %.2fx no-regression floor"
-             name sp no_regression_floor)
-    end
-    else if (not smoke) && sp <= 1.0 then
-      failwith
-        (Printf.sprintf "E19: %s speedup %.2fx with %d cores — parallelism does not pay"
-           name sp cores)
-  in
-  List.iter
-    (fun entry ->
-      match entry with
-      | Util.Json.Obj kvs -> (
-          match
-            ( List.assoc_opt "analysis" kvs,
-              List.assoc_opt "jobs1_s" kvs,
-              List.assoc_opt "jobsN_s" kvs )
-          with
-          | ( Some (Util.Json.String name),
-              Some (Util.Json.Float t1),
-              Some (Util.Json.Float tn) ) ->
-              assert_speedup name ~t1 ~tn
-          | _ -> ())
-      | _ -> ())
-    !analyses;
-  (* Work-stealing effort: re-run the per-input flip scan with a probe
-     installed and account each worker's items, steals and busy time.
-     The imbalance gauge is slowest-worker busy time over the mean — 1.0
-     is perfect balance, and stealing is what pushes it towards 1. *)
-  let batches = ref 0 and steals = ref 0 and stolen_items = ref 0 in
-  let imbalance = ref 1.0 in
-  let probe =
-    {
-      Util.Parallel.now_s =
-        (fun () -> Int64.to_float (Obs.Clock.now_ns ()) *. 1e-9);
-      record =
-        (fun ~stats ->
-          incr batches;
-          Array.iter
-            (fun (w : Util.Parallel.worker_stat) ->
-              steals := !steals + w.steals;
-              stolen_items := !stolen_items + w.items)
-            stats;
-          let busy = Array.map (fun (w : Util.Parallel.worker_stat) -> w.busy_s) stats in
-          let slowest = Array.fold_left max 0. busy in
-          let mean =
-            Array.fold_left ( +. ) 0. busy /. float_of_int (Array.length busy)
-          in
-          if mean > 0. then imbalance := slowest /. mean);
-    }
-  in
-  Util.Parallel.set_probe (Some probe);
-  ignore (misclassified ~jobs:njobs Fannet.Backend.Bnb);
-  Util.Parallel.set_probe None;
-  Printf.printf
-    "work stealing (jobs=%d): %d batches, %d items, %d steals, imbalance %.2f\n"
-    njobs !batches !stolen_items !steals !imbalance;
-  (* Warm session pool: the same binary search twice — the repeat must
-     re-encode nothing and answer identically from the pooled session. *)
-  Fannet.Warm.reset ();
-  let warm_search () =
-    Fannet.Tolerance.input_min_flip_delta Fannet.Backend.Smt qnet
-      ~bias_noise:false ~max_delta:smt_max_delta ~input:sinput ~label:slabel
-  in
-  let first, first_s = time_of warm_search in
-  let misses_after_first = Fannet.Warm.misses () in
-  let repeat, repeat_s = time_of warm_search in
-  let warm_hits = Fannet.Warm.hits () in
-  let warm_misses = Fannet.Warm.misses () in
-  let warm_evictions = Fannet.Warm.evictions () in
-  if first <> repeat || first <> warm then
-    failwith "E19: warm-pool repeat search changed its answer";
-  if warm_misses <> misses_after_first then
-    failwith "E19: warm-pool repeat search re-encoded the network";
-  let warm_hit_rate =
-    float_of_int warm_hits /. float_of_int (max 1 (warm_hits + warm_misses))
-  in
-  let warm_speedup = first_s /. repeat_s in
-  assert_speedup "warm_pool_repeat" ~t1:first_s ~tn:repeat_s;
-  Printf.printf
-    "warm pool: first search %.4fs (%d encodes), repeat %.4fs (%.2fx, 0 encodes,\n\
-    \ %d hits, %.0f%% hit rate)\n"
-    first_s warm_misses repeat_s warm_speedup warm_hits (100. *. warm_hit_rate);
-  (* Portfolio: race diversified solvers on a robust and (when the net
-     admits one) a flipping query; the winner's DRUP certificate must
-     pass the independent checker — the same acceptance bar as the
-     single-solver certified path. *)
-  let width = max 2 (Fannet.Portfolio.default_width ()) in
-  Obs.Report.enable ();
-  Obs.Report.reset ();
-  let portfolio_deltas =
-    match bnb_ref with None -> [ 0; smt_max_delta ] | Some d -> [ 0; d ]
-  in
-  let portfolio_rows =
-    List.map
-      (fun pdelta ->
-        let spec = Fannet.Noise.symmetric ~delta:pdelta ~bias_noise:false in
-        let truth =
-          Fannet.Backend.exists_flip Fannet.Backend.Bnb qnet spec ~input:sinput
-            ~label:slabel
-        in
-        let cv_single, single_s =
-          time_of (fun () ->
-              Fannet.Backend.certified_exists_flip qnet spec ~input:sinput
-                ~label:slabel)
-        in
-        let (cv, seed), portfolio_s =
-          time_of (fun () ->
-              Fannet.Portfolio.certified_exists_flip ~width qnet spec
-                ~input:sinput ~label:slabel)
-        in
-        let verdict_class v =
-          match v with
-          | Fannet.Backend.Robust -> "robust"
-          | Fannet.Backend.Flip _ -> "flip"
-          | Fannet.Backend.Unknown _ -> "unknown"
-        in
-        if verdict_class cv.Fannet.Backend.cv_verdict <> verdict_class truth
-        then
-          failwith
-            (Printf.sprintf "E19: portfolio disagrees with bnb at +-%d%%" pdelta);
-        if
-          verdict_class cv_single.Fannet.Backend.cv_verdict
-          <> verdict_class truth
-        then
-          failwith
-            (Printf.sprintf "E19: single solver disagrees with bnb at +-%d%%"
-               pdelta);
-        let winner =
-          match seed with
-          | Some s -> s
-          | None -> failwith "E19: decided portfolio verdict without a winner"
-        in
-        (match
-           Fannet.Backend.check_certified qnet spec ~input:sinput ~label:slabel
-             cv
-         with
-        | Ok () -> ()
-        | Error e ->
-            failwith
-              (Printf.sprintf
-                 "E19: portfolio winner's certificate rejected at +-%d%%: %s"
-                 pdelta e));
-        Printf.printf
-          "portfolio +-%d%% (width %d): %s, winner seed %d, certificate checked\n\
-          \ (%.4fs vs %.4fs single solver)\n"
-          pdelta width
-          (verdict_class cv.Fannet.Backend.cv_verdict)
-          winner portfolio_s single_s;
-        Util.Json.Obj
-          [
-            ("delta", Util.Json.Int pdelta);
-            ("verdict", Util.Json.String (verdict_class cv.Fannet.Backend.cv_verdict));
-            ("winner_seed", Util.Json.Int winner);
-            ("single_s", Util.Json.Float single_s);
-            ("portfolio_s", Util.Json.Float portfolio_s);
-            ("certificate_checked", Util.Json.Bool true);
-          ])
-      portfolio_deltas
-  in
-  let cval name = Obs.Metrics.counter_value (Obs.Metrics.counter name) in
-  let races = cval "portfolio.races" in
-  let undecided = cval "portfolio.undecided" in
-  let wins_by_seed =
-    List.init width (fun s ->
-        ( Printf.sprintf "seed%d" s,
-          Util.Json.Int (cval (Printf.sprintf "portfolio.wins.seed%d" s)) ))
-  in
-  Obs.Report.disable ();
-  Obs.Report.reset ();
-  let json =
-    Util.Json.Obj
-      [
-        ("schema", Util.Json.String "fannet.bench_parallel/2");
-        ("smoke", Util.Json.Bool smoke);
-        ("jobs", Util.Json.Int njobs);
-        ("recommended_domains", Util.Json.Int cores);
-        ("single_core", Util.Json.Bool single_core);
-        ("no_regression_floor", Util.Json.Float no_regression_floor);
-        ("n_inputs", Util.Json.Int (Array.length inputs));
-        ("delta", Util.Json.Int delta);
-        ("max_delta", Util.Json.Int max_delta);
-        ("analyses", Util.Json.List (List.rev !analyses));
-        ( "incremental_smt",
-          Util.Json.Obj
-            [
-              ("max_delta", Util.Json.Int smt_max_delta);
-              ( "min_flip_delta",
-                match warm with
-                | Some d -> Util.Json.Int d
-                | None -> Util.Json.Null );
-              ("warm_s", Util.Json.Float warm_t);
-              ("cold_s", Util.Json.Float cold_t);
-              ("speedup", Util.Json.Float (cold_t /. warm_t));
-              ("agrees_bnb", Util.Json.Bool (warm = bnb_ref));
-            ] );
-        ( "work_stealing",
-          Util.Json.Obj
-            [
-              ("jobs", Util.Json.Int njobs);
-              ("batches", Util.Json.Int !batches);
-              ("items", Util.Json.Int !stolen_items);
-              ("steals", Util.Json.Int !steals);
-              ("imbalance", Util.Json.Float !imbalance);
-            ] );
-        ( "warm_sessions",
-          Util.Json.Obj
-            [
-              ("first_s", Util.Json.Float first_s);
-              ("repeat_s", Util.Json.Float repeat_s);
-              ("repeat_speedup", Util.Json.Float warm_speedup);
-              ("hits", Util.Json.Int warm_hits);
-              ("misses", Util.Json.Int warm_misses);
-              ("evictions", Util.Json.Int warm_evictions);
-              ("hit_rate", Util.Json.Float warm_hit_rate);
-            ] );
-        ( "portfolio",
-          Util.Json.Obj
-            [
-              ("width", Util.Json.Int width);
-              ("races", Util.Json.Int races);
-              ("undecided", Util.Json.Int undecided);
-              ("wins", Util.Json.Obj wins_by_seed);
-              ("queries", Util.Json.List portfolio_rows);
-            ] );
-      ]
-  in
-  Util.Json.write_file out json;
-  (match Util.Json.parse_file out with
-  | Ok reread
-    when Util.Json.member "schema" reread
-         = Some (Util.Json.String "fannet.bench_parallel/2") ->
-      Printf.printf "%s written and re-parsed OK\n" out
-  | Ok _ -> failwith (Printf.sprintf "E19: %s lost its schema tag" out)
-  | Error e -> failwith (Printf.sprintf "E19: %s failed to parse: %s" out e))
-
-(* ------------------------------------------------------------------ *)
 (* E22: deep & binarized scaling ladder                                *)
 (* ------------------------------------------------------------------ *)
 
@@ -1453,43 +1025,36 @@ let timing_suite (p : Fannet.Pipeline.t) =
 
 (* ------------------------------------------------------------------ *)
 
+let usage = "usage: main.exe [--ladder [--smoke] [-o FILE]]"
+
 let () =
-  let smoke = Array.exists (( = ) "--smoke") Sys.argv in
-  let parallel_only = Array.exists (( = ) "--parallel") Sys.argv in
-  let ladder_only = Array.exists (( = ) "--ladder") Sys.argv in
-  (* [-o FILE] replaces the file --ladder writes, or else the parallel
-     section's. *)
-  let out ~default =
-    let rec find i =
-      if i >= Array.length Sys.argv then default
-      else if Sys.argv.(i) = "-o" && i + 1 < Array.length Sys.argv then
-        Sys.argv.(i + 1)
-      else find (i + 1)
-    in
-    find 1
+  let ladder = ref false and smoke = ref false and out = ref None in
+  let spec =
+    [
+      ("--ladder", Arg.Set ladder, " run E22 only, the deep & binarized ladder");
+      ("--smoke", Arg.Set smoke, " with --ladder: the asserted subset");
+      ( "-o",
+        Arg.String (fun f -> out := Some f),
+        "FILE with --ladder: write FILE, not BENCH_ladder.json" );
+    ]
   in
-  if smoke && not (parallel_only || ladder_only) then begin
-    prerr_endline "bench: --smoke applies to --ladder (--parallel is always smoke-sized)";
+  (* Anything else exits 2 with the usage line: a typo must not fall
+     through to the full multi-minute suite. *)
+  Arg.parse spec (fun a -> raise (Arg.Bad ("unknown argument " ^ a))) usage;
+  if (!smoke || !out <> None) && not !ladder then begin
+    prerr_endline "bench: --smoke and -o apply to --ladder";
+    prerr_endline usage;
     exit 2
   end;
-  if parallel_only then begin
-    (* bench --parallel: E15 + E19 only, smoke-sized — the no-regression
-       gate `make check` runs. Verdict-equality, certificate and
-       no-regression assertions all fail the process; speedup > 1 is
-       asserted only on multi-core hardware and full-sized runs. *)
-    print_endline "FANNet bench (parallel engine gate)";
-    print_endline "===================================";
-    let p = Fannet.Pipeline.run ~config:Fannet.Pipeline.fast_config () in
-    bench_parallel ~smoke:true p ~out:(out ~default:"BENCH_parallel.json");
-    print_endline "\nParallel bench completed."
-  end
-  else if ladder_only then begin
+  if !ladder then begin
     (* bench --ladder: E22 only — the deep & binarized scaling ladder;
        no pipeline needed. With --smoke it runs the asserted subset
        (`make ladder-smoke`, part of `make check`). *)
     print_endline "FANNet bench (scaling ladder)";
     print_endline "=============================";
-    bench_ladder ~smoke ~out:(out ~default:"BENCH_ladder.json") ();
+    bench_ladder ~smoke:!smoke
+      ~out:(Option.value !out ~default:"BENCH_ladder.json")
+      ();
     print_endline "\nLadder bench completed."
   end
   else begin
@@ -1512,7 +1077,6 @@ let () =
     ablation_feature_selection ();
     extension_multiclass ();
     extension_absolute_noise p;
-    bench_parallel ~smoke:false p ~out:(out ~default:"BENCH_parallel.json");
     bench_ladder ~smoke:false ~out:"BENCH_ladder.json" ();
     timing_suite p;
     print_endline "\nAll experiment sections completed."

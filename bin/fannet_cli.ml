@@ -697,21 +697,8 @@ let certify_cmd =
       & opt (some (writable_file "the proof")) None
       & info [ "proof" ] ~docv:"FILE" ~doc)
   in
-  let portfolio =
-    let doc =
-      "Race $(docv) diversified solvers on the single-$(b,--delta) query \
-       (portfolio SAT): the first decided member wins, cancels the rest, \
-       and its certificate is checked exactly like the single-solver one. \
-       $(docv) defaults to min(4, jobs) when given as $(b,--portfolio 0); \
-       each member runs on its own domain, so the effective parallelism is \
-       the portfolio width times any $(b,FANNET_JOBS) worker pools active \
-       in the same process — keep width times jobs at or below the core \
-       count. Ignored with $(b,--bracket)."
-    in
-    Arg.(value & opt (some int) None & info [ "portfolio" ] ~docv:"WIDTH" ~doc)
-  in
   let run metrics dataset_seed init_seed delta max_delta no_bias_noise input_index
-      bracket fast proof_file portfolio timeout max_mem retries =
+      bracket fast proof_file timeout max_mem retries =
     with_metrics metrics @@ fun () ->
     with_clean_errors @@ fun () ->
     let p =
@@ -774,43 +761,27 @@ let certify_cmd =
     end
     else begin
       let spec = Fannet.Noise.symmetric ~delta ~bias_noise in
-      let certified ?budget () =
-        match portfolio with
-        | None ->
-            (Fannet.Backend.certified_exists_flip ?budget p.qnet spec ~input ~label, None)
-        | Some w ->
-            let width = if w <= 0 then Fannet.Portfolio.default_width () else w in
-            let cv, seed =
-              Fannet.Portfolio.certified_exists_flip ?budget ~width p.qnet spec
-                ~input ~label
-            in
-            (cv, seed)
-      in
-      let cv, seed =
+      let cv =
         with_retries ~retries budget (fun budget ->
-            match certified ?budget () with
-            | { Fannet.Backend.cv_verdict = Fannet.Backend.Unknown r; _ }, _ ->
+            match
+              Fannet.Backend.certified_exists_flip ?budget p.qnet spec ~input ~label
+            with
+            | { Fannet.Backend.cv_verdict = Fannet.Backend.Unknown r; _ } ->
                 raise (Resil.Budget.Stopped r)
             | cv -> cv)
       in
       (match Fannet.Backend.check_certified p.qnet spec ~input ~label cv with
       | Ok () -> ()
       | Error e -> fail_invalid e);
-      let won =
-        match seed with
-        | Some s -> Printf.sprintf " (portfolio winner: seed %d)" s
-        | None -> ""
-      in
       match (cv.Fannet.Backend.cv_verdict, cv.Fannet.Backend.cv_cert) with
       | Fannet.Backend.Robust, Some cert ->
-          Printf.printf "certified robust at +-%d%% (input %d, true L%d)%s\n  %s\n"
-            delta input_index label won (Cert.Verdict.describe cert);
+          Printf.printf "certified robust at +-%d%% (input %d, true L%d)\n  %s\n"
+            delta input_index label (Cert.Verdict.describe cert);
           write_proof cert
       | Fannet.Backend.Flip v, Some cert ->
           Printf.printf
-            "noise %s flips input %d at +-%d%%: certificate checked%s\n  %s\n"
-            (Fannet.Noise.to_string v) input_index delta won
-            (Cert.Verdict.describe cert);
+            "noise %s flips input %d at +-%d%%: certificate checked\n  %s\n"
+            (Fannet.Noise.to_string v) input_index delta (Cert.Verdict.describe cert);
           exit 1
       | _ -> fail_invalid "backend did not decide"
     end
@@ -823,8 +794,8 @@ let certify_cmd =
   Cmd.v (Cmd.info "certify" ~doc ~exits)
     Term.(
       const run $ metrics_file $ dataset_seed $ init_seed $ delta $ max_delta
-      $ no_bias_noise $ input_index $ bracket $ fast $ proof_file $ portfolio
-      $ timeout_arg $ max_mem_arg $ retries_arg)
+      $ no_bias_noise $ input_index $ bracket $ fast $ proof_file $ timeout_arg
+      $ max_mem_arg $ retries_arg)
 
 let profile_cmd =
   let fast =

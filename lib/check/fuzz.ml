@@ -48,15 +48,14 @@ let run_cases ?run ?(log = fun _ -> ()) ~master_seed cases =
   List.iteri
     (fun i case ->
       if i > 0 && i mod 100 = 0 then log (Printf.sprintf "  ... %d/%d cases" i n);
-      (* The parallel-determinism double-run, the certificate check, the
-         portfolio race and the counting agreement are sampled: every
-         8th / 4th / 4th / 8th case still exercises them while the smoke
-         run stays in budget (offsets chosen so the expensive checks
-         rarely land on the same case). *)
+      (* The parallel-determinism double-run, the certificate check and
+         the counting agreement are sampled: every 8th / 4th / 8th case
+         still exercises them while the smoke run stays in budget
+         (offsets chosen so the expensive checks rarely land on the same
+         case). *)
       let result =
         Oracle.check_case ?run ~check_parallel:(i mod 8 = 0)
-          ~check_certificate:(i mod 4 = 0) ~check_portfolio:(i mod 4 = 2)
-          ~check_count:(i mod 8 = 4) case
+          ~check_certificate:(i mod 4 = 0) ~check_count:(i mod 8 = 4) case
       in
       (match result.Oracle.ground_truth with
       | B.Robust -> incr robust

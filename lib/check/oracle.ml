@@ -32,7 +32,7 @@ let outcome_to_string = function
   | Raised msg -> "exception: " ^ msg
 
 let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = true)
-    ?(check_certificate = true) ?(check_portfolio = true) ?(check_count = true)
+    ?(check_certificate = true) ?(check_count = true)
     (case : Case.t) =
   let { Case.net; input; label; spec; _ } = case in
   let run_one backend =
@@ -155,44 +155,6 @@ let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = tru
         match B.check_certified net spec ~input ~label cv with
         | Ok () -> ()
         | Error e -> fail "certificate-valid" B.Smt e)
-  end;
-  (* Portfolio agreement: the raced diversified solvers must reach the
-     enumerator's decision whatever member wins, report the winning seed
-     for every decided verdict, and return a valid witness. Spawns
-     domains per query, so sampled by the driver like the certificate
-     check. *)
-  if check_portfolio then begin
-    match Fannet.Portfolio.exists_flip ~width:3 net spec ~input ~label with
-    | exception e -> fail "portfolio-agreement" B.Smt (Printexc.to_string e)
-    | verdict, seed -> (
-        (match (ground_truth, verdict) with
-        | B.Robust, B.Robust | B.Flip _, B.Flip _ | B.Unknown _, _ -> ()
-        | (B.Robust | B.Flip _), v ->
-            fail "portfolio-agreement" B.Smt
-              (Printf.sprintf
-                 "portfolio verdict %s disagrees with the enumerator's %s"
-                 (B.verdict_to_string v)
-                 (B.verdict_to_string ground_truth)));
-        (match (verdict, seed) with
-        | (B.Robust | B.Flip _), None ->
-            fail "portfolio-agreement" B.Smt
-              "decided portfolio verdict without a winning seed"
-        | B.Unknown r, _ ->
-            fail "portfolio-agreement" B.Smt
-              ("unbudgeted portfolio answered unknown: "
-              ^ Resil.Budget.reason_to_string r)
-        | (B.Robust | B.Flip _), Some _ -> ());
-        match verdict with
-        | B.Flip v ->
-            if not (N.in_range spec v) then
-              fail "portfolio-agreement" B.Smt
-                (Printf.sprintf "witness %s outside the noise range"
-                   (N.to_string v))
-            else if N.predict net spec ~input v = label then
-              fail "portfolio-agreement" B.Smt
-                (Printf.sprintf "witness %s does not flip the prediction"
-                   (N.to_string v))
-        | B.Robust | B.Unknown _ -> ())
   end;
   (* Counting agreement: the exact counter, plain (one Bnb walk) and
      certified (SAT cube decomposition), must reproduce the brute-force

@@ -21,11 +21,6 @@
       verdict, and the certificate passes the independent [lib/cert]
       checker ({!Fannet.Backend.check_certified}) — also sampled by the
       driver ([?check_certificate] controls it here);
-    - {b portfolio agreement}: {!Fannet.Portfolio.exists_flip} (width 3,
-      diversified seeds, clause sharing on) reaches the enumerator's
-      decision, reports a winning seed for every decided verdict, and any
-      witness is valid — sampled by the driver ([?check_portfolio]
-      controls it here; it spawns domains per query);
     - {b counting agreement}: the exact counter
       ({!Fannet.Robustness.probability}), plain (a Bnb walk) and
       certified (SAT), reproduces the brute-force flip count, is zero
@@ -72,7 +67,6 @@ val check_case :
   ?run:runner ->
   ?check_parallel:bool ->
   ?check_certificate:bool ->
-  ?check_portfolio:bool ->
   ?check_count:bool ->
   Case.t ->
   result
@@ -80,7 +74,5 @@ val check_case :
     (default [true]) re-runs all backends on a 4-worker pool and compares
     verdict vectors; [check_certificate] (default [true]) runs the
     certified SMT path and validates its proof/model certificate;
-    [check_portfolio] (default [true]) races the diversified portfolio
-    against the enumerator's decision; [check_count] (default [true])
-    checks the exact and approximate model counters against brute-force
-    enumeration. *)
+    [check_count] (default [true]) checks the exact and approximate model
+    counters against brute-force enumeration. *)

@@ -81,11 +81,14 @@ let predicted_is t c =
 
 let misclassified t ~true_label = T.not_ (predicted_is t true_label)
 
+(* A noise variable with a zero coefficient everywhere folds out of the
+   formula, and the model does not bind it: the outputs do not depend on
+   it, so any value in the range will do, and 0 always is in it. *)
 let vector_of_model t model =
+  let value v = try T.lookup model v with Not_found -> 0 in
   {
-    Noise.bias =
-      (match t.bias_var with Some v -> T.lookup model v | None -> 0);
-    inputs = Array.map (fun v -> T.lookup model v) t.input_vars;
+    Noise.bias = (match t.bias_var with Some v -> value v | None -> 0);
+    inputs = Array.map value t.input_vars;
   }
 
 let vector_excluded t (v : Noise.vector) =

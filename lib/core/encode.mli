@@ -24,7 +24,9 @@ val misclassified : t -> true_label:int -> Smtlite.Term.formula
 (** The paper's P2 negation: predicted class differs from the true label. *)
 
 val vector_of_model : t -> Smtlite.Solve.model -> Noise.vector
-(** Read a noise vector out of a satisfying assignment. *)
+(** Read a noise vector out of a satisfying assignment. A noise variable
+    the assignment does not bind (it folded out of the formula, so the
+    outputs do not depend on it) reads 0. *)
 
 val vector_excluded : t -> Noise.vector -> Smtlite.Term.formula
 (** Formula stating the noise variables differ from the given vector — the

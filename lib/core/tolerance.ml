@@ -343,50 +343,57 @@ let tol_ckpt_to_json ~key results cur =
       );
     ]
 
-let tol_ckpt_of_json json =
-  let result_of = function
+(* The payload read straight from the checkpoint's bytes. [None] when it
+   is well-formed JSON of the wrong shape; the leaves are read as values
+   so a wrong type is reported as a malformed payload, not a parse
+   error. *)
+let read_tol_ckpt c =
+  let module C = Util.Json.Cursor in
+  let result c =
+    match C.value c with
     | Util.Json.Null -> Some None
     | Util.Json.Int d -> Some (Some d)
     | _ -> None
   in
-  let cur_of = function
-    | Util.Json.Null -> Some Start
-    | Util.Json.Obj _ as j -> (
-        match (Util.Json.member "lo" j, Util.Json.member "hi" j) with
-        | Some (Util.Json.Int lo), Some (Util.Json.Int hi) when lo <= hi ->
-            Some (Bracket (lo, hi))
-        | _ -> None)
-    | _ -> None
+  let cur c =
+    if C.null c then Some Start
+    else
+      C.obj
+        (fun f ->
+          match (C.field_opt f "lo" C.value, C.field_opt f "hi" C.value) with
+          | Some (Util.Json.Int lo), Some (Util.Json.Int hi) when lo <= hi ->
+              Some (Bracket (lo, hi))
+          | _ -> None)
+        c
   in
-  match
-    ( Util.Json.member "key" json,
-      Util.Json.member "results" json,
-      Option.bind (Util.Json.member "cur" json) cur_of )
-  with
-  | Some (Util.Json.String key), Some (Util.Json.List rs), Some cur ->
-      let parsed = List.map result_of rs in
-      if List.for_all Option.is_some parsed then
-        Some (key, List.map Option.get parsed, cur)
-      else None
-  | _ -> None
+  C.obj
+    (fun f ->
+      match
+        ( C.field_opt f "key" C.value,
+          C.field_opt f "results" (C.list result),
+          Option.join (C.field_opt f "cur" cur) )
+      with
+      | Some (Util.Json.String key), Some rs, Some cur
+        when List.for_all Option.is_some rs ->
+          Some (key, List.map Option.get rs, cur)
+      | _ -> None)
+    c
 
 let load_tol_ckpt ~key ~path ~n_inputs =
   if not (Sys.file_exists path) then `Fresh
   else
-    match Resil.Ckpt.load ~kind:"tolerance" ~path with
+    match Resil.Ckpt.load_with ~kind:"tolerance" ~path read_tol_ckpt with
     | Error msg -> `Damaged msg
-    | Ok json -> (
-        match tol_ckpt_of_json json with
-        | None -> `Damaged (path ^ ": malformed tolerance checkpoint payload")
-        | Some (k, results, cur) ->
-            if k <> key then
-              `Mismatch
-                (path
-               ^ ": checkpoint belongs to a different tolerance run \
-                  (backend/network/inputs/range changed)")
-            else if List.length results > n_inputs then
-              `Damaged (path ^ ": tolerance checkpoint has too many results")
-            else `Resume (results, cur))
+    | Ok None -> `Damaged (path ^ ": malformed tolerance checkpoint payload")
+    | Ok (Some (k, results, cur)) ->
+        if k <> key then
+          `Mismatch
+            (path
+           ^ ": checkpoint belongs to a different tolerance run \
+              (backend/network/inputs/range changed)")
+        else if List.length results > n_inputs then
+          `Damaged (path ^ ": tolerance checkpoint has too many results")
+        else `Resume (results, cur)
 
 let network_tolerance_ckpt ?budget ~checkpoint backend net ~bias_noise
     ~max_delta ~inputs =

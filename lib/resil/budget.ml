@@ -13,8 +13,8 @@ let retryable = function
 
 (* A token optionally chains to a parent: firing the parent fires every
    linked child, firing a child leaves the parent (and its other
-   children) untouched. Chains are short (portfolio workers link once to
-   the caller's token), so the recursive read costs one extra atomic
+   children) untouched. Chains are short (a daemon query links once to
+   the shutdown token), so the recursive read costs one extra atomic
    load per level. *)
 type token = { fired : bool Atomic.t; parent : token option }
 
@@ -75,12 +75,6 @@ let unlimited () = create ()
 let conflicts b = b.conflicts
 let timeout_s b = b.timeout_s
 let cancellation b = b.tok
-
-let remaining_s b =
-  Option.map
-    (fun d ->
-      Float.max 0. (Int64.to_float (Int64.sub d (Obs.Clock.now_ns ())) /. 1e9))
-    b.deadline_ns
 
 let record b r =
   if Atomic.compare_and_set b.why None (Some r) then

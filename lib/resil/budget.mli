@@ -49,10 +49,9 @@ val cancelled : token -> bool
 
 val link : token -> token
 (** A child token that also reads as cancelled once the parent fires.
-    Cancelling the child does {e not} fire the parent: a portfolio
-    winner can stop its losers (their child tokens) without poisoning
-    the caller's token, while the caller cancelling its own token still
-    stops every worker. *)
+    Cancelling the child does {e not} fire the parent: one daemon query
+    can be stopped without poisoning the daemon's shutdown token, while
+    firing the shutdown token still stops every query linked to it. *)
 
 (** {1 Budgets} *)
 
@@ -76,11 +75,6 @@ val conflicts : t -> int option
     themselves (the SAT solver). *)
 
 val timeout_s : t -> float option
-
-val remaining_s : t -> float option
-(** Seconds left until the deadline (clamped at 0), [None] when the
-    budget has no deadline — what a derived worker budget should use as
-    its own timeout so racing workers cannot outlive their parent. *)
 
 val cancellation : t -> token
 (** The budget's token — cancel it to stop every worker sharing the

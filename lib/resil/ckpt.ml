@@ -29,7 +29,7 @@ let save_string ~kind ~path data =
   in
   if Faultpoint.hit "ckpt.torn" then
     (* Injected torn write: half the bytes straight to the final path,
-       bypassing the tmp+rename protocol. [load] must reject this. *)
+       bypassing the tmp+rename protocol. [load_with] must reject this. *)
     write_raw path (String.sub contents 0 (String.length contents / 2))
   else begin
     let tmp = path ^ ".tmp" in
@@ -113,5 +113,3 @@ let load_with ~kind ~path read =
   | Ok data -> Ok data
   | Error m -> Error (Printf.sprintf "%s: corrupt checkpoint payload: %s" path m)
   | exception Refused m -> Error (path ^ ": " ^ m)
-
-let load ~kind ~path = load_with ~kind ~path Util.Json.Cursor.value

@@ -35,20 +35,17 @@ val throttle : ('a -> unit) -> 'a -> unit
     progress call would spend more time saving than walking; the caller
     still saves once more where the walk stops. *)
 
-val load : kind:string -> path:string -> (Util.Json.t, string) result
-(** Read back the ["data"] payload. Errors (all strings mention [path]):
-    missing file, torn/truncated content, checksum mismatch, malformed
-    JSON, wrong format version or kind. Never raises on bad content. *)
-
 val load_with :
   kind:string ->
   path:string ->
   (Util.Json.Cursor.t -> 'a) ->
   ('a, string) result
-(** [load] with the ["data"] payload read by a {!Util.Json.Cursor}
-    reader straight from the file's bytes, with no tree. The errors are
-    [load]'s; a payload [read] rejects (by {!Util.Json.Cursor.fail} or
-    a reader's parse error) is a corrupt payload. *)
+(** Read back the ["data"] payload with a {!Util.Json.Cursor} reader,
+    straight from the file's bytes, with no tree. Errors (all strings
+    mention [path]): missing file, torn/truncated content, checksum
+    mismatch, malformed JSON, wrong format version or kind, and a
+    payload [read] rejects (by {!Util.Json.Cursor.fail} or a reader's
+    parse error). Never raises on bad content. *)
 
 val fnv1a64 : string -> int64
 (** The footer checksum: FNV-1a, 64-bit. Exposed for tests. *)

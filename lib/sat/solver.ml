@@ -65,11 +65,6 @@ type t = {
   mutable proof_sink : (proof_step -> unit) option;
   mutable stop_reason : Resil.Budget.reason option;
       (* why the last [solve] returned Unknown *)
-  mutable rnd : int64;           (* xorshift state; 0 = no diversification *)
-  mutable restart_mult : float;  (* multiplier on the Luby restart base *)
-  mutable share_out : (Lit.t list -> unit) option;
-  mutable share_out_max_len : int;
-  mutable share_in : (unit -> Lit.t list list) option;
 }
 
 (* The watch list of every literal not yet watched. *)
@@ -101,13 +96,6 @@ let h_learnt_len =
 let h_conflicts_per_solve =
   Obs.Metrics.histogram "sat.conflicts_per_solve"
     ~buckets:[| 0.; 1.; 4.; 16.; 64.; 256.; 1024.; 4096.; 16384.; 65536. |]
-
-(* Portfolio clause sharing. *)
-let m_exported = Obs.Metrics.counter "sat.shared.exported"
-
-let m_imported = Obs.Metrics.counter "sat.shared.imported"
-
-let m_import_rejected = Obs.Metrics.counter "sat.shared.rejected"
 
 let create () =
   {
@@ -142,50 +130,9 @@ let create () =
     priority = [||];
     proof_sink = None;
     stop_reason = None;
-    rnd = 0L;
-    restart_mult = 1.;
-    share_out = None;
-    share_out_max_len = 8;
-    share_in = None;
   }
 
 let set_proof_sink s sink = s.proof_sink <- sink
-
-(* ---------- portfolio diversification ---------- *)
-
-(* xorshift64*: tiny, deterministic per seed, and entirely local to the
-   solver so two solvers with the same seed follow the same search. *)
-let next_rand s =
-  let x = s.rnd in
-  let x = Int64.logxor x (Int64.shift_left x 13) in
-  let x = Int64.logxor x (Int64.shift_right_logical x 7) in
-  let x = Int64.logxor x (Int64.shift_left x 17) in
-  s.rnd <- x;
-  Int64.to_int (Int64.shift_right_logical x 16)
-
-let set_diversification s ~seed =
-  if seed = 0 then begin
-    s.rnd <- 0L;
-    s.restart_mult <- 1.
-  end
-  else begin
-    s.rnd <- Int64.add 0x9E3779B97F4A7C15L (Int64.of_int seed);
-    ignore (next_rand s);
-    (* Scatter the saved phases so each seed explores a different corner
-       of the assignment space first. *)
-    for v = 0 to s.nvars - 1 do
-      s.polarity.(v) <- next_rand s land 1 = 1
-    done;
-    (* Stagger restart schedules across seeds: 0.5x, 1x, 2x or 4x the
-       Luby base. *)
-    s.restart_mult <- [| 0.5; 1.; 2.; 4. |].(seed land 3)
-  end
-
-let set_clause_hooks s ?export ?(export_max_len = 8) ?import () =
-  if export_max_len < 1 then invalid_arg "Solver.set_clause_hooks";
-  s.share_out <- export;
-  s.share_out_max_len <- export_max_len;
-  s.share_in <- import
 
 let set_max_learnts s n =
   if n < 1 then invalid_arg "Solver.set_max_learnts";
@@ -578,11 +525,6 @@ let add_learnt s n =
 
 let record_learnt s lits btlevel =
   (match s.proof_sink with None -> () | Some f -> f (P_learn lits));
-  (match s.share_out with
-  | Some f when List.compare_length_with lits s.share_out_max_len <= 0 ->
-      Obs.Metrics.incr m_exported;
-      f lits
-  | Some _ | None -> ());
   if Obs.Metrics.enabled () then
     Obs.Metrics.observe h_learnt_len (float_of_int (List.length lits));
   match lits with
@@ -606,70 +548,6 @@ let record_learnt s lits btlevel =
       let c = add_learnt s n in
       clause_bump s c;
       enqueue s (Lit.to_index asserting) c
-
-(* ---------- clause import (verify-on-import) ---------- *)
-
-(* A clause arriving from another solver is only a hint: its literals
-   were numbered by a different compilation and carry no local proof.
-   Before adopting it we re-derive it locally by reverse unit
-   propagation — assume the negation on a scratch decision level,
-   propagate, and demand a conflict. A clause that passes is a logical
-   consequence of THIS solver's database whatever it meant to the
-   sender, so sharing is sound by construction (a misrouted clause is
-   simply rejected), and logging it as [P_learn] keeps the DRUP trace
-   checkable by the independent RUP checker. Must be called at decision
-   level 0, between searches. *)
-let import_clause s lits =
-  if
-    s.ok && decision_level s = 0 && lits <> []
-    && List.for_all (fun l -> Lit.var l < s.nvars) lits
-  then begin
-    let sorted = List.sort_uniq Lit.compare lits in
-    let tautology =
-      List.exists (fun l -> List.exists (Lit.equal (Lit.neg l)) sorted) sorted
-    in
-    let value l = value_lit s (Lit.to_index l) in
-    let satisfied = List.exists (fun l -> value l = 1) sorted in
-    let unassigned = List.filter (fun l -> value l = 0) sorted in
-    if tautology || satisfied then ()
-    else if unassigned = [] then
-      (* Every literal is already false at level 0: the negation
-         propagates no further, so the clause is not RUP here. *)
-      Obs.Metrics.incr m_import_rejected
-    else begin
-      Veca.push s.trail_lim (Veca.length s.trail);
-      List.iter (fun l -> enqueue s (Lit.to_index (Lit.neg l)) (-1)) unassigned;
-      let confl = propagate s in
-      cancel_until s 0;
-      if confl < 0 then Obs.Metrics.incr m_import_rejected
-      else begin
-        (match s.proof_sink with None -> () | Some f -> f (P_learn sorted));
-        Obs.Metrics.incr m_imported;
-        match unassigned with
-        | [] -> assert false
-        | [ l ] ->
-            (* Simplifies to a unit at level 0 (the other literals are
-               level-0 false) — same handling as [add_clause]. *)
-            enqueue s (Lit.to_index l) (-1);
-            if propagate s >= 0 then begin
-              s.ok <- false;
-              match s.proof_sink with None -> () | Some f -> f (P_learn [])
-            end
-        | l0 :: l1 :: _ ->
-            (* Watch two unassigned literals; level-0-false ones can
-               never need a watch again. *)
-            let others =
-              List.filter (fun l -> not (Lit.equal l l0) && not (Lit.equal l l1)) sorted
-            in
-            ignore (add_learnt s (load_list s (l0 :: l1 :: others)))
-      end
-    end
-  end
-
-let drain_imports s =
-  match s.share_in with
-  | None -> ()
-  | Some g -> List.iter (import_clause s) (g ())
 
 (* ---------- learnt-clause deletion ---------- *)
 
@@ -856,16 +734,7 @@ let search s ~assumptions ~conflict_budget ~budget =
               else begin
                 s.n_decisions <- s.n_decisions + 1;
                 Veca.push s.trail_lim (Veca.length s.trail);
-                (* Diversified solvers occasionally ignore the saved
-                   phase (1 decision in 32) so same-activity portfolio
-                   members drift apart even after their scattered
-                   initial polarities converge. *)
-                let pol =
-                  if s.rnd <> 0L && next_rand s land 31 = 0 then
-                    next_rand s land 1 = 1
-                  else s.polarity.(v)
-                in
-                enqueue s (Lit.to_index (Lit.make v pol)) (-1)
+                enqueue s (Lit.to_index (Lit.make v s.polarity.(v))) (-1)
               end
             end)
   done;
@@ -908,7 +777,6 @@ let solve ?(assumptions = []) ?max_conflicts ?budget s =
                 (match s.proof_sink with None -> () | Some f -> f (P_learn []));
                 Unsat
             | _ ->
-                drain_imports s;
                 let conflict_cap = Option.map (fun b -> max 1 b) max_conflicts in
                 let rec restart_loop i =
                   (* Restart cadence only applies to unbounded solving; a
@@ -916,22 +784,17 @@ let solve ?(assumptions = []) ?max_conflicts ?budget s =
                   let per_restart =
                     match conflict_cap with
                     | Some b -> Some b
-                    | None ->
-                        Some (int_of_float (luby 1. i *. 256. *. s.restart_mult))
+                    | None -> Some (int_of_float (luby 1. i *. 256.))
                   in
                   let r = search s ~assumptions ~conflict_budget:per_restart ~budget in
                   match (r, conflict_cap) with
                   | Unknown, None when s.stop_reason = None ->
                       s.n_restarts <- s.n_restarts + 1;
                       cancel_until s 0;
-                      (* Restart boundaries are the only points where the
-                         trail is at level 0 mid-solve: adopt whatever
-                         the other portfolio members published since. *)
-                      drain_imports s;
-                      if not s.ok then Unsat else restart_loop (i + 1)
+                      restart_loop (i + 1)
                   | (Sat | Unsat | Unknown), _ -> r
                 in
-                let result = if not s.ok then Unsat else restart_loop 0 in
+                let result = restart_loop 0 in
                 (match result with
                 | Sat -> ()
                 | Unsat | Unknown -> cancel_until s 0);

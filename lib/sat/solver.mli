@@ -5,8 +5,10 @@
     heuristic with phase saving, Luby restarts and activity-based learnt-
     clause deletion. All clauses live in one [int] arena, named by their
     offsets; deleted learnt clauses are reclaimed by compacting it, which
-    leaves the search unchanged. It is the decision procedure underneath
-    the bit-blasted model-checking queries (nuXmv's SAT engine in the paper).
+    leaves the search unchanged. The search is deterministic: the same
+    clauses and calls give the same decisions, learnt clauses and proof
+    events. It is the decision procedure underneath the bit-blasted
+    model-checking queries (nuXmv's SAT engine in the paper).
 
     Typical use is incremental: allocate variables, add clauses, [solve],
     read the model, add blocking clauses, [solve] again. *)
@@ -58,36 +60,6 @@ val set_proof_sink : t -> (proof_step -> unit) option -> unit
     in order, which is enough for an independent checker to re-derive each
     [Unsat] answer by reverse unit propagation (see {!Cert.Rup}). When no
     sink is attached the per-event cost is one field load and branch. *)
-
-val set_diversification : t -> seed:int -> unit
-(** Configure this solver as one member of a portfolio. [seed = 0]
-    restores the pristine deterministic defaults. Any other seed
-    deterministically scatters the saved phases over the existing
-    variables, staggers the Luby restart base (0.5x/1x/2x/4x by seed)
-    and makes 1 decision in 32 pick a pseudo-random phase instead of
-    the saved one — enough for portfolio members to explore different
-    parts of the search space while each member stays reproducible for
-    its seed. Call before {!solve}; variables created afterwards keep
-    their default phase. *)
-
-val set_clause_hooks :
-  t ->
-  ?export:(Lit.t list -> unit) ->
-  ?export_max_len:int ->
-  ?import:(unit -> Lit.t list list) ->
-  unit ->
-  unit
-(** Portfolio clause sharing. [export] observes every learnt clause of
-    at most [export_max_len] literals (default 8) the moment it is
-    learnt — it runs on the solving domain and must be wait-free (the
-    portfolio passes {!Mailbox.publish}). [import] is drained at solve
-    entry and at every restart boundary; each returned clause is
-    {e verified on import}: the solver re-derives it locally by reverse
-    unit propagation and silently drops it if the derivation fails, so
-    a foreign clause can never unsound the solver and every adopted
-    clause is logged to the proof sink as a regular RUP lemma — DRUP
-    traces stay independently checkable. Hooks survive across [solve]
-    calls; pass no arguments to clear them. *)
 
 val set_max_learnts : t -> int -> unit
 (** Override the learnt-clause limit that triggers [reduce_db] (normally

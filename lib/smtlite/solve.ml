@@ -168,5 +168,3 @@ let enumerate ?(limit = max_int) ?max_conflicts ?budget f ~project =
   loop [] 0
 
 let stats session = Sat.Solver.stats (Compile.solver session.compiler)
-
-let sat_solver session = Compile.solver session.compiler

@@ -122,10 +122,3 @@ val enumerate :
     non-empty. *)
 
 val stats : session -> Sat.Solver.stats
-
-val sat_solver : session -> Sat.Solver.t
-(** The session's underlying CDCL solver, for portfolio tuning:
-    {!Sat.Solver.set_diversification} and {!Sat.Solver.set_clause_hooks}
-    compose with sessions (assumptions, certificates and budgets are
-    unaffected). Do not add clauses or variables through this handle —
-    the compiler owns the solver's clause database. *)

@@ -257,35 +257,3 @@ let exists ?jobs p arr =
     Atomic.get found
   end
 
-(* ------------------------------------------------------------------ *)
-(* Racing: one domain per thunk, first completed result wins.          *)
-(* ------------------------------------------------------------------ *)
-
-let race ~cancel thunks =
-  let n = Array.length thunks in
-  if n = 0 then invalid_arg "Parallel.race: no thunks";
-  let winner = Atomic.make (-1) in
-  let outcomes = Array.make n None in
-  let run k =
-    let r = match thunks.(k) () with v -> Ok v | exception e -> Error e in
-    outcomes.(k) <- Some r;
-    match r with
-    | Ok _ ->
-        if Atomic.compare_and_set winner (-1) k then ( try cancel () with _ -> ())
-    | Error _ -> ()
-  in
-  let spawned =
-    Array.init (n - 1) (fun j -> Domain.spawn (fun () -> run (j + 1)))
-  in
-  run 0;
-  Array.iter Domain.join spawned;
-  let outcomes =
-    Array.map (function Some r -> r | None -> assert false) outcomes
-  in
-  match Atomic.get winner with
-  | -1 -> (
-      (* Every thunk raised: propagate the lowest-indexed exception. *)
-      match outcomes.(0) with Error e -> raise e | Ok _ -> assert false)
-  | k ->
-      let v = match outcomes.(k) with Ok v -> v | Error _ -> assert false in
-      ((k, v), outcomes)

@@ -8,7 +8,8 @@
     input order, so results are deterministic and independent of [jobs]
     and of the steal schedule. With [jobs = 1] no domain is spawned and
     the sequential code path runs — results are bit-identical to the
-    plain [Array] combinators.
+    plain [Array] combinators. Every combinator runs on the one batch
+    engine, the only place the module spawns domains.
 
     Workers must not share mutable state through [f]; per-worker caches
     keyed by {!Domain.DLS} (e.g. warm solver sessions) are fine.
@@ -69,25 +70,6 @@ val filter_mapi_until :
     which makes the propagated exception deterministic and independent
     of [jobs] (under the old static chunking the winner was the
     lowest-numbered failing chunk; per-item resolution refines that). *)
-
-(** {1 Racing}
-
-    [race ~cancel thunks] runs every thunk on its own domain (the
-    calling domain runs thunk 0) and reports the first one to return
-    normally. The moment a winner is decided, [cancel] is invoked
-    exactly once — from the winning domain — so the caller can ask the
-    losers to stop cooperatively (e.g. by firing {!Resil.Budget}
-    cancellation tokens); [cancel] must therefore be thread-safe. Every
-    domain is still joined before [race] returns, so losers always run
-    to completion (typically returning quickly once cancelled) and no
-    domain leaks. Returns the winner's index and value plus every
-    thunk's outcome in index order. If {e all} thunks raise, the
-    lowest-indexed exception is re-raised. *)
-
-val race :
-  cancel:(unit -> unit) ->
-  (unit -> 'a) array ->
-  (int * 'a) * ('a, exn) result array
 
 (** {1 Instrumentation}
 

@@ -233,7 +233,7 @@ let test_mutation_unsound_relaxation_caught () =
   in
   let fails c =
     (Check.Oracle.check_case ~check_parallel:false ~check_certificate:false
-       ~check_portfolio:false ~check_count:false c)
+       ~check_count:false c)
       .Check.Oracle.failures
     <> []
   in
@@ -244,7 +244,7 @@ let test_mutation_unsound_relaxation_caught () =
       Fannet.Bnb.unsound_relaxation_for_tests := true;
       let result =
         Check.Oracle.check_case ~check_parallel:false ~check_certificate:false
-          ~check_portfolio:false ~check_count:false case
+          ~check_count:false case
       in
       Alcotest.(check bool) "wrong slope caught" true
         (result.Check.Oracle.failures <> []);

@@ -572,7 +572,7 @@ let test_certified_checkpoint_matches_direct () =
   in
   if not (List.exists interrupted [ 0.001; 0.002; 0.004; 0.008; 0.016; 0.032 ])
   then Alcotest.fail "no deadline stopped the root mid-decision";
-  (match Resil.Ckpt.load ~kind:"count" ~path with
+  (match Resil.Ckpt.load_with ~kind:"count" ~path Util.Json.Cursor.value with
   | Ok data ->
       Alcotest.(check (option string))
         "the persisted frontier is the root"

@@ -851,6 +851,38 @@ let prop_absolute_noise_backends_agree =
           explicit = bnb && explicit = smt)
         [ (2, false); (3, true) ])
 
+let test_smt_witness_with_unused_input () =
+  (* The second input feeds no neuron, so its noise variable folds out of
+     the formula and the solver's model does not bind it. Every value in
+     the range is then a witness coordinate; the Smt backends must still
+     return a valid one, for both noise kinds. *)
+  let net =
+    Nn.Qnet.create
+      [|
+        { Nn.Qnet.weights = [| [| 1; 0 |] |]; bias = [| 0 |]; act = Nn.Qnet.Relu };
+        {
+          Nn.Qnet.weights = [| [| 1 |]; [| 0 |] |];
+          bias = [| 0; 10 |];
+          act = Nn.Qnet.Identity;
+        };
+      |]
+  in
+  let input = [| 11; 5 |] in
+  let label = Nn.Qnet.predict net input in
+  List.iter
+    (fun spec ->
+      let valid = function
+        | B.Flip v -> N.in_range spec v && N.predict net spec ~input v <> label
+        | B.Robust | B.Unknown _ -> false
+      in
+      Alcotest.(check bool) "smt flip" true
+        (valid (B.exists_flip B.Smt net spec ~input ~label));
+      let cv = B.certified_exists_flip net spec ~input ~label in
+      Alcotest.(check bool) "certified flip" true (valid cv.B.cv_verdict);
+      Alcotest.(check bool) "certificate checks" true
+        (B.check_certified net spec ~input ~label cv = Ok ()))
+    [ N.absolute ~delta:2 ~bias_noise:false; N.symmetric ~delta:20 ~bias_noise:false ]
+
 let prop_absolute_encode_matches_concrete =
   QCheck.Test.make ~name:"absolute-noise encoding equals concrete forward"
     ~count:100 arb_qnet (fun ((net : Nn.Qnet.t), input) ->
@@ -958,26 +990,52 @@ let test_network_tolerance_tiny () =
   end
 
 let test_tolerance_jobs_deterministic () =
+  (* jobs=1 and jobs=N give the same answers for the flip scan, the
+     tolerance search and the counterexample corpus, and the production
+     cascade answers exactly as plain Bnb. *)
   let net = tiny_qnet () in
   let inputs =
     Array.map (fun x -> (x, Nn.Qnet.predict net x))
       [| [| 5; 9 |]; [| 50; 3 |]; [| 10; 12 |]; [| 2; 40 |]; [| 33; 21 |] |]
   in
-  let mis jobs =
-    Fannet.Tolerance.misclassified_at ~jobs B.Bnb net ~bias_noise:false
-      ~delta:20 ~inputs
+  let per_backend backend =
+    let mis jobs =
+      Fannet.Tolerance.misclassified_at ~jobs backend net ~bias_noise:false
+        ~delta:20 ~inputs
+    in
+    let tol jobs =
+      Fannet.Tolerance.network_tolerance ~jobs backend net ~bias_noise:false
+        ~max_delta:30 ~inputs
+    in
+    let mis1 = mis 1 and tol1 = tol 1 in
+    let name = B.to_string backend in
+    List.iter
+      (fun jobs ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s misclassified_at jobs=%d" name jobs)
+          true (mis jobs = mis1);
+        Alcotest.(check int)
+          (Printf.sprintf "%s tolerance jobs=%d" name jobs)
+          tol1 (tol jobs))
+      [ 2; 4 ];
+    (mis1, tol1)
   in
-  let tol jobs =
-    Fannet.Tolerance.network_tolerance ~jobs B.Bnb net ~bias_noise:false
-      ~max_delta:30 ~inputs
+  let mis_bnb, tol_bnb = per_backend B.Bnb in
+  let mis_cascade, tol_cascade = per_backend B.default_cascade in
+  Alcotest.(check bool) "cascade(bnb) = bnb on misclassified_at" true
+    (mis_cascade = mis_bnb);
+  Alcotest.(check int) "cascade(bnb) = bnb on network_tolerance" tol_bnb tol_cascade;
+  let spec = N.symmetric ~delta:20 ~bias_noise:false in
+  let extract jobs =
+    Fannet.Extract.for_inputs ~limit_per_input:50 ~jobs net spec ~inputs
   in
-  let mis1 = mis 1 and tol1 = tol 1 in
+  let ((cexs1, _) as ex1) = extract 1 in
+  Alcotest.(check bool) "the corpus is not empty" true (cexs1 <> []);
   List.iter
     (fun jobs ->
       Alcotest.(check bool)
-        (Printf.sprintf "misclassified_at jobs=%d" jobs)
-        true (mis jobs = mis1);
-      Alcotest.(check int) (Printf.sprintf "tolerance jobs=%d" jobs) tol1 (tol jobs))
+        (Printf.sprintf "extract for_inputs jobs=%d" jobs)
+        true (extract jobs = ex1))
     [ 2; 4 ]
 
 let prop_paper_iterative_equals_binary =
@@ -1334,104 +1392,7 @@ let test_pipeline_deterministic () =
   Alcotest.(check bool) "same selected genes" true (p1.selected_genes = p2.selected_genes);
   Alcotest.(check bool) "same quantized network" true (Nn.Qnet.equal p1.qnet p2.qnet)
 
-(* ---------- portfolio & warm sessions ---------- *)
-
-let test_portfolio_matches_single_solver () =
-  (* Every member is complete, so the portfolio's decision class must
-     equal the single-solver Smt backend's for every width and with or
-     without clause sharing; decided verdicts carry a winning seed. *)
-  let net = tiny_qnet () in
-  let input = [| 5; 3 |] in
-  let label = Nn.Qnet.predict net input in
-  List.iter
-    (fun delta ->
-      let spec = N.symmetric ~delta ~bias_noise:false in
-      let single = B.exists_flip B.Smt net spec ~input ~label in
-      List.iter
-        (fun width ->
-          List.iter
-            (fun share ->
-              let v, seed =
-                Fannet.Portfolio.exists_flip ~width ~share net spec ~input ~label
-              in
-              Alcotest.(check bool)
-                (Printf.sprintf "agree delta=%d width=%d share=%b" delta width
-                   share)
-                true (B.agree single v);
-              Alcotest.(check bool) "decided verdict has a winning seed" true
-                (seed <> None))
-            [ true; false ])
-        [ 1; 2; 3 ])
-    [ 0; 2; 6 ]
-
-let prop_portfolio_agrees_with_smt =
-  QCheck.Test.make ~name:"portfolio verdict class = single-solver smt" ~count:12
-    arb_qnet (fun ((net : Nn.Qnet.t), input) ->
-      let label = Nn.Qnet.predict net input in
-      let spec = N.symmetric ~delta:3 ~bias_noise:false in
-      let single = B.exists_flip B.Smt net spec ~input ~label in
-      let v, seed = Fannet.Portfolio.exists_flip ~width:3 net spec ~input ~label in
-      B.agree single v
-      && seed <> None
-      && match v with
-         | B.Flip w ->
-             N.in_range spec w && N.predict net spec ~input w <> label
-         | B.Robust -> true
-         | B.Unknown _ -> false)
-
-let test_portfolio_certified_winner_checks () =
-  (* The portfolio winner's DRUP trace / model certificate must pass the
-     independent checker, on both a robust and a flipping bracket. *)
-  let net = tiny_qnet () in
-  let input = [| 5; 3 |] in
-  let label = Nn.Qnet.predict net input in
-  let check_at delta =
-    let spec = N.symmetric ~delta ~bias_noise:false in
-    let cv, seed =
-      Fannet.Portfolio.certified_exists_flip ~width:3 net spec ~input ~label
-    in
-    (match cv.B.cv_verdict with
-    | B.Unknown _ -> Alcotest.fail "unbudgeted portfolio answered unknown"
-    | B.Robust | B.Flip _ ->
-        Alcotest.(check bool) "winner seed" true (seed <> None);
-        Alcotest.(check bool) "certificate present" true (cv.B.cv_cert <> None));
-    match B.check_certified net spec ~input ~label cv with
-    | Ok () -> ()
-    | Error e ->
-        Alcotest.fail
-          (Printf.sprintf "winning certificate rejected at delta %d: %s" delta e)
-  in
-  (* Delta 0 is provably robust (the input is correctly classified); a
-     wide range flips if anything does. *)
-  check_at 0;
-  check_at 8
-
-let test_portfolio_cancelled_then_reusable () =
-  let net = tiny_qnet () in
-  let input = [| 5; 3 |] in
-  let label = Nn.Qnet.predict net input in
-  let spec = N.symmetric ~delta:4 ~bias_noise:false in
-  (* A pre-cancelled caller budget stops every member before it decides. *)
-  let tok = Resil.Budget.token () in
-  let budget = Resil.Budget.create ~token:tok () in
-  Resil.Budget.cancel tok;
-  let v, seed = Fannet.Portfolio.exists_flip ~budget ~width:2 net spec ~input ~label in
-  (match v with
-  | B.Unknown Resil.Budget.Cancelled -> ()
-  | v -> Alcotest.fail ("expected cancelled, got " ^ B.verdict_to_string v));
-  Alcotest.(check bool) "no winner when cancelled" true (seed = None);
-  (* The same query with a live budget decides: cancellation poisoned
-     nothing process-wide. *)
-  let tok2 = Resil.Budget.token () in
-  let budget2 = Resil.Budget.create ~token:tok2 () in
-  let v2, _ = Fannet.Portfolio.exists_flip ~budget:budget2 ~width:2 net spec ~input ~label in
-  (match v2 with
-  | B.Robust | B.Flip _ -> ()
-  | B.Unknown _ -> Alcotest.fail "fresh-budget portfolio failed to decide");
-  (* The winner cancels the losers through child tokens only: the
-     caller's own token must not have fired. *)
-  Alcotest.(check bool) "caller token untouched by the win" false
-    (Resil.Budget.cancelled tok2)
+(* ---------- warm sessions ---------- *)
 
 let test_warm_pool_reuse () =
   (* One binary search = one encoding; a repeated identical search = zero
@@ -1460,7 +1421,7 @@ let test_warm_pool_reuse () =
 
 let test_warm_cancelled_probe_leaves_session_reusable () =
   (* A cancelled probe must leave the pooled session answering correctly
-     — the portfolio and budgeted sweeps rely on it.  The cover must be
+     — budgeted sweeps rely on it.  The cover must be
      wide enough to flip: a robust cover makes the session's base formula
      level-0 unsat, and the solver then answers (soundly) before it ever
      consults the budget, so no cancellation would be observable. *)
@@ -1555,6 +1516,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_absolute_noise_backends_agree;
           QCheck_alcotest.to_alcotest prop_absolute_encode_matches_concrete;
           QCheck_alcotest.to_alcotest prop_min_l1_flip_optimal;
+          Alcotest.test_case "smt witness with an unused input" `Quick
+            test_smt_witness_with_unused_input;
         ] );
       ( "tolerance",
         [
@@ -1586,13 +1549,6 @@ let () =
         ] );
       ( "portfolio-warm",
         [
-          Alcotest.test_case "portfolio = single solver" `Quick
-            test_portfolio_matches_single_solver;
-          QCheck_alcotest.to_alcotest prop_portfolio_agrees_with_smt;
-          Alcotest.test_case "certified winner passes RUP check" `Quick
-            test_portfolio_certified_winner_checks;
-          Alcotest.test_case "cancelled then reusable" `Quick
-            test_portfolio_cancelled_then_reusable;
           Alcotest.test_case "warm pool reuse" `Quick test_warm_pool_reuse;
           Alcotest.test_case "cancelled probe leaves session reusable" `Quick
             test_warm_cancelled_probe_leaves_session_reusable;

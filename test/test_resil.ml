@@ -202,7 +202,7 @@ let test_ckpt_roundtrip () =
   let path = tmp_file ".ckpt" in
   let payload = J.Obj [ ("cursor", J.Int 42); ("found", J.List [ J.Int 1; J.Int 2 ]) ] in
   C.save ~kind:"extract" ~path payload;
-  (match C.load ~kind:"extract" ~path with
+  (match C.load_with ~kind:"extract" ~path J.Cursor.value with
   | Ok data -> Alcotest.(check bool) "payload round-trips" true (data = payload)
   | Error e -> Alcotest.fail ("load: " ^ e));
   Sys.remove path
@@ -210,7 +210,7 @@ let test_ckpt_roundtrip () =
 let test_ckpt_kind_mismatch () =
   let path = tmp_file ".ckpt" in
   C.save ~kind:"extract" ~path (J.Int 1);
-  (match C.load ~kind:"tolerance" ~path with
+  (match C.load_with ~kind:"tolerance" ~path J.Cursor.value with
   | Ok _ -> Alcotest.fail "kind mismatch accepted"
   | Error e ->
       Alcotest.(check bool) "mentions path" true
@@ -223,7 +223,7 @@ let test_ckpt_torn_write_detected () =
       F.arm "ckpt.torn";
       C.save ~kind:"extract" ~path (J.Obj [ ("big", J.String (String.make 256 'x')) ]);
       F.clear ();
-      (match C.load ~kind:"extract" ~path with
+      (match C.load_with ~kind:"extract" ~path J.Cursor.value with
       | Ok _ -> Alcotest.fail "torn checkpoint accepted"
       | Error _ -> ());
       if Sys.file_exists path then Sys.remove path)
@@ -232,19 +232,22 @@ let test_ckpt_garbage_rejected () =
   let path = tmp_file ".ckpt" in
   Out_channel.with_open_text path (fun oc ->
       output_string oc "not a checkpoint at all\n");
-  (match C.load ~kind:"extract" ~path with
+  (match C.load_with ~kind:"extract" ~path J.Cursor.value with
   | Ok _ -> Alcotest.fail "garbage accepted"
   | Error _ -> ());
   (* Valid footer syntax but corrupted checksum must also be rejected. *)
   Out_channel.with_open_text path (fun oc ->
       output_string oc "{}\nfannet-ckpt/1 2 deadbeefdeadbeef\n");
-  (match C.load ~kind:"extract" ~path with
+  (match C.load_with ~kind:"extract" ~path J.Cursor.value with
   | Ok _ -> Alcotest.fail "bad checksum accepted"
   | Error _ -> ());
   Sys.remove path
 
 let test_ckpt_missing_file () =
-  match C.load ~kind:"extract" ~path:"/nonexistent/fannet-nope.ckpt" with
+  match
+    C.load_with ~kind:"extract" ~path:"/nonexistent/fannet-nope.ckpt"
+      J.Cursor.value
+  with
   | Ok _ -> Alcotest.fail "missing file accepted"
   | Error _ -> ()
 
@@ -733,6 +736,56 @@ let test_tolerance_checkpoint_resume () =
   | Some t -> Alcotest.(check int) "resumed = uninterrupted" legacy t);
   Alcotest.(check bool) "checkpoint removed" false (Sys.file_exists path)
 
+(* Runs [f] with stderr sent to a file; returns its result and what it
+   wrote there. *)
+let with_stderr_captured f =
+  let path = tmp_file ".err" in
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  flush stderr;
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+      f
+  in
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (r, text)
+
+let test_tolerance_checkpoint_malformed_ignored () =
+  (* A checkpoint whose footer checks out but whose payload is not a
+     tolerance state is warned about and the run starts over. *)
+  let net = tiny_qnet () in
+  let inputs = analysis_inputs net in
+  let legacy =
+    Fannet.Tolerance.network_tolerance B.Bnb net ~bias_noise:false ~max_delta:25
+      ~inputs
+  in
+  List.iter
+    (fun (what, data) ->
+      let path = tmp_file ".ckpt" in
+      C.save_string ~kind:"tolerance" ~path data;
+      let t, err =
+        with_stderr_captured (fun () ->
+            Fannet.Tolerance.network_tolerance_ckpt ~checkpoint:path B.Bnb net
+              ~bias_noise:false ~max_delta:25 ~inputs)
+      in
+      Alcotest.(check int) (what ^ ": answer as without a checkpoint") legacy t;
+      Alcotest.(check bool) (what ^ ": warned") true
+        (contains err "malformed tolerance checkpoint payload"
+        && contains err "ignoring the checkpoint");
+      Alcotest.(check bool) (what ^ ": checkpoint removed") false
+        (Sys.file_exists path))
+    [
+      ("lo > hi", {|{"key":"k","results":[],"cur":{"lo":9,"hi":2}}|});
+      ("non-integer result", {|{"key":"k","results":[3,1.5],"cur":null}|});
+    ]
+
 (* ---------- lenient corpus loading ---------- *)
 
 let mini_corpus_cases () =
@@ -906,6 +959,8 @@ let () =
             test_extract_checkpoint_query_mismatch;
           Alcotest.test_case "tolerance kill-and-resume" `Quick
             test_tolerance_checkpoint_resume;
+          Alcotest.test_case "tolerance malformed checkpoint ignored" `Quick
+            test_tolerance_checkpoint_malformed_ignored;
         ] );
       ( "corpus",
         [

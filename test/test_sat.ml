@@ -223,6 +223,35 @@ let prop_assumption_consistency =
           Sat.Solver.solve ~assumptions s = Sat
       | Unsat | Unknown -> true)
 
+let prop_incremental_assumptions =
+  (* One solver answers a sequence of assumption sets; each answer must
+     match brute force on the formula with those assumptions as units, so
+     nothing learnt under one set leaks into the next. *)
+  let gen =
+    QCheck.Gen.(
+      let* n_vars, clauses = random_cnf_gen in
+      let assumption = pair (int_range 0 (n_vars - 1)) bool in
+      let* sets = list_size (int_range 1 5) (list_size (int_range 0 3) assumption) in
+      return (n_vars, clauses, sets))
+  in
+  QCheck.Test.make ~name:"assumption sequence matches brute force" ~count:150
+    (QCheck.make gen) (fun (n_vars, clauses, sets) ->
+      let s = solver_of_clauses n_vars clauses in
+      List.for_all
+        (fun set ->
+          let assumptions = List.map (fun (v, sign) -> lit v sign) set in
+          let expected =
+            brute_force_sat n_vars (List.map (fun a -> [ a ]) set @ clauses)
+          in
+          match Sat.Solver.solve ~assumptions s with
+          | Sat ->
+              let m = Sat.Solver.model s in
+              expected && model_satisfies m clauses
+              && List.for_all (fun (v, sign) -> m.(v) = sign) set
+          | Unsat -> not expected
+          | Unknown -> false)
+        sets)
+
 (* ---------- priority branching ---------- *)
 
 let test_priority_branching_decides_inputs_first () =
@@ -306,115 +335,6 @@ let test_lit_encoding () =
     (Sat.Lit.equal l (Sat.Lit.of_dimacs 6));
   Alcotest.check_raises "zero" (Invalid_argument "Lit.of_dimacs: zero")
     (fun () -> ignore (Sat.Lit.of_dimacs 0))
-
-(* ---------- mailbox / portfolio plumbing ---------- *)
-
-let test_mailbox_publish_drain () =
-  let mb = Sat.Mailbox.create ~slots:8 in
-  let r1 = Sat.Mailbox.reader mb in
-  Sat.Mailbox.publish mb ~src:0 [ lit 1 true ];
-  Sat.Mailbox.publish mb ~src:1 [ lit 2 false ];
-  Sat.Mailbox.publish mb ~src:0 [ lit 3 true; lit 4 false ];
-  let got = ref [] in
-  Sat.Mailbox.drain r1 ~self:1 (fun c -> got := c :: !got);
-  (* self=1 skips src 1's message; order is oldest first. *)
-  Alcotest.(check int) "own message skipped" 2 (List.length !got);
-  Alcotest.(check bool) "oldest first" true
-    (List.rev !got
-    = [ [ lit 1 true ]; [ lit 3 true; lit 4 false ] ]);
-  (* A second drain sees nothing new. *)
-  let again = ref 0 in
-  Sat.Mailbox.drain r1 ~self:1 (fun _ -> incr again);
-  Alcotest.(check int) "cursor advanced" 0 !again;
-  Alcotest.(check int) "published counts everything" 3 (Sat.Mailbox.published mb)
-
-let test_mailbox_wraparound_bounded () =
-  (* Publishing far more than the ring holds must not grow memory or
-     deliver more than [slots] messages; the newest survive. *)
-  let mb = Sat.Mailbox.create ~slots:4 in
-  let r = Sat.Mailbox.reader mb in
-  for i = 1 to 100 do
-    Sat.Mailbox.publish mb ~src:0 [ lit i true ]
-  done;
-  let got = ref [] in
-  Sat.Mailbox.drain r ~self:9 (fun c -> got := c :: !got);
-  Alcotest.(check int) "at most slots delivered" 4 (List.length !got);
-  Alcotest.(check bool) "newest message survived" true
-    (List.mem [ lit 100 true ] !got)
-
-let test_mailbox_reader_starts_at_head () =
-  let mb = Sat.Mailbox.create ~slots:8 in
-  Sat.Mailbox.publish mb ~src:0 [ lit 1 true ];
-  let r = Sat.Mailbox.reader mb in
-  let n = ref 0 in
-  Sat.Mailbox.drain r ~self:9 (fun _ -> incr n);
-  Alcotest.(check int) "history before the reader is invisible" 0 !n
-
-let test_import_rejects_unsound_clause () =
-  (* The instance has exactly the models of (x0 xor x1); importing the
-     clause [-x0] (which excludes half of them and is NOT RUP-derivable)
-     must be dropped, leaving the instance satisfiable with x0 free. *)
-  let s = Sat.Solver.create () in
-  let x0 = Sat.Solver.new_var s and x1 = Sat.Solver.new_var s in
-  Sat.Solver.add_clause s [ lit x0 true; lit x1 true ];
-  Sat.Solver.add_clause s [ lit x0 false; lit x1 false ];
-  let poison = ref (Some [ lit x0 false ]) in
-  Sat.Solver.set_clause_hooks s
-    ~import:(fun () ->
-      match !poison with
-      | Some c ->
-          poison := None;
-          [ c ]
-      | None -> [])
-    ();
-  Alcotest.(check bool) "still satisfiable" true (Sat.Solver.solve s = Sat);
-  (* The poison clause was not adopted: x0=true, x1=false must remain a
-     model reachable under assumptions. *)
-  Alcotest.(check bool) "x0=true still allowed" true
-    (Sat.Solver.solve ~assumptions:[ lit x0 true ] s = Sat)
-
-let test_import_adopts_rup_clause () =
-  (* x0=true is forced by propagation from [x0 ∨ x1] and [x0 ∨ ¬x1]; the
-     unit [x0] is therefore RUP-derivable and a valid import. After
-     adoption the solver answers Unsat under the assumption ¬x0. *)
-  let s = Sat.Solver.create () in
-  let x0 = Sat.Solver.new_var s and x1 = Sat.Solver.new_var s in
-  Sat.Solver.add_clause s [ lit x0 true; lit x1 true ];
-  Sat.Solver.add_clause s [ lit x0 true; lit x1 false ];
-  let gift = ref (Some [ lit x0 true ]) in
-  Sat.Solver.set_clause_hooks s
-    ~import:(fun () ->
-      match !gift with
-      | Some c ->
-          gift := None;
-          [ c ]
-      | None -> [])
-    ();
-  Alcotest.(check bool) "sat with the gift adopted" true (Sat.Solver.solve s = Sat);
-  Alcotest.(check bool) "gift forces x0" true
-    (Sat.Solver.solve ~assumptions:[ lit x0 false ] s = Unsat)
-
-let test_diversified_seeds_agree () =
-  (* Diversification changes the search, never the answer: the same
-     pigeonhole instance stays Unsat and a satisfiable ring stays Sat
-     for every seed. *)
-  List.iter
-    (fun seed ->
-      let n, clauses = pigeonhole_clauses ~pigeons:5 ~holes:4 in
-      let unsat = solver_of_clauses n clauses in
-      Sat.Solver.set_diversification unsat ~seed;
-      Alcotest.(check bool)
-        (Printf.sprintf "php seed=%d" seed)
-        true
-        (Sat.Solver.solve unsat = Unsat);
-      let n, clauses = pigeonhole_clauses ~pigeons:5 ~holes:5 in
-      let sat = solver_of_clauses n clauses in
-      Sat.Solver.set_diversification sat ~seed;
-      Alcotest.(check bool)
-        (Printf.sprintf "php-sat seed=%d" seed)
-        true
-        (Sat.Solver.solve sat = Sat))
-    [ 0; 1; 2; 3; 7 ]
 
 (* ---------- search pin ---------- *)
 
@@ -504,25 +424,6 @@ let search_trace () =
         block 0
       end)
     [ (1, 40); (2, 42); (3, 43); (4, 44); (5, 50); (6, 60) ];
-  (* A diversified portfolio member. *)
-  let n, clauses = pigeonhole_clauses ~pigeons:6 ~holes:5 in
-  let s = build n clauses in
-  Sat.Solver.set_diversification s ~seed:3;
-  ignore (solve s);
-  (* Two solvers sharing clauses, run one after the other. *)
-  let n, clauses = random_3sat ~seed:11 ~vars:90 ~clauses:390 in
-  let a = build n clauses and c = build n clauses in
-  let a_out = Queue.create () and c_out = Queue.create () in
-  let drain q () = let l = List.of_seq (Queue.to_seq q) in Queue.clear q; l in
-  Sat.Solver.set_clause_hooks a ~export:(fun l -> Queue.push l a_out)
-    ~import:(drain c_out) ();
-  Sat.Solver.set_clause_hooks c ~export:(fun l -> Queue.push l c_out)
-    ~export_max_len:12 ~import:(drain a_out) ();
-  Sat.Solver.set_diversification a ~seed:1;
-  Sat.Solver.set_diversification c ~seed:2;
-  ignore (solve a);
-  ignore (solve c);
-  ignore (solve ~assumptions:[ lit 0 true ] a);
   (Buffer.contents b, !results)
 
 let test_search_pinned () =
@@ -534,7 +435,7 @@ let test_search_pinned () =
     (List.exists
        (fun line -> String.length line > 0 && line.[0] = 'd')
        (String.split_on_char '\n' trace));
-  Alcotest.(check string) "search digest" "ad29ef3e72513a43c3bd02a9a737ce0f"
+  Alcotest.(check string) "search digest" "b8ff4ae620add33697d64a7e8598c0e1"
     (Digest.to_hex (Digest.string trace))
 
 (* Learnt clauses come and go over many [reduce_db] rounds; reclaiming
@@ -601,6 +502,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_model_always_satisfies;
           QCheck_alcotest.to_alcotest prop_assumption_consistency;
         ] );
+      ( "solver-incremental",
+        [ QCheck_alcotest.to_alcotest prop_incremental_assumptions ] );
       ( "priority",
         [
           Alcotest.test_case "inputs-first branching" `Quick
@@ -618,20 +521,5 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_dimacs_roundtrip;
           Alcotest.test_case "parse and solve" `Quick test_dimacs_solve;
-        ] );
-      ( "portfolio-plumbing",
-        [
-          Alcotest.test_case "mailbox publish/drain" `Quick
-            test_mailbox_publish_drain;
-          Alcotest.test_case "mailbox wraparound bounded" `Quick
-            test_mailbox_wraparound_bounded;
-          Alcotest.test_case "reader starts at head" `Quick
-            test_mailbox_reader_starts_at_head;
-          Alcotest.test_case "import rejects unsound clause" `Quick
-            test_import_rejects_unsound_clause;
-          Alcotest.test_case "import adopts RUP clause" `Quick
-            test_import_adopts_rup_clause;
-          Alcotest.test_case "diversified seeds agree" `Quick
-            test_diversified_seeds_agree;
         ] );
     ]

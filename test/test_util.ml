@@ -362,67 +362,6 @@ let test_parallel_steals_balance_skew () =
   in
   Alcotest.(check bool) "sleeping owner got robbed" true (steals > 0)
 
-let test_parallel_race_winner_cancels () =
-  (* The fast thunk wins; the cancel callback fires exactly once and the
-     slow thunks observe it and stop early. *)
-  let cancelled = Atomic.make false in
-  let cancel_calls = Atomic.make 0 in
-  let cancel () =
-    Atomic.incr cancel_calls;
-    Atomic.set cancelled true
-  in
-  let slow id () =
-    let rec wait n =
-      if Atomic.get cancelled then `Stopped id
-      else if n > 2000 then `Finished id
-      else begin
-        Unix.sleepf 0.001;
-        wait (n + 1)
-      end
-    in
-    wait 0
-  in
-  let fast () = `Finished 0 in
-  let (w, v), outcomes =
-    Util.Parallel.race ~cancel [| fast; slow 1; slow 2 |]
-  in
-  Alcotest.(check int) "fast thunk wins" 0 w;
-  Alcotest.(check bool) "winner value" true (v = `Finished 0);
-  Alcotest.(check int) "cancel called exactly once" 1 (Atomic.get cancel_calls);
-  Alcotest.(check int) "every outcome reported" 3 (Array.length outcomes);
-  Array.iteri
-    (fun i o ->
-      match o with
-      | Ok (`Stopped id) -> Alcotest.(check int) "loser identity" i id
-      | Ok (`Finished id) -> Alcotest.(check int) "winner identity" 0 id
-      | Error _ -> Alcotest.fail "no thunk raised")
-    outcomes
-
-let test_parallel_race_all_raise () =
-  (* Every thunk raising re-raises the lowest-indexed exception. *)
-  let boom i () : unit =
-    if i > 0 then Unix.sleepf 0.002;
-    failwith (Printf.sprintf "thunk %d" i)
-  in
-  Alcotest.check_raises "lowest index wins" (Failure "thunk 0") (fun () ->
-      ignore (Util.Parallel.race ~cancel:(fun () -> ()) [| boom 0; boom 1; boom 2 |]))
-
-let test_parallel_race_skips_raising_loser () =
-  (* A raising thunk must not beat a normally-returning one, whatever the
-     timing. *)
-  let (w, v), _ =
-    Util.Parallel.race
-      ~cancel:(fun () -> ())
-      [|
-        (fun () -> failwith "eager failure");
-        (fun () ->
-          Unix.sleepf 0.005;
-          42);
-      |]
-  in
-  Alcotest.(check int) "surviving thunk wins" 1 w;
-  Alcotest.(check int) "its value" 42 v
-
 let test_parallel_default_jobs_override () =
   let before = Util.Parallel.default_jobs () in
   Alcotest.(check bool) "at least 1" true (before >= 1);
@@ -789,11 +728,6 @@ let () =
             test_parallel_adversarial_delays;
           Alcotest.test_case "steals balance skew" `Quick
             test_parallel_steals_balance_skew;
-          Alcotest.test_case "race winner cancels" `Quick
-            test_parallel_race_winner_cancels;
-          Alcotest.test_case "race all raise" `Quick test_parallel_race_all_raise;
-          Alcotest.test_case "race skips raising loser" `Quick
-            test_parallel_race_skips_raising_loser;
           Alcotest.test_case "default jobs override" `Quick test_parallel_default_jobs_override;
         ] );
       ( "json",

@@ -44,7 +44,8 @@ certify-smoke:
 # FANNET_FAULTS matrix), then CLI runs under injected faults and a tiny
 # --timeout, asserting a typed exit 2 and a clean message - never a
 # crash or an uncaught exception. A solver OOM stops even an unbudgeted
-# sweep (no silent "0 misclassified"), and with no budget to double
+# sweep (no silent "0 misclassified") or SMT tolerance search (its one
+# solver session stops with a typed reason), and with no budget to double
 # --retries must not re-run it. A --limit below 1 is a usage error, and
 # the default bias corpus, cut at --limit 100 per input, says so on
 # stderr. So are a --timeout that is not a finite number > 0, a
@@ -73,6 +74,7 @@ faults-smoke:
 	dune exec bin/fannet_cli.exe -- tolerance --timeout 0.001; [ $$? -eq 2 ]
 	FANNET_FAULTS=backend.unknown dune exec bin/fannet_cli.exe -- tolerance; 	  [ $$? -eq 2 ]
 	FANNET_FAULTS=sat.oom dune exec bin/fannet_cli.exe -- sweep --backend smt; 	  [ $$? -eq 2 ]
+	FANNET_FAULTS=sat.oom dune exec bin/fannet_cli.exe -- tolerance --backend smt; [ $$? -eq 2 ]
 	FANNET_FAULTS=sat.oom dune exec bin/fannet_cli.exe -- sweep --backend smt \
 	  --retries 3 2>faults_smoke.err; rc=$$?; ! grep -q retrying faults_smoke.err; \
 	  ok=$$?; rm -f faults_smoke.err; [ $$rc -eq 2 ] && [ $$ok -eq 0 ]

@@ -998,7 +998,7 @@ let serve_cmd =
   let doc =
     "Run $(b,fannetd), the verification daemon: fannet-wire/1 over a Unix or \
      TCP socket, an LRU verdict cache (optionally journaled to disk with \
-     $(b,--store)), warm per-worker solver sessions (optionally in supervised \
+     $(b,--store)), resident worker domains (optionally in supervised \
      worker processes with $(b,--procs)), typed overload rejections and an \
      HTTP-style $(b,GET /metrics) scrape on the same port. Stop with \
      SIGINT/SIGTERM or a client $(b,shutdown) request."

@@ -90,16 +90,3 @@ let vector_of_model t model =
     Noise.bias = (match t.bias_var with Some v -> value v | None -> 0);
     inputs = Array.map value t.input_vars;
   }
-
-let vector_excluded t (v : Noise.vector) =
-  let diffs =
-    (match t.bias_var with
-    | Some d0 -> [ T.not_ (T.eq (T.of_var d0) (T.const v.Noise.bias)) ]
-    | None -> [])
-    @ Array.to_list
-        (Array.mapi
-           (fun i var ->
-             T.not_ (T.eq (T.of_var var) (T.const v.Noise.inputs.(i))))
-           t.input_vars)
-  in
-  T.or_ diffs

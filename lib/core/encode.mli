@@ -27,7 +27,3 @@ val vector_of_model : t -> Smtlite.Solve.model -> Noise.vector
 (** Read a noise vector out of a satisfying assignment. A noise variable
     the assignment does not bind (it folded out of the formula, so the
     outputs do not depend on it) reads 0. *)
-
-val vector_excluded : t -> Noise.vector -> Smtlite.Term.formula
-(** Formula stating the noise variables differ from the given vector — the
-    building block of the paper's P3 blocking expression [!e]. *)

@@ -130,21 +130,6 @@ let for_input ?(limit = 10_000) ?budget ?checkpoint net spec ~input ~label
           if Sys.file_exists path then Sys.remove path);
       finish vectors st
 
-(* The paper's P3 blocking loop, on a pooled warm session: found models
-   are excluded through per-call assumptions ({!Warm.enumerate_flips}),
-   so the session survives for later queries about the same
-   (net, spec, input, label) — a sweep or cross-check re-enumerates from
-   a warm encoding. The corpus comes back in canonical {!Noise.compare}
-   order (the complete flip set is a semantic property of the query, and
-   sorting hides which enumeration order the warm session followed). *)
-let smt_for_input ?(limit = 10_000) ?max_conflicts ?budget net spec ~input
-    ~label ~input_index =
-  let vectors, st =
-    Warm.enumerate_flips ~limit ?max_conflicts ?budget net spec ~input ~label
-  in
-  ( List.map (make_counterexample net spec ~input ~label ~input_index) vectors,
-    of_bnb_status st )
-
 let weakest a b =
   match (a, b) with
   | Budget r, _ -> Budget r

@@ -1,14 +1,12 @@
 (** Property P3: adversarial noise-vector extraction.
 
     Collects the distinct noise vectors that misclassify each input — the
-    noise matrix [e] of the paper's Fig. 2. Two engines answer the same
-    enumeration query:
-
-    - {!for_input} / {!for_inputs} use the branch-and-bound engine
-      ({!Bnb.enumerate_flips}) — fast at every noise range;
-    - {!smt_for_input} runs the paper's literal P3 loop: SAT query,
-      counterexample, blocking clause [!e], re-query — on the bit-blasted
-      encoding. Practical for small ranges; used as a cross-check.
+    noise matrix [e] of the paper's Fig. 2. {!for_input} / {!for_inputs}
+    use the branch-and-bound engine ({!Bnb.enumerate_flips}), fast at
+    every noise range, and {!explicit_for_input} is the brute-force
+    oracle. The paper's literal P3 loop (SAT query, counterexample,
+    blocking clause [!e], re-query) runs, certified, in
+    {!Count.Exact}'s enumeration cubes.
 
     Every returned vector is re-validated against the concrete
     {!Noise.predict}.
@@ -72,19 +70,6 @@ val for_inputs :
     [budget] stops every worker cooperatively: inputs not reached before
     exhaustion contribute a [Budget] status from their entry check, so
     the result stays deterministic. *)
-
-val smt_for_input :
-  ?limit:int ->
-  ?max_conflicts:int ->
-  ?budget:Resil.Budget.t ->
-  Nn.Qnet.t ->
-  Noise.spec ->
-  input:int array ->
-  label:int ->
-  input_index:int ->
-  counterexample list * status
-(** The paper's P3 blocking loop on the CDCL engine. [Budget] when
-    [max_conflicts] or the budget ran out. *)
 
 val explicit_for_input :
   Nn.Qnet.t ->

@@ -78,10 +78,7 @@ type formal_side = {
 let node_to_dim (spec : Noise.spec) node =
   if spec.Noise.bias_noise then node else node - 1
 
-type engine = Bnb | Smt
-
-let side_exists ?(engine = Bnb) ?budget (spec : Noise.spec) ~inputs net node
-    ~positive =
+let side_exists ?budget (spec : Noise.spec) ~inputs net node ~positive =
   let lo, hi =
     if positive then (1, spec.Noise.delta_hi) else (spec.Noise.delta_lo, -1)
   in
@@ -97,19 +94,10 @@ let side_exists ?(engine = Bnb) ?budget (spec : Noise.spec) ~inputs net node
               if d = node_to_dim spec node then (lo, hi)
               else (spec.Noise.delta_lo, spec.Noise.delta_hi))
         in
-        match engine with
-        | Bnb -> (
-            match Bnb.exists_flip ~box ?budget net spec ~input ~label with
-            | Bnb.Flip _ -> true
-            | Bnb.Robust -> false
-            | Bnb.Unknown r -> raise (Resil.Budget.Stopped r))
-        | Smt -> (
-            (* Bit-blasted one-sided query on a pooled warm session: all
-               boxes about one (net, input, label) share one encoding,
-               each box is a memoised assumption ({!Warm.probe_box}). *)
-            match Warm.probe_box ?budget net spec ~box ~input ~label with
-            | Ok flips -> flips
-            | Error r -> raise (Resil.Budget.Stopped r)))
+        match Bnb.exists_flip ~box ?budget net spec ~input ~label with
+        | Bnb.Flip _ -> true
+        | Bnb.Robust -> false
+        | Bnb.Unknown r -> raise (Resil.Budget.Stopped r))
       inputs
 
 let sided_nodes (spec : Noise.spec) ~inputs =
@@ -118,18 +106,17 @@ let sided_nodes (spec : Noise.spec) ~inputs =
   if spec.Noise.bias_noise then Array.init (n_inputs + 1) Fun.id
   else Array.init n_inputs (fun i -> i + 1)
 
-let formal_sidedness ?jobs ?engine ?budget net (spec : Noise.spec) ~inputs =
+let formal_sidedness ?jobs ?budget net (spec : Noise.spec) ~inputs =
   let nodes = sided_nodes spec ~inputs in
-  (* One worker per node; both one-sided queries stay on that worker (and,
-     with the Smt engine, share that worker's warm sessions). *)
+  (* One worker per node; both one-sided queries stay on that worker. *)
   Resil.Budget.parallel_mapi ?jobs ?budget
     (fun _ node ->
       {
         fs_node = node;
         positive_flip =
-          side_exists ?engine ?budget spec ~inputs net node ~positive:true;
+          side_exists ?budget spec ~inputs net node ~positive:true;
         negative_flip =
-          side_exists ?engine ?budget spec ~inputs net node ~positive:false;
+          side_exists ?budget spec ~inputs net node ~positive:false;
       })
     nodes
 

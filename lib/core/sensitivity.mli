@@ -38,17 +38,8 @@ type formal_side = {
   negative_flip : bool;  (** some counterexample has noise <= -1 here *)
 }
 
-type engine =
-  | Bnb  (** complete branch-and-bound with box restriction (default) *)
-  | Smt
-      (** bit-blasted queries on pooled {!Warm} sessions: all boxes about
-          one (network, input, label) share one Tseitin encoding, each box
-          is a memoised assumption — the per-node workers of
-          {!formal_sidedness} warm-start each other's queries *)
-
 val formal_sidedness :
   ?jobs:int ->
-  ?engine:engine ->
   ?budget:Resil.Budget.t ->
   Nn.Qnet.t ->
   Noise.spec ->
@@ -60,14 +51,13 @@ val formal_sidedness :
     some input has a flipping vector whose [i]-component is >= +1 (other
     nodes range freely). A node with [positive_flip = false] is the
     paper's "extremely insensitive to positive noise" case (its i5).
-    Both engines are complete, so the answer is engine-independent.
+    Each one-sided query is a complete {!Bnb} search restricted to a box.
 
     [?budget] (unlimited when omitted) is propagated into every
     one-sided query and polled by the pool. Raises
     {!Resil.Budget.Stopped} with the first reason observed when a query
-    stops — budget exhaustion, cancellation, or (with the [Smt] engine)
-    a solver out of memory, even without a budget — rather than return
-    a partial, and therefore misleading, sidedness table. *)
+    stops — budget exhaustion or cancellation — rather than return a
+    partial, and therefore misleading, sidedness table. *)
 
 val formal_side_to_side : formal_side -> side
 

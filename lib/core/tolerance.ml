@@ -61,28 +61,57 @@ let rec bisect flips lo hi =
     let mid = (lo + hi) / 2 in
     if flips mid then bisect flips lo mid else bisect flips mid hi
 
-(* Incremental bit-blasted search over one warm solver session. The
-   session comes from the per-domain {!Warm} pool keyed by
-   (net, input, label, bias_noise, max_delta): the network is
-   Tseitin-encoded once at the widest range [±max_delta], each probe
-   ±delta is the memoised assumption "every noise variable lies in
-   [-delta, +delta]", and — because the pool outlives this call — a later
-   search or sweep probe about the same input skips the encoding
-   entirely. With [prefilter], the interval pass runs first per probe and
-   the solver is only consulted when it cannot prove robustness. *)
+(* One solver session for one SMT search: the misclassification formula
+   is Tseitin-encoded once at the widest range [±max_delta], and each
+   narrower probe ±delta becomes the memoised assumption "every noise
+   variable lies in [-delta, +delta]", so learnt clauses carry across the
+   probes of the search. The session belongs to the call that opened it.
+   Each probe returns its verdict — a [Sat] witness re-validated against
+   {!Noise.predict} — and, when [trace] is given, its certificate. *)
+let range_session ?trace ?budget net ~bias_noise ~max_delta ~input ~label =
+  let enc = Encode.encode net ~input (Noise.symmetric ~delta:max_delta ~bias_noise) in
+  let session =
+    Smtlite.Solve.open_session ?trace (Encode.misclassified enc ~true_label:label)
+  in
+  let ranges = Hashtbl.create 8 in
+  let range delta =
+    match Hashtbl.find_opt ranges delta with
+    | Some a -> a
+    | None ->
+        let bounded v =
+          let d = T.of_var v in
+          T.and_ [ T.ge d (T.const (-delta)); T.le d (T.const delta) ]
+        in
+        let a =
+          Smtlite.Solve.assume session
+            (T.and_ (List.map bounded (Encode.noise_vars enc)))
+        in
+        Hashtbl.add ranges delta a;
+        a
+  in
+  fun delta ->
+    let assumptions = if delta = max_delta then [] else [ range delta ] in
+    match Smtlite.Solve.solve_certified ~assumptions ?budget session with
+    | Smtlite.Solve.Unknown r, _ -> raise (Resil.Budget.Stopped r)
+    | Smtlite.Solve.Unsat, cert -> (`Robust, cert)
+    | Smtlite.Solve.Sat model, cert ->
+        let v = Encode.vector_of_model enc model in
+        let spec = Noise.symmetric ~delta ~bias_noise in
+        if not (Noise.in_range spec v) then
+          failwith "Tolerance: witness outside the probe range";
+        if Noise.predict net spec ~input v = label then
+          failwith "Tolerance: witness does not misclassify";
+        (`Flip v, cert)
+
+(* The incremental SMT search: one {!range_session} for the whole
+   binary search. With [prefilter], the interval pass runs first per
+   probe, and the session is only opened once it cannot prove
+   robustness. No conflict cap is passed, so an unknown is always a
+   typed stop: the budget, or the solver out of memory. *)
 let smt_min_flip_delta ?budget ~prefilter net ~bias_noise ~max_delta ~input
     ~label =
-  let solver_flips delta =
-    match
-      Obs.Span.with_ (Printf.sprintf "tolerance.smt_probe ±%d%%" delta) (fun () ->
-          Warm.probe_delta ?budget net ~bias_noise ~cover:max_delta ~delta
-            ~input ~label)
-    with
-    | Ok flips -> flips
-    | Error r ->
-        (* No conflict cap is passed, so an unknown is always a typed
-           stop: the budget, or the solver out of memory. *)
-        raise (Resil.Budget.Stopped r)
+  let session =
+    lazy (range_session ?budget net ~bias_noise ~max_delta ~input ~label)
   in
   let flips delta =
     note_probe delta;
@@ -92,7 +121,11 @@ let smt_min_flip_delta ?budget ~prefilter net ~bias_noise ~max_delta ~input
            (Noise.symmetric ~delta ~bias_noise) ~input ~label
          = Backend.Robust
     then false
-    else solver_flips delta
+    else
+      Obs.Span.with_ (Printf.sprintf "tolerance.smt_probe ±%d%%" delta) (fun () ->
+          match Lazy.force session delta with
+          | `Flip _, _ -> true
+          | `Robust, _ -> false)
   in
   if not (flips max_delta) then None
   else if flips 0 then Some 0
@@ -105,58 +138,25 @@ type certified_bracket = {
   robust_cert : (int * Cert.Verdict.t) option;
 }
 
-(* Certified variant of [smt_min_flip_delta]: same warm session and
-   assumption literals, but with a DRUP trace attached and a certificate
-   snapshotted at every probe. No interval prefilter — a prefilter answer
-   carries no proof, and the bracket must be certified at both ends. *)
+(* Certified variant of [smt_min_flip_delta]: the same range session,
+   with a DRUP trace attached and a certificate snapshotted at every
+   probe. No interval prefilter — a prefilter answer carries no proof,
+   and the bracket must be certified at both ends. *)
 let certified_min_flip_delta ?budget net ~bias_noise ~max_delta ~input ~label =
   if max_delta < 0 then invalid_arg "Tolerance: negative max_delta";
-  let spec = Noise.symmetric ~delta:max_delta ~bias_noise in
-  let enc = Encode.encode net ~input spec in
   let trace = Cert.Proof.create () in
   let session =
-    Smtlite.Solve.open_session ~trace (Encode.misclassified enc ~true_label:label)
-  in
-  let vars = Encode.noise_vars enc in
-  let range_assumptions = Hashtbl.create 8 in
-  let assumption_for delta =
-    match Hashtbl.find_opt range_assumptions delta with
-    | Some a -> a
-    | None ->
-        let bounded v =
-          let d = T.of_var v in
-          T.and_ [ T.ge d (T.const (-delta)); T.le d (T.const delta) ]
-        in
-        let a = Smtlite.Solve.assume session (T.and_ (List.map bounded vars)) in
-        Hashtbl.add range_assumptions delta a;
-        a
+    range_session ~trace ?budget net ~bias_noise ~max_delta ~input ~label
   in
   let probe delta =
     note_probe delta;
-    let assumptions = if delta = max_delta then [] else [ assumption_for delta ] in
-    let outcome, cert =
+    match
       Obs.Span.with_ (Printf.sprintf "tolerance.certified_probe ±%d%%" delta)
-        (fun () -> Smtlite.Solve.solve_certified ~assumptions ?budget session)
-    in
-    match outcome with
-    | Smtlite.Solve.Unknown r -> raise (Resil.Budget.Stopped r)
-    | (Smtlite.Solve.Unsat | Smtlite.Solve.Sat _) as outcome -> (
-        let cert =
-          match cert with
-          | Some c -> c
-          | None -> failwith "Tolerance: certified probe produced no certificate"
-        in
-        match outcome with
-        | Smtlite.Solve.Unknown _ -> assert false
-        | Smtlite.Solve.Unsat -> `Robust cert
-            | Smtlite.Solve.Sat model ->
-            let v = Encode.vector_of_model enc model in
-            let probe_spec = Noise.symmetric ~delta ~bias_noise in
-            if not (Noise.in_range probe_spec v) then
-              failwith "Tolerance: incremental witness outside the probe range";
-            if Noise.predict net probe_spec ~input v = label then
-              failwith "Tolerance: incremental witness does not misclassify";
-            `Flip (v, cert))
+        (fun () -> session delta)
+    with
+    | _, None -> failwith "Tolerance: certified probe produced no certificate"
+    | `Robust, Some cert -> `Robust cert
+    | `Flip v, Some cert -> `Flip (v, cert)
   in
   match probe max_delta with
   | `Robust cert ->

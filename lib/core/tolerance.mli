@@ -6,7 +6,7 @@
 
     The per-sample queries are independent, so every per-input loop here
     fans out over a {!Util.Parallel} domain pool ([?jobs], defaulting to
-    the process-wide setting). Each worker builds its own solver session;
+    the process-wide setting). Each query builds its own solver state;
     results are deterministic and identical at every jobs count.
 
     Every analysis takes an optional {!Resil.Budget} ([?budget],
@@ -177,10 +177,13 @@ val input_min_flip_delta :
     or [None] if robust up to ±max_delta.
 
     With the [Smt] backend (or [Cascade Smt]) the binary search is
-    incremental: the network is bit-blasted once at ±max_delta and each
-    probe narrows the noise bound through assumable range literals over
-    one warm solver session, so learnt clauses carry across probes and no
-    probe pays a fresh Tseitin encoding. [Cascade Smt] additionally runs
-    the interval prefilter per probe. Verdicts are identical to the
-    per-probe re-encoding at every delta. Raises [Resil.Budget.Stopped]
-    when a probe stops before the search converges. *)
+    incremental: it opens one solver session for the call, bit-blasts
+    the network once at ±max_delta, and narrows the noise bound of each
+    probe through an assumable range literal, so learnt clauses carry
+    across probes and no probe pays a fresh Tseitin encoding. The
+    session is dropped when the search returns; nothing is reused across
+    calls. [Cascade Smt] runs the interval prefilter per probe first and
+    opens the session only when a probe needs the solver. Verdicts are
+    identical to the per-probe re-encoding at every delta. Raises
+    [Resil.Budget.Stopped] when a probe stops before the search
+    converges. *)

@@ -73,7 +73,6 @@ let create ?timeout_s ?conflicts ?max_mem_mb ?token:tok () =
 
 let unlimited () = create ()
 let conflicts b = b.conflicts
-let timeout_s b = b.timeout_s
 let cancellation b = b.tok
 
 let record b r =

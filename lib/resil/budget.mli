@@ -74,8 +74,6 @@ val conflicts : t -> int option
 (** The per-query conflict cap, for callers that meter conflicts
     themselves (the SAT solver). *)
 
-val timeout_s : t -> float option
-
 val cancellation : t -> token
 (** The budget's token — cancel it to stop every worker sharing the
     budget. *)

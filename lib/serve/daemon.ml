@@ -4,9 +4,8 @@
    Supervisor) — crash-only mode, where the accept loop stays
    single-domain and small and a worker crash is an event, not an
    outage. Systhreads all share one domain, so blocking socket reads
-   cost nothing in compute terms; the solver work runs where warm
-   Fannet.Warm sessions accumulate (a pool worker domain's DLS, or a
-   worker process's own pool). *)
+   cost nothing in compute terms; the solver work runs on a pool worker
+   domain, or in a worker process's own pool. *)
 
 type addr = Unix_path of string | Tcp of string * int
 

@@ -4,9 +4,7 @@
     {!Protocol} messages. One lightweight thread per connection parses
     frames and answers control requests directly; query requests pass
     admission control, consult the LRU verdict cache, and on a miss run
-    on the resident {!Pool} of worker domains — where warm
-    {!Fannet.Warm} sessions keyed by the resident network accumulate, so
-    repeat searches against the same model skip re-encoding.
+    on the resident {!Pool} of worker domains.
 
     Admission control: at most [cap] queries may be queued-or-executing
     at once; excess requests are answered with a typed
@@ -59,8 +57,8 @@ type config = {
       (** persistent verdict journal ([fannet-store/1], see {!Store});
           decided answers are written through, and on start the journal
           is recovered into the cache — bit-identical bytes, certificates
-          re-validated by [lib/cert] — so a restart costs warm sessions
-          but not certified verdicts. [None] = memory only *)
+          re-validated by [lib/cert] — so a restart does not cost
+          certified verdicts. [None] = memory only *)
 }
 
 val default_config : config

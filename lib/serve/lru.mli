@@ -20,8 +20,8 @@ type 'a t
 val create : cap:int -> 'a t
 (** [cap] is the total weight budget (bytes for the daemon, entries for
     weightless callers). [cap <= 0] means "cache nothing": every [find]
-    misses, every [add] is dropped — the configuration the cold-vs-warm
-    bench uses to bypass caching without a second code path. *)
+    misses, every [add] is dropped — the configuration the serving
+    tests use to bypass caching without a second code path. *)
 
 val find : 'a t -> string -> 'a option
 (** [Some v] bumps the entry to most-recently-used and counts a hit;

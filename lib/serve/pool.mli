@@ -10,9 +10,7 @@
     rather than item granularity.
 
     Jobs run at most one per worker at a time, so anything a job keeps
-    in {!Domain.DLS} — warm {!Fannet.Warm} sessions above all — is
-    reused across queries that land on the same worker and never shared
-    between two running jobs.
+    in {!Domain.DLS} is never shared between two running jobs.
 
     A job that raises does not kill its worker: {!run} transports the
     exception back to the submitter; fire-and-forget {!submit} jobs must

@@ -139,8 +139,7 @@ let close_all_but ~keep =
 
 (* Runs in a worker process; never returns. The worker is a fork of the
    single-threaded spawner, so it starts from a quiet runtime and can
-   safely build its own domain pool; warm sessions then accumulate per
-   shard exactly as they did per daemon before supervision. *)
+   safely build its own domain pool. *)
 let worker_main ~execute ~workers fd : 'a =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (* the CLI installs stop-the-daemon handlers in the parent; a worker

@@ -2,11 +2,10 @@
     {e processes} so a crash is an event, not an outage.
 
     {!create} forks [procs] children; each child runs its own {!Pool} of
-    worker domains (with its own warm {!Fannet.Warm} sessions) and
-    speaks [fannet-wire/1] to the parent over a socketpair. Queries are
-    sharded by network digest — [fnv1a64(digest) mod procs] — so repeat
-    queries against the same model always land on the same child and its
-    warm sessions stay hot.
+    worker domains and speaks [fannet-wire/1] to the parent over a
+    socketpair. Queries are sharded by network digest —
+    [fnv1a64(digest) mod procs] — so every query about one model lands
+    on the same child.
 
     Death is detected by EOF on the socketpair (the child's end closes
     the instant the process dies, whatever killed it); the reader thread

@@ -43,7 +43,7 @@ val assume : session -> Term.formula -> assumption
     added to the session, but the formula only constrains a {!solve} call
     that passes the returned assumption. This is the mechanism behind the
     incremental tolerance search — the noise bound of each binary-search
-    probe becomes a range assumption over one warm session instead of a
+    probe becomes a range assumption over one session instead of a
     fresh Tseitin encoding per probe. *)
 
 val solve :

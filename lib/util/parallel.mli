@@ -12,7 +12,7 @@
     engine, the only place the module spawns domains.
 
     Workers must not share mutable state through [f]; per-worker caches
-    keyed by {!Domain.DLS} (e.g. warm solver sessions) are fine.
+    keyed by {!Domain.DLS} are fine.
 
     [jobs] resolution order: the explicit [?jobs] argument, then the
     process-wide override ({!set_default_jobs}, the CLI's [--jobs]), then

@@ -414,9 +414,6 @@ let analyses () =
   let inputs = analysis_inputs net in
   let input, label = inputs.(0) in
   let spec = N.symmetric ~delta:10 ~bias_noise:false in
-  let sidedness engine ?jobs ?budget () =
-    Fannet.Sensitivity.formal_sidedness ?jobs ~engine ?budget net spec ~inputs
-  in
   [
     Analysis
       ( "misclassified_at",
@@ -454,8 +451,15 @@ let analyses () =
         fun ?jobs:_ ?budget () ->
           Fannet.Tolerance.input_min_flip_delta ?budget B.Bnb net
             ~bias_noise:false ~max_delta:20 ~input ~label );
-    Analysis ("formal_sidedness bnb", sidedness Fannet.Sensitivity.Bnb);
-    Analysis ("formal_sidedness smt", sidedness Fannet.Sensitivity.Smt);
+    Analysis
+      ( "input_min_flip_delta smt",
+        fun ?jobs:_ ?budget () ->
+          Fannet.Tolerance.input_min_flip_delta ?budget B.Smt net
+            ~bias_noise:false ~max_delta:30 ~input ~label );
+    Analysis
+      ( "formal_sidedness",
+        fun ?jobs ?budget () ->
+          Fannet.Sensitivity.formal_sidedness ?jobs ?budget net spec ~inputs );
     Analysis
       ( "Boundary.analyze",
         fun ?jobs ?budget () ->
@@ -527,7 +531,6 @@ let test_oom_without_budget_is_typed () =
   with_clean_faults (fun () ->
       let net = tiny_qnet () in
       let inputs = analysis_inputs net in
-      let spec = N.symmetric ~delta:10 ~bias_noise:false in
       F.arm "sat.oom";
       let expect_memory name f =
         match f () with
@@ -535,10 +538,15 @@ let test_oom_without_budget_is_typed () =
             Alcotest.(check string) name "memory" (R.reason_to_string r)
         | _ -> Alcotest.fail (name ^ ": the injected OOM was not reported")
       in
-      expect_memory "formal_sidedness smt" (fun () ->
-          ignore
-            (Fannet.Sensitivity.formal_sidedness
-               ~engine:Fannet.Sensitivity.Smt net spec ~inputs));
+      (* The first probe (±30) is satisfiable: a formula that is unsat
+         at level 0 answers before the solver looks at the fault. *)
+      let input, label = inputs.(0) in
+      let search backend =
+        Fannet.Tolerance.input_min_flip_delta backend net ~bias_noise:false
+          ~max_delta:30 ~input ~label
+      in
+      Alcotest.(check bool) "±30 flips" true (search B.Bnb <> None);
+      expect_memory "input_min_flip_delta smt" (fun () -> ignore (search B.Smt));
       expect_memory "sweep smt" (fun () ->
           ignore
             (Fannet.Tolerance.sweep B.Smt net ~bias_noise:false

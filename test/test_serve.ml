@@ -1,11 +1,10 @@
 (* Tests for the serving layer: fannet-wire/1 framing and message codec
    (QCheck roundtrips + malformed-input totality), the LRU verdict cache,
    the resident worker pool, the daemon's scrape, metrics and client
-   shutdown, differential daemon-vs-library answers (cold / warm /
-   cache-hit, certificates re-checked independently), a 16-client
+   shutdown, differential daemon-vs-library answers (cold / repeated /
+   cache-hit, certificates re-checked independently), and a 16-client
    concurrency soak under injected faults with the accounting
-   identity served + rejected + failed = submitted, and the Warm
-   per-entry LRU eviction regression. *)
+   identity served + rejected + failed = submitted. *)
 
 module W = Serve.Wire
 module P = Serve.Protocol
@@ -785,8 +784,7 @@ let test_pool_run_and_exceptions () =
   Alcotest.(check int) "still alive" 7 (Serve.Pool.run p (fun () -> 7))
 
 let test_pool_worker_affinity () =
-  (* With one worker every job runs on the same resident domain — the
-     property warm DLS sessions rely on. *)
+  (* With one worker every job runs on the same resident domain. *)
   let p = Serve.Pool.create ~workers:1 in
   Fun.protect ~finally:(fun () -> Serve.Pool.shutdown p) @@ fun () ->
   let id () = (Domain.self () :> int) in
@@ -1022,14 +1020,14 @@ let answer_of_reply name = function
   | r ->
       Alcotest.failf "%s: unexpected reply %s" name (P.encode_reply { rid = 0; reply = r })
 
-(* Every query kind, answered cold, warm (same worker, cache bypassed)
-   and from the cache — each time byte-identical to the direct library
-   call, certificates re-checked by the independent lib/cert checker. *)
+(* Every query kind, answered cold, repeated on the same resident
+   worker with the cache bypassed, and from the cache — each time
+   byte-identical to the direct library call, certificates re-checked by
+   the independent lib/cert checker. *)
 let test_differential_cold_warm () =
   let net = Fixture.small_qnet () in
-  (* cache_cap = 0 and a single worker: the first answer is cold, the
-     second reuses the worker domain's warm sessions; neither may come
-     from the cache. *)
+  (* cache_cap = 0 and a single worker: both answers are computed on the
+     same worker domain; neither may come from the cache. *)
   with_daemon ~workers:1 ~cache_cap_bytes:0 @@ fun d ->
   with_client d @@ fun c ->
   let digest = ok (C.load c net) in
@@ -1095,10 +1093,9 @@ let test_differential_cache_hit_and_certificates () =
   | _ -> Alcotest.fail "expected a cached certified answer"
 
 (* Latency contrast on an SMT tolerance query, min of reps against
-   scheduler noise: a warm repeat (the worker domain's pooled session,
-   cache off, a fresh daemon per rep so every cold is cold) and a cache
-   hit must each beat the cold bit-blast. *)
-let test_warm_and_hit_beat_cold () =
+   scheduler noise: a cache hit must beat the cold bit-blast (cache off,
+   a fresh daemon per rep). *)
+let test_hit_beats_cold () =
   let net = Fixture.small_qnet () in
   let input = [| 112; 87 |] in
   let label = Nn.Qnet.predict net input in
@@ -1111,17 +1108,16 @@ let test_warm_and_hit_beat_cold () =
     (1e3 *. Obs.Clock.elapsed_s ~since:t0, cached)
   in
   let minimum = List.fold_left min infinity in
-  let cold_warm =
-    List.init 3 (fun _ ->
-        with_daemon ~workers:1 ~cap:8 ~cache_cap_bytes:0 @@ fun d ->
-        with_client d @@ fun c ->
-        let digest = ok (C.load c net) in
-        let cold, cached_c = timed c ~digest in
-        let warm, cached_w = timed c ~digest in
-        Alcotest.(check bool) "cache off: nothing cached" false (cached_c || cached_w);
-        (cold, warm))
+  let cold =
+    minimum
+      (List.init 3 (fun _ ->
+           with_daemon ~workers:1 ~cap:8 ~cache_cap_bytes:0 @@ fun d ->
+           with_client d @@ fun c ->
+           let digest = ok (C.load c net) in
+           let ms, cached = timed c ~digest in
+           Alcotest.(check bool) "cache off: nothing cached" false cached;
+           ms))
   in
-  let cold = minimum (List.map fst cold_warm) and warm = minimum (List.map snd cold_warm) in
   let hit =
     with_daemon ~workers:1 ~cap:8 ~cache_cap_bytes:(1 lsl 26) @@ fun d ->
     with_client d @@ fun c ->
@@ -1133,8 +1129,6 @@ let test_warm_and_hit_beat_cold () =
            Alcotest.(check bool) "repeat hits the cache" true cached;
            ms))
   in
-  if warm >= cold then
-    Alcotest.failf "warm session (%.2f ms) not faster than cold (%.2f ms)" warm cold;
   if hit >= cold then
     Alcotest.failf "cache hit (%.3f ms) not faster than cold (%.2f ms)" hit cold
 
@@ -1265,85 +1259,6 @@ let test_daemon_soak_under_faults () =
   Alcotest.(check bool) "cache saw traffic" true (s.P.cache_hits + s.P.cache_misses > 0);
   (* The daemon is still healthy after the storm. *)
   with_client d (fun c -> ok (C.ping c))
-
-(* ================================================================== *)
-(* Warm LRU eviction regression                                        *)
-(* ================================================================== *)
-
-(* Keys are distinct per input vector; cover/delta tiny so each encode
-   is microseconds on the 2-2-2 net. *)
-let warm_probe net i =
-  match
-    Fannet.Warm.probe_delta net ~bias_noise:false ~cover:1 ~delta:1
-      ~input:[| 1000 + i; 7 |] ~label:0
-  with
-  | Ok _ -> ()
-  | Error _ -> Alcotest.fail "unbudgeted probe cannot fail"
-
-let test_warm_lru_single_domain () =
-  let net = tiny_qnet () in
-  Fannet.Warm.reset ();
-  let m0 = Fannet.Warm.misses () and e0 = Fannet.Warm.evictions () in
-  Alcotest.(check int) "pool starts empty" 0 (Fannet.Warm.size ());
-  (* 70 distinct keys through a 64-entry pool: exactly 6 evictions, one
-     per dropped entry (the old code flushed the whole pool and counted
-     one). *)
-  for i = 0 to 69 do
-    warm_probe net i
-  done;
-  Alcotest.(check int) "all 70 are misses" 70 (Fannet.Warm.misses () - m0);
-  Alcotest.(check int) "exactly 6 evictions" 6 (Fannet.Warm.evictions () - e0);
-  Alcotest.(check int) "pool is full" 64 (Fannet.Warm.size ());
-  (* Recency: 0..5 were evicted (oldest), 6..69 live. *)
-  let h0 = Fannet.Warm.hits () in
-  warm_probe net 69;
-  warm_probe net 6;
-  Alcotest.(check int) "newest and oldest-surviving hit" 2 (Fannet.Warm.hits () - h0);
-  (* Key 0 was evicted: re-probing it is a miss and evicts the current
-     least-recently-used key, which is 7 (6 was just bumped). *)
-  let m1 = Fannet.Warm.misses () in
-  warm_probe net 0;
-  Alcotest.(check int) "evicted key re-encodes" 1 (Fannet.Warm.misses () - m1);
-  let m2 = Fannet.Warm.misses () in
-  warm_probe net 7;
-  Alcotest.(check int) "true LRU victim was 7" 1 (Fannet.Warm.misses () - m2);
-  (* The audit invariant: every miss inserted one entry, every eviction
-     removed one, so on this single domain
-     misses = evictions + live entries. *)
-  Alcotest.(check int) "misses = evictions + size"
-    (Fannet.Warm.misses () - m0)
-    (Fannet.Warm.evictions () - e0 + Fannet.Warm.size ())
-
-let test_warm_lru_multi_domain () =
-  let net = tiny_qnet () in
-  Fannet.Warm.reset ();
-  let m0 = Fannet.Warm.misses () and e0 = Fannet.Warm.evictions () in
-  (* 200 distinct keys spread over 2 domains by the batch pool; every
-     probe is a miss, and each domain evicts exactly
-     max(0, keys_it_ran - 64) — reconstructable from the returned domain
-     ids no matter how the schedule divided the work. With 2 domains one
-     of them necessarily runs >= 100 keys, so evictions must occur. *)
-  let domains =
-    Util.Parallel.map ~jobs:2
-      (fun i ->
-        warm_probe net (10_000 + i);
-        (Domain.self () :> int))
-      (Array.init 200 Fun.id)
-  in
-  Alcotest.(check int) "all 200 distinct keys miss" 200 (Fannet.Warm.misses () - m0);
-  let counts = Hashtbl.create 8 in
-  Array.iter
-    (fun d -> Hashtbl.replace counts d (1 + Option.value ~default:0 (Hashtbl.find_opt counts d)))
-    domains;
-  let expected_evictions =
-    Hashtbl.fold (fun _ n acc -> acc + max 0 (n - 64)) counts 0
-  in
-  Alcotest.(check bool) "the schedule forced evictions" true (expected_evictions > 0);
-  Alcotest.(check int) "eviction counter matches actual per-domain evictions"
-    expected_evictions
-    (Fannet.Warm.evictions () - e0)
-
-(* ================================================================== *)
 
 (* ================================================================== *)
 (* Wire short reads: every byte offset                                 *)
@@ -1960,8 +1875,7 @@ let () =
           Alcotest.test_case "cold + warm = direct" `Quick test_differential_cold_warm;
           Alcotest.test_case "cache hit bit-identical + certs" `Quick
             test_differential_cache_hit_and_certificates;
-          Alcotest.test_case "warm and cache hit beat cold" `Quick
-            test_warm_and_hit_beat_cold;
+          Alcotest.test_case "cache hit beats cold" `Quick test_hit_beats_cold;
         ] );
       ( "soak",
         [
@@ -1975,11 +1889,5 @@ let () =
             test_daemon_store_write_through_and_recovery;
           Alcotest.test_case "shutdown with a torn journal" `Quick
             test_daemon_store_torn_shutdown;
-        ] );
-      ( "warm-lru",
-        [
-          Alcotest.test_case "single-domain LRU semantics" `Quick test_warm_lru_single_domain;
-          Alcotest.test_case "multi-domain eviction identity" `Quick
-            test_warm_lru_multi_domain;
         ] );
     ]

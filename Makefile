@@ -126,25 +126,18 @@ chaos-smoke:
 # re-checked by the independent validator and tampering rejected,
 # plain (one Bnb walk) = certified counts on a network, the root-first
 # decomposition (a robust input's certified count is one refutation),
-# jobs=1 vs jobs=4 byte-identity (certificate included), the (ε, δ)
-# envelope over 20 seeds and at a pinned seed, tight-ε = exact,
-# checkpoint exhaust-and-resume for both engines, each refusing the
-# other's file, and a budget that stops a heavy walk. (A certified count
-# across the daemon is in serve-smoke.) Then the CLI must refuse bad
-# (ε, δ) parameters with a usage error (exit 2), and a plain count at
-# the defaults (input 0, ±15, 887,503,681 vectors) must finish within
-# 30 s with no flip.
+# jobs=1 vs jobs=4 byte-identity (certificate included), checkpoint
+# exhaust-and-resume for both engines, each refusing the other's file,
+# and a budget that stops a heavy walk. (A certified count across the
+# daemon is in serve-smoke.) Then the CLI must refuse the retired
+# --approx flag with a usage error (exit 2), and a plain count at the
+# defaults (input 0, ±15, 887,503,681 vectors) must finish within 30 s
+# with no flip.
 count-smoke:
 	dune exec test/test_count.exe -- -q
-	@echo "count-smoke: checking (eps, delta) usage-error rejection paths"
-	@dune exec bin/fannet_cli.exe -- count --approx --epsilon 0 2>/dev/null; \
-	  st=$$?; [ $$st -eq 2 ] || { echo "FAIL: --epsilon 0 exited $$st, want usage error 2"; exit 1; }
-	@dune exec bin/fannet_cli.exe -- count --approx --epsilon -0.5 2>/dev/null; \
-	  st=$$?; [ $$st -eq 2 ] || { echo "FAIL: --epsilon -0.5 exited $$st, want usage error 2"; exit 1; }
-	@dune exec bin/fannet_cli.exe -- count --approx --approx-delta 0 2>/dev/null; \
-	  st=$$?; [ $$st -eq 2 ] || { echo "FAIL: --approx-delta 0 exited $$st, want usage error 2"; exit 1; }
-	@dune exec bin/fannet_cli.exe -- count --approx --approx-delta 1.5 2>/dev/null; \
-	  st=$$?; [ $$st -eq 2 ] || { echo "FAIL: --approx-delta 1.5 exited $$st, want usage error 2"; exit 1; }
+	@echo "count-smoke: the retired --approx flag is a usage error"
+	@dune exec bin/fannet_cli.exe -- count --approx 2>/dev/null; \
+	  st=$$?; [ $$st -eq 2 ] || { echo "FAIL: count --approx exited $$st, want usage error 2"; exit 1; }
 	@echo "count-smoke: a plain count at the defaults within 30 s"
 	@dune build bin/fannet_cli.exe
 	@out=$$(timeout 30 dune exec bin/fannet_cli.exe -- count); st=$$?; \

@@ -12,7 +12,7 @@
    fannet fsm          -- explicit state-space statistics (Fig. 3)
    fannet fuzz         -- differential fuzzing of the analysis backends
    fannet certify      -- certified robustness verdicts with DRUP proofs
-   fannet count        -- quantitative robustness: exact/approx model counting
+   fannet count        -- quantitative robustness: exact flip counting
    fannet profile      -- instrumented run: metrics table + span tree
    fannet serve        -- fannetd: the verification daemon (fannet-wire/1)
    fannet query        -- one-shot client for a running fannetd
@@ -1098,8 +1098,7 @@ let query_cmd =
           | `Sensitivity -> Serve.Protocol.Sensitivity { spec; input; label }
           | `Certify -> Serve.Protocol.Certify { spec; input; label }
           | `Count ->
-              Serve.Protocol.Count
-                { spec; input; label; mode = Serve.Protocol.Count_exact { certify = true } }
+              Serve.Protocol.Count { spec; input; label; certify = true }
         in
         let budget = { Serve.Protocol.timeout_s = timeout; conflicts = None } in
         (match orfail (Serve.Client.query ~budget ~retries c ~digest query) with
@@ -1184,41 +1183,6 @@ let query_cmd =
 (* ---------- count: quantitative robustness via model counting ---------- *)
 
 let count_cmd =
-  let approx_arg =
-    let doc =
-      "Use the (ε, δ)-approximate counter (random XOR hashing) instead of \
-       exact #SAT."
-    in
-    Arg.(value & flag & info [ "approx" ] ~doc)
-  in
-  let exact_arg =
-    let doc =
-      "Use the exact counter (the default): one branch-and-bound walk over \
-       the noise box, or certified cube-decomposition #SAT with \
-       $(b,--certify)."
-    in
-    Arg.(value & flag & info [ "exact" ] ~doc)
-  in
-  let epsilon_arg =
-    let doc =
-      "Approximation tolerance: the estimate is within a (1+$(docv)) factor \
-       of the true count with probability 1-δ."
-    in
-    Arg.(value & opt float 0.8 & info [ "epsilon" ] ~docv:"E" ~doc)
-  in
-  let approx_delta_arg =
-    let doc =
-      "Approximation failure probability δ (not the noise bound — that is \
-       $(b,--delta))."
-    in
-    Arg.(value & opt float 0.2 & info [ "approx-delta" ] ~docv:"D" ~doc)
-  in
-  let seed_arg =
-    let doc =
-      "Seed of the XOR hash family; estimates are deterministic per seed."
-    in
-    Arg.(value & opt int 0 & info [ "seed" ] ~docv:"SEED" ~doc)
-  in
   let certify_arg =
     let doc =
       "Count with the certified engine (cube-decomposition #SAT), attach a \
@@ -1255,26 +1219,10 @@ let count_cmd =
        The file is removed when the count completes. Its directory must \
        exist and be writable."
   in
-  let run metrics dataset_seed init_seed input_index delta no_bias_noise approx
-      exact epsilon adelta seed certify cert_out jobs timeout max_mem retries
-      checkpoint =
+  let run metrics dataset_seed init_seed input_index delta no_bias_noise
+      certify cert_out jobs timeout max_mem retries checkpoint =
     with_clean_errors @@ fun () ->
     with_metrics metrics @@ fun () ->
-    if approx && exact then failwith "--exact and --approx are mutually exclusive";
-    if approx && (certify || cert_out <> None) then
-      failwith "--certify/--cert-out need the exact counter";
-    (* Validate the (ε, δ) parameters here, before any dataset/training
-       work: Count.Approx rejects them too, but only deep inside the
-       solve, after the pipeline has already run for seconds. The
-       negated comparisons also reject NaN. *)
-    if approx && not (epsilon > 0.) then
-      failwith
-        "--epsilon must be > 0: the estimate is within a (1+epsilon) factor \
-         of the true count";
-    if approx && not (adelta > 0. && adelta < 1.) then
-      failwith
-        "--approx-delta must be in (0, 1): it is the probability the \
-         (1+epsilon) guarantee fails";
     Util.Parallel.set_default_jobs jobs;
     let p = pipeline dataset_seed init_seed in
     let inputs = Fannet.Pipeline.analysis_inputs p in
@@ -1284,9 +1232,7 @@ let count_cmd =
     let bias_noise = bias_flag no_bias_noise in
     let spec = Fannet.Noise.symmetric ~delta ~bias_noise in
     let mode =
-      if approx then Fannet.Robustness.Approx_mode { epsilon; delta = adelta; seed }
-      else
-        Fannet.Robustness.Exact_mode { certify = certify || cert_out <> None }
+      Fannet.Robustness.Exact_mode { certify = certify || cert_out <> None }
     in
     (* The checkpoint key ties the file to this exact query, so resuming
        under different flags is rejected instead of silently merged;
@@ -1326,29 +1272,26 @@ let count_cmd =
             output_char oc '\n';
             close_out oc;
             Printf.printf "certificate written to %s\n" file));
-    Printf.printf "input %d (true L%d), noise +-%d%%: %s of %s vectors flip (p %s %.6g)\n"
+    Printf.printf "input %d (true L%d), noise +-%d%%: %s of %s vectors flip (p = %.6g)\n"
       input_index label delta
       (Util.Bigcount.to_string r.Fannet.Robustness.flips)
       (Util.Bigcount.to_string r.Fannet.Robustness.total)
-      (if r.Fannet.Robustness.approx then "~=" else "=")
       r.Fannet.Robustness.probability;
     if not (Util.Bigcount.is_zero r.Fannet.Robustness.flips) then exit 1
   in
   let doc =
     "Quantitative robustness: count the noise vectors that flip one input's \
-     classification — exactly (one branch-and-bound walk over the noise \
-     box; with $(b,--certify), cube-decomposition #SAT with a \
+     classification, exactly: one branch-and-bound walk over the noise \
+     box, or with $(b,--certify) cube-decomposition #SAT with a \
      $(b,fannet-count-cert/1) certificate checked by the independent \
-     validator) or (ε, δ)-approximately (XOR hashing). The flip count over \
-     the noise-space cardinality is the misclassification probability under \
-     uniform noise."
+     validator. The flip count over the noise-space cardinality is the \
+     misclassification probability under uniform noise."
   in
   Cmd.v (Cmd.info "count" ~doc ~exits)
     Term.(
       const run $ metrics_file $ dataset_seed $ init_seed $ input_index $ delta
-      $ no_bias_noise $ approx_arg $ exact_arg $ epsilon_arg $ approx_delta_arg
-      $ seed_arg $ certify_arg $ cert_out_arg $ jobs $ timeout_arg $ max_mem_arg
-      $ retries_arg $ checkpoint_arg)
+      $ no_bias_noise $ certify_arg $ cert_out_arg $ jobs $ timeout_arg
+      $ max_mem_arg $ retries_arg $ checkpoint_arg)
 
 let () =
   let doc = "Formal analysis of noise tolerance, training bias and input sensitivity (FANNet, DATE 2020)" in

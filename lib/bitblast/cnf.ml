@@ -84,8 +84,6 @@ let g_and_list t = List.fold_left (g_and t) (btrue t)
 
 let g_or_list t = List.fold_left (g_or t) (bfalse t)
 
-let g_xor_list t = List.fold_left (g_xor t) (bfalse t)
-
 let g_full_adder t a b cin =
   let sum = g_xor t (g_xor t a b) cin in
   let carry = g_or t (g_and t a b) (g_and t cin (g_xor t a b)) in

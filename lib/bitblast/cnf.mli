@@ -41,13 +41,6 @@ val g_mux : t -> sel:Sat.Lit.t -> if_true:Sat.Lit.t -> if_false:Sat.Lit.t -> Sat
 val g_and_list : t -> Sat.Lit.t list -> Sat.Lit.t
 val g_or_list : t -> Sat.Lit.t list -> Sat.Lit.t
 
-val g_xor_list : t -> Sat.Lit.t list -> Sat.Lit.t
-(** Odd parity of the list, as a Tseitin XOR chain ({!bfalse} for the
-    empty list). The building block of hash-based approximate model
-    counting: asserting (or assuming) the returned literal keeps exactly
-    the models whose projection has odd parity over the listed bits,
-    halving the model count in expectation over a random bit subset. *)
-
 val g_full_adder : t -> Sat.Lit.t -> Sat.Lit.t -> Sat.Lit.t -> Sat.Lit.t * Sat.Lit.t
 (** [(sum, carry_out)] of three input bits. *)
 

@@ -158,10 +158,8 @@ let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = tru
   end;
   (* Counting agreement: the exact counter, plain (one Bnb walk) and
      certified (SAT cube decomposition), must reproduce the brute-force
-     flip count, its certificate must pass the independent checker, jobs
-     must not change a byte of the answer, and the tight-ε approximate
-     counter — whose pivot (1191) exceeds every fuzz-sized flip set, so
-     the exact shortcut fires — must agree too. Enumerates the whole
+     flip count, its certificate must pass the independent checker, and
+     jobs must not change a byte of the answer. Enumerates the whole
      noise space, so sampled by the driver like the re-runs above. *)
   if check_count then begin
     let n_inputs = Array.length input in
@@ -170,8 +168,7 @@ let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = tru
       let brute = ref 0 in
       N.iter_vectors spec ~n_inputs (fun v ->
           if N.predict net spec ~input v <> label then incr brute);
-      let brute_n = !brute in
-      let brute = Util.Bigcount.of_int brute_n in
+      let brute = Util.Bigcount.of_int !brute in
       (match Fannet.Robustness.probability net spec ~input ~label with
       | exception e -> fail "count-exact" explicit (Printexc.to_string e)
       | r ->
@@ -214,7 +211,7 @@ let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = tru
               with
               | Ok () -> ()
               | Error e -> fail "count-certificate" explicit e));
-          (match certified_probability ~jobs:4 with
+          match certified_probability ~jobs:4 with
           | exception e -> fail "count-jobs" explicit (Printexc.to_string e)
           | r4 ->
               let cert_bytes r =
@@ -229,27 +226,7 @@ let check_case ?(run : runner = fun b -> B.exists_flip b) ?(check_parallel = tru
                 || cert_bytes r <> cert_bytes r4
               then
                 fail "count-jobs" explicit
-                  "jobs=1 and jobs=4 disagree (count or certificate bytes)");
-          (* Below the pivot the approximate counter must short-circuit to
-             bounded enumeration — exact, deterministic, seed-independent. *)
-          if brute_n <= 1000 then begin
-            match
-              Fannet.Robustness.probability
-                ~mode:
-                  (Fannet.Robustness.Approx_mode
-                     { epsilon = 0.1; delta = 0.2; seed = case.Case.id })
-                net spec ~input ~label
-            with
-            | exception e -> fail "count-approx" explicit (Printexc.to_string e)
-            | ra ->
-                if not (Util.Bigcount.equal ra.Fannet.Robustness.flips brute) then
-                  fail "count-approx" explicit
-                    (Printf.sprintf
-                       "tight-ε estimate %s should short-circuit to the exact \
-                        count %s"
-                       (Util.Bigcount.to_string ra.Fannet.Robustness.flips)
-                       (Util.Bigcount.to_string brute))
-          end
+                  "jobs=1 and jobs=4 disagree (count or certificate bytes)"
     end
   end;
   (* Cascade lattice: a decided interval verdict forces the cascade. *)

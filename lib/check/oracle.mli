@@ -26,9 +26,8 @@
       certified (SAT), reproduces the brute-force flip count, is zero
       exactly when the enumerator proves the range robust,
       carries a [fannet-count-cert/1] certificate that passes the
-      independent checker, answers byte-identically (certificate
-      included) at [jobs] 1 and 4, and the tight-ε approximate counter
-      short-circuits to the same exact count — sampled by the driver
+      independent checker, and answers byte-identically (certificate
+      included) at [jobs] 1 and 4 — sampled by the driver
       ([?check_count] controls it here; it enumerates the noise space).
 
     The backend runner is injectable ([?run]) so tests can mutate a
@@ -74,5 +73,5 @@ val check_case :
     (default [true]) re-runs all backends on a 4-worker pool and compares
     verdict vectors; [check_certificate] (default [true]) runs the
     certified SMT path and validates its proof/model certificate;
-    [check_count] (default [true]) checks the exact and approximate model
-    counters against brute-force enumeration. *)
+    [check_count] (default [true]) checks the plain and certified exact
+    counts against brute-force enumeration. *)

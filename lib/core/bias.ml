@@ -111,31 +111,17 @@ let report_to_string r =
 
 type mass = { from : int; to_ : int; mass : Util.Bigcount.t }
 
-(* The mass of [input] predicted as class [c]: exactly, the non-flip
-   mass of the Bnb walk that takes [c] as the label; approximately, an
-   (ε, δ) count of [predicted_is c] on the input's encoding. *)
-let class_mass ?budget ~mode net spec ~input enc c =
-  match (mode : Robustness.mode) with
-  | Robustness.Exact_mode _ ->
-      let cursor, status =
-        Bnb.count_flips_from ?budget
-          (Bnb.fresh_cursor spec ~input Bnb.no_mass)
-          net spec ~input ~label:c
-      in
-      ( cursor.Bnb.found.Bnb.kept,
-        match status with
-        | `Complete -> Count.Exact.Decided
-        | `Budget r -> Count.Exact.Exhausted r )
-  | Robustness.Approx_mode { epsilon; delta; seed } ->
-      let enc = Lazy.force enc in
-      let r =
-        Count.Approx.count ?budget ~epsilon ~delta ~seed
-          (Encode.predicted_is enc c) ~project:(Encode.noise_vars enc)
-      in
-      (r.Count.Approx.estimate, r.Count.Approx.status)
+(* The mass of [input] predicted as class [c]: the non-flip mass of the
+   Bnb walk that takes [c] as the label. *)
+let class_mass ?budget net spec ~input c =
+  let cursor, status =
+    Bnb.count_flips_from ?budget
+      (Bnb.fresh_cursor spec ~input Bnb.no_mass)
+      net spec ~input ~label:c
+  in
+  (cursor.Bnb.found.Bnb.kept, status)
 
-let flip_mass_by_class ?budget ?(mode = Robustness.default_mode) ~n_classes net
-    spec ~inputs =
+let flip_mass_by_class ?budget ~n_classes net spec ~inputs =
   if n_classes <= 0 then invalid_arg "Bias.flip_mass_by_class: n_classes";
   let table = Hashtbl.create 8 in
   let failure = ref None in
@@ -143,23 +129,19 @@ let flip_mass_by_class ?budget ?(mode = Robustness.default_mode) ~n_classes net
     (fun (input, label) ->
       if label < 0 || label >= n_classes then
         invalid_arg "Bias.flip_mass_by_class: bad label";
-      if !failure = None then begin
-        let enc = lazy (Encode.encode net ~input spec) in
+      if !failure = None then
         for c = 0 to n_classes - 1 do
-          if c <> label && !failure = None then begin
-            let m, status = class_mass ?budget ~mode net spec ~input enc c in
-            (match status with
-            | Count.Exact.Decided ->
+          if c <> label && !failure = None then
+            match class_mass ?budget net spec ~input c with
+            | m, `Complete ->
                 let key = (label, c) in
                 let prev =
                   Option.value ~default:Util.Bigcount.zero
                     (Hashtbl.find_opt table key)
                 in
                 Hashtbl.replace table key (Util.Bigcount.add prev m)
-            | Count.Exact.Exhausted r -> failure := Some r)
-          end
-        done
-      end)
+            | _, `Budget r -> failure := Some r
+        done)
     inputs;
   match !failure with
   | Some r -> Error r

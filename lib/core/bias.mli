@@ -45,15 +45,14 @@ type mass = {
 
 val flip_mass_by_class :
   ?budget:Resil.Budget.t ->
-  ?mode:Robustness.mode ->
   n_classes:int ->
   Nn.Qnet.t ->
   Noise.spec ->
   inputs:(int array * int) array ->
   (mass list, Resil.Budget.reason) result
 (** Quantitative refinement of {!analyze}: instead of counting extracted
-    counterexamples (a sample), count — by exact or approximate model
-    counting over the noise space ({!Robustness.mode}) — how many noise
+    counterexamples (a sample), count exactly — one {!Bnb} walk per
+    (input, wrong class) over the noise space — how many noise
     vectors drive each labelled input to each wrong class, aggregated
     over [inputs] into per-direction masses sorted by decreasing mass
     (zero-mass directions omitted). The training-bias claim then rests

@@ -1,11 +1,7 @@
 module B = Util.Bigcount
 module J = Util.Json
 
-type mode =
-  | Exact_mode of { certify : bool }
-  | Approx_mode of { epsilon : float; delta : float; seed : int }
-
-let default_mode = Exact_mode { certify = false }
+type mode = Exact_mode of { certify : bool }
 
 type report = {
   flips : B.t;
@@ -14,11 +10,9 @@ type report = {
   certificate : Count.Certificate.t option;
   solver_calls : int;
   status : (unit, Resil.Budget.reason) result;
-  approx : bool;
 }
 
-let report ?certificate ?(solver_calls = 0) ?(approx = false) ~flips ~total
-    status =
+let report ?certificate ?(solver_calls = 0) ~flips ~total status =
   {
     flips;
     total;
@@ -26,16 +20,11 @@ let report ?certificate ?(solver_calls = 0) ?(approx = false) ~flips ~total
     certificate;
     solver_calls;
     status;
-    approx;
   }
 
 let query net spec ~input ~label =
   let enc = Encode.encode net ~input spec in
   (Encode.misclassified enc ~true_label:label, Encode.noise_vars enc)
-
-let status_of = function
-  | Count.Exact.Decided -> Ok ()
-  | Count.Exact.Exhausted r -> Error r
 
 (* A plain count's checkpoint, fannet-ckpt/1 kind "bnb-count", holds the
    walk's pending boxes and its mass. The certified engine's files are
@@ -87,8 +76,8 @@ let walk ?budget ?checkpoint ~key net spec ~input ~label =
       | `Budget _ -> save_walk ~path ~key c);
       (c, status)
 
-let probability ?budget ?(mode = default_mode) ?jobs ?checkpoint ?ckpt_key net
-    spec ~input ~label =
+let probability ?budget ?(mode = Exact_mode { certify = false }) ?jobs
+    ?checkpoint ?ckpt_key net spec ~input ~label =
   (* The network is part of the query: a checkpoint written for one
      network is refused by another. *)
   let key () =
@@ -96,13 +85,13 @@ let probability ?budget ?(mode = default_mode) ?jobs ?checkpoint ?ckpt_key net
       (Option.value ckpt_key ~default:"")
       (Digest.to_hex (Digest.string (Nn.Qnet.to_string net)))
   in
-  let total () = Noise.spec_count spec ~n_inputs:(Array.length input) in
   match mode with
   | Exact_mode { certify = false } ->
       let c, status =
         walk ?budget ?checkpoint ~key:(key ()) net spec ~input ~label
       in
-      report ~flips:c.Bnb.found.Bnb.flips ~total:(total ())
+      report ~flips:c.Bnb.found.Bnb.flips
+        ~total:(Noise.spec_count spec ~n_inputs:(Array.length input))
         (match status with `Complete -> Ok () | `Budget r -> Error r)
   | Exact_mode { certify = true } ->
       let f, project = query net spec ~input ~label in
@@ -113,14 +102,9 @@ let probability ?budget ?(mode = default_mode) ?jobs ?checkpoint ?ckpt_key net
       report ?certificate:r.Count.Exact.certificate
         ~solver_calls:r.Count.Exact.solver_calls ~flips:r.Count.Exact.count
         ~total:r.Count.Exact.total
-        (status_of r.Count.Exact.status)
-  | Approx_mode { epsilon; delta; seed } ->
-      let f, project = query net spec ~input ~label in
-      let r = Count.Approx.count ?budget ~epsilon ~delta ~seed f ~project in
-      report ~solver_calls:r.Count.Approx.solver_calls
-        ~approx:(not r.Count.Approx.exact) ~flips:r.Count.Approx.estimate
-        ~total:(total ())
-        (status_of r.Count.Approx.status)
+        (match r.Count.Exact.status with
+        | Count.Exact.Decided -> Ok ()
+        | Count.Exact.Exhausted r -> Error r)
 
 let check_certificate net spec ~input ~label cert =
   let f, project = query net spec ~input ~label in

@@ -5,9 +5,9 @@
     noise vector flip the prediction?"), this module answers the
     quantitative refinement: {e how many} noise vectors flip it, as an
     exact count — one {!Bnb} walk, or certified ([fannet-count-cert/1])
-    by {!Count.Exact} on request — or as an (ε, δ) approximation. The
-    flip count divided by the noise-space cardinality is the
-    misclassification probability under uniform noise. *)
+    by {!Count.Exact} on request. The flip count divided by the
+    noise-space cardinality is the misclassification probability under
+    uniform noise. *)
 
 type mode =
   | Exact_mode of { certify : bool }
@@ -16,11 +16,6 @@ type mode =
           solver. Certified: cube-decomposition #SAT on the encoding
           ({!Count.Exact}), whose checkable certificate the report
           carries *)
-  | Approx_mode of { epsilon : float; delta : float; seed : int }
-      (** XOR-hash estimation ({!Count.Approx}) *)
-
-val default_mode : mode
-(** [Exact_mode { certify = false }]. *)
 
 type report = {
   flips : Util.Bigcount.t;   (** noise vectors flipping the prediction *)
@@ -32,9 +27,8 @@ type report = {
       (** present iff [Exact_mode {certify = true}] and fully decided *)
   solver_calls : int;  (** [0] for a plain count *)
   status : (unit, Resil.Budget.reason) result;
-      (** [Error] when the budget ran out — counts are then partial
-          (exact) or aggregated from fewer rounds (approx) *)
-  approx : bool;  (** [flips] is an estimate, not an exact count *)
+      (** [Error] when the budget ran out; [flips] is then a partial
+          count *)
 }
 
 val probability :
@@ -49,11 +43,12 @@ val probability :
   label:int ->
   report
 (** Count the noise vectors under which the network's prediction on
-    [input] differs from [label].
+    [input] differs from [label]. [mode] defaults to
+    [Exact_mode { certify = false }], the plain walk.
 
     [jobs] applies to certified counts only (see {!Count.Exact.count}):
-    a plain count is one sequential walk. [checkpoint] and [ckpt_key]
-    apply to exact mode. A plain count saves the walk's pending boxes
+    a plain count is one sequential walk. With [checkpoint], a plain
+    count saves the walk's pending boxes
     and mass (kind ["bnb-count"]) at most once a second and when
     stopped, a certified count its decided cubes and their proofs (kind
     ["count"]); each refuses the other's file, a torn file and another

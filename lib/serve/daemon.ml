@@ -118,14 +118,8 @@ let execute net ~budget (q : Protocol.query) : Protocol.answer =
   | Protocol.Certify { spec; input; label } ->
       let cv = Fannet.Backend.certified_exists_flip ~budget net spec ~input ~label in
       Protocol.Certified { verdict = cv.Fannet.Backend.cv_verdict; cert = cv.Fannet.Backend.cv_cert }
-  | Protocol.Count { spec; input; label; mode } ->
-      let mode =
-        match mode with
-        | Protocol.Count_exact { certify } ->
-            Fannet.Robustness.Exact_mode { certify }
-        | Protocol.Count_approx { epsilon; delta; seed } ->
-            Fannet.Robustness.Approx_mode { epsilon; delta; seed }
-      in
+  | Protocol.Count { spec; input; label; certify } ->
+      let mode = Fannet.Robustness.Exact_mode { certify } in
       let r = Fannet.Robustness.probability ~budget ~mode net spec ~input ~label in
       Protocol.Counted
         (match r.Fannet.Robustness.status with

@@ -27,12 +27,8 @@ type query =
       spec : Fannet.Noise.spec;
       input : int array;
       label : int;
-      mode : count_mode;
+      certify : bool;
     }
-
-and count_mode =
-  | Count_exact of { certify : bool }
-  | Count_approx of { epsilon : float; delta : float; seed : int }
 
 type budget_spec = { timeout_s : float option; conflicts : int option }
 
@@ -238,41 +234,23 @@ let query_json = function
           ("input", int_array_json input);
           ("label", J.Int label);
         ]
-  | Count { spec; input; label; mode } ->
-      let mode_json =
-        match mode with
-        | Count_exact { certify } ->
-            J.Obj [ ("m", J.String "exact"); ("certify", J.Bool certify) ]
-        | Count_approx { epsilon; delta; seed } ->
-            J.Obj
-              [
-                ("m", J.String "approx");
-                ("epsilon", J.Float epsilon);
-                ("delta", J.Float delta);
-                ("seed", J.Int seed);
-              ]
-      in
+  | Count { spec; input; label; certify } ->
       J.Obj
         [
           ("kind", J.String "count");
           ("spec", spec_json spec);
           ("input", int_array_json input);
           ("label", J.Int label);
-          ("mode", mode_json);
+          ( "mode",
+            J.Obj [ ("m", J.String "exact"); ("certify", J.Bool certify) ] );
         ]
 
-let read_count_mode c =
+(* A count's mode object; "exact" is the one mode. *)
+let read_certify c =
   C.obj
     (fun f ->
       match C.field f "m" C.string with
-      | "exact" -> Count_exact { certify = C.field f "certify" C.bool }
-      | "approx" ->
-          Count_approx
-            {
-              epsilon = C.field f "epsilon" C.number;
-              delta = C.field f "delta" C.number;
-              seed = C.field f "seed" C.int;
-            }
+      | "exact" -> C.field f "certify" C.bool
       | s -> fail c "unknown count mode %S" s)
     c
 
@@ -306,7 +284,7 @@ let read_query c =
           let spec = spec () in
           let input = input () in
           let label = label () in
-          Count { spec; input; label; mode = C.field f "mode" read_count_mode }
+          Count { spec; input; label; certify = C.field f "mode" read_certify }
       | s -> fail c "unknown query kind %S" s)
     c
 

@@ -49,15 +49,13 @@ type query =
       spec : Fannet.Noise.spec;
       input : int array;
       label : int;
-      mode : count_mode;
+      certify : bool;
     }
       (** quantitative robustness: how many vectors in the range flip the
-          input (exact #SAT, optionally [fannet-count-cert/1]-certified,
-          or (ε, δ)-approximate) *)
-
-and count_mode =
-  | Count_exact of { certify : bool }
-  | Count_approx of { epsilon : float; delta : float; seed : int }
+          input, an exact count, [fannet-count-cert/1]-certified when
+          [certify]. On the wire the flag sits in a mode object,
+          [{"m":"exact","certify":b}]; any other ["m"] is a
+          [Protocol_error] *)
 
 type budget_spec = { timeout_s : float option; conflicts : int option }
 (** Client-requested resource caps; the daemon clamps the timeout to its
@@ -85,7 +83,7 @@ type req_envelope = { rid : int; request : request }
 (** {1 Replies} *)
 
 type counted = {
-  flips : Util.Bigcount.t;   (** flipping vectors (exact or estimate) *)
+  flips : Util.Bigcount.t;   (** flipping vectors, an exact count *)
   total : Util.Bigcount.t;   (** noise-space cardinality *)
   count_cert : Count.Certificate.t option;
       (** present for certified exact counts; encoded deterministically,

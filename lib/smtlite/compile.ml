@@ -18,8 +18,6 @@ let create ?sink () =
     interval_memo = Hashtbl.create 256;
   }
 
-let cnf t = t.cnf
-
 let solver t = Cnf.solver t.cnf
 
 (* Interval of a term, memoised across the whole compiler lifetime (term
@@ -153,7 +151,7 @@ let prioritize t vars =
   in
   Sat.Solver.set_priority (solver t) bits
 
-let block_assignment ?guard t vars =
+let block_assignment t vars =
   if vars = [] then invalid_arg "Compile.block_assignment: no variables";
   let clause =
     List.concat_map
@@ -166,12 +164,7 @@ let block_assignment ?guard t vars =
              (Bv.bits bv)))
       vars
   in
-  let clause =
-    match guard with None -> clause | Some g -> Sat.Lit.neg g :: clause
-  in
   Cnf.add_clause t.cnf clause
-
-let var_bits t v = Array.to_list (Bv.bits (var_bv t v))
 
 let n_clauses t = Sat.Solver.nclauses (solver t)
 

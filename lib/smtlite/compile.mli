@@ -13,7 +13,6 @@ val create : ?sink:(Sat.Solver.proof_step -> unit) -> unit -> t
 (** [?sink] becomes the underlying solver's DRUP proof sink, installed
     before any clause is generated (see {!Bitblast.Cnf.create}). *)
 
-val cnf : t -> Bitblast.Cnf.t
 val solver : t -> Sat.Solver.t
 
 val compile_term : t -> Term.term -> Bitblast.Bv.t
@@ -35,19 +34,9 @@ val prioritize : t -> Term.var list -> unit
     inputs first lets propagation evaluate everything downstream, which is
     essential for fast exhaustive (UNSAT) answers. *)
 
-val block_assignment : ?guard:Sat.Lit.t -> t -> Term.var list -> unit
+val block_assignment : t -> Term.var list -> unit
 (** Add a clause excluding the current model's values of the given
-    variables (at least one must differ). Call after Sat. With [?guard]
-    the clause is [¬guard ∨ …]: inert unless [guard] is assumed, which
-    lets an enumeration retire its blocking clauses afterwards — the
-    mechanism behind bounded counting under XOR hash constraints, where
-    the enumerated cell must not poison later queries. *)
-
-val var_bits : t -> Term.var -> Sat.Lit.t list
-(** The variable's compiled bits (LSB first), compiling it (with range
-    constraints) on first use. Distinct variable values have distinct bit
-    patterns (the encoding is functional), so parity constraints over
-    these bits hash the projected model space. *)
+    variables (at least one must differ). Call after Sat. *)
 
 val n_clauses : t -> int
 val n_vars : t -> int

@@ -132,19 +132,6 @@ let block session vars = Compile.block_assignment session.compiler vars
 
 let prioritize session vars = Compile.prioritize session.compiler vars
 
-let fresh_assumption session = Bitblast.Cnf.fresh (Compile.cnf session.compiler)
-
-let block_under session ~guard vars =
-  Compile.block_assignment ~guard session.compiler vars
-
-let var_bits session v =
-  add_vars session [ v ];
-  Compile.var_bits session.compiler v
-
-let assume_parity session bits ~parity =
-  let x = Bitblast.Cnf.g_xor_list (Compile.cnf session.compiler) bits in
-  if parity then x else Bitblast.Cnf.g_not x
-
 let check ?max_conflicts ?budget f = solve ?max_conflicts ?budget (open_session f)
 
 let check_certified ?max_conflicts f =

@@ -82,31 +82,6 @@ val prioritize : session -> Term.var list -> unit
     client that [declare]s projection variables afterwards calls this so
     exhaustive sweeps keep deciding circuit inputs first. *)
 
-val fresh_assumption : session -> assumption
-(** A fresh unconstrained literal, for use as an activation guard with
-    {!block_under}. Assuming it enables the clauses guarded by it; never
-    assuming it again retires them. *)
-
-val block_under : session -> guard:assumption -> Term.var list -> unit
-(** Like {!block}, but the blocking clause is enabled only by [guard]:
-    the clause is [¬guard ∨ blocking]. A bounded enumeration blocks under
-    a fresh guard, then drops the guard, leaving the session exactly as
-    constrained as before — the repeated-counting primitive of the
-    XOR-hash approximate counter. *)
-
-val var_bits : session -> Term.var -> Sat.Lit.t list
-(** The variable's compiled bits (LSB first), declaring it (with range
-    constraints) on first use. Distinct values map to distinct patterns,
-    so random parities over these bits are a pairwise-independent hash of
-    the projected model space. *)
-
-val assume_parity : session -> Sat.Lit.t list -> parity:bool -> assumption
-(** An assumable literal equivalent to "the listed bits have odd parity"
-    ([parity = true]) or even parity ([false]), encoded as a Tseitin XOR
-    chain ({!Bitblast.Cnf.g_xor_list}). The empty list has even parity:
-    [assume_parity s [] ~parity:false] is the true assumption, and with
-    [~parity:true] the false one. *)
-
 val enumerate :
   ?limit:int ->
   ?max_conflicts:int ->

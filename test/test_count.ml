@@ -1,8 +1,7 @@
 (* Tests for lib/count: exact cube-decomposition counting against brute
    force, certificate validation and tamper rejection, free-variable
    factoring, overflow-safe huge spaces, plain = certified counts on a
-   network, the (ε, δ) envelope of the approximate counter and its
-   tight-ε exact short-circuit, the root-first decomposition (a robust
+   network, the root-first decomposition (a robust
    root is one refutation, a small root one enumeration, a large mixed
    root the fixed top split), jobs determinism (including certificate
    bytes), and checkpoint interrupt/resume. *)
@@ -251,109 +250,6 @@ let test_network_plain_equals_certified () =
         true
         (certified.Fannet.Robustness.certificate <> None))
     [ 3; 5 ]
-
-(* ---------- approximate counting ---------- *)
-
-let test_approx_tight_epsilon_network () =
-  (* Tight ε must short-circuit to the exact flip count. *)
-  let count = count_small_net ~delta:3 in
-  let exact = count (Fannet.Robustness.Exact_mode { certify = false }) in
-  let tight =
-    count (Fannet.Robustness.Approx_mode { epsilon = 0.1; delta = 0.2; seed = 1 })
-  in
-  Alcotest.check bigcount "tight-ε approx = exact" exact.Fannet.Robustness.flips
-    tight.Fannet.Robustness.flips
-
-let test_approx_pinned_seed_envelope () =
-  (* 2080 models out of 4096 force XOR rounds at ε = 0.8; seed 3 is
-     pinned, so this is a deterministic regression gate on the (ε, δ)
-     guarantee, not a statistical check. *)
-  let x = T.var ~name:"bx" ~lo:0 ~hi:63 in
-  let y = T.var ~name:"by" ~lo:0 ~hi:63 in
-  let f = T.le (T.of_var x) (T.of_var y) in
-  let truth = float_of_int (64 * 65 / 2) and epsilon = 0.8 in
-  let a = Count.Approx.count ~epsilon ~delta:0.2 ~seed:3 f ~project:[ x; y ] in
-  let est = B.ratio a.Count.Approx.estimate B.one in
-  if est < truth /. (1. +. epsilon) || est > truth *. (1. +. epsilon) then
-    Alcotest.failf "estimate %.0f outside the (0.80, 0.20) envelope of %.0f" est truth
-
-let test_approx_exact_shortcut () =
-  (* Space no bigger than the pivot: the counter must short-circuit to a
-     deterministic exact answer, whatever the seed. *)
-  let x = T.var ~name:"x" ~lo:0 ~hi:29 in
-  let f = T.le (T.of_var x) (T.const 17) in
-  List.iter
-    (fun seed ->
-      let r = Count.Approx.count ~seed f ~project:[ x ] in
-      Alcotest.(check bool) "exact shortcut" true r.Count.Approx.exact;
-      Alcotest.check bigcount "exact value" (B.of_int 18)
-        r.Count.Approx.estimate)
-    [ 0; 1; 42 ]
-
-let test_approx_envelope () =
-  (* 528 models out of 1024 — well above the ε=0.8 pivot of 50, so the
-     XOR path is exercised. With δ=0.2 each seed fails with probability
-     at most 0.2; 9 failures in 20 pinned seeds would be a ~3-sigma
-     excursion. The seeds are pinned, so this is deterministic in CI. *)
-  let x = T.var ~name:"x" ~lo:0 ~hi:31 in
-  let y = T.var ~name:"y" ~lo:0 ~hi:31 in
-  let f = T.le (T.of_var x) (T.of_var y) in
-  let truth = float_of_int (brute f [ x; y ]) in
-  let epsilon = 0.8 in
-  let failures = ref 0 and rounds_seen = ref 0 in
-  for seed = 0 to 19 do
-    let r = Count.Approx.count ~epsilon ~delta:0.2 ~seed f ~project:[ x; y ] in
-    Alcotest.(check bool) "not the shortcut" false r.Count.Approx.exact;
-    Alcotest.(check bool) "decided" true (r.Count.Approx.status = Count.Exact.Decided);
-    rounds_seen := !rounds_seen + r.Count.Approx.rounds;
-    let est =
-      match r.Count.Approx.estimate with
-      | B.Exact n -> float_of_int n
-      | B.Huge l -> 2.0 ** l
-    in
-    if est < truth /. (1.0 +. epsilon) || est > truth *. (1.0 +. epsilon) then
-      incr failures
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "within (1+ε) on >= 11/20 seeds (failed %d)" !failures)
-    true (!failures <= 9);
-  Alcotest.(check bool) "rounds actually ran" true (!rounds_seen > 0)
-
-let test_approx_deterministic_per_seed () =
-  let x = T.var ~name:"x" ~lo:0 ~hi:31 in
-  let y = T.var ~name:"y" ~lo:0 ~hi:31 in
-  let f = T.le (T.of_var x) (T.of_var y) in
-  let run seed = (Count.Approx.count ~seed f ~project:[ x; y ]).Count.Approx.estimate in
-  Alcotest.check bigcount "same seed, same estimate" (run 3) (run 3)
-
-let test_approx_rejects_bad_parameters () =
-  (* ε = 0, negative, or NaN and δ outside (0, 1) must be rejected up
-     front with a typed Invalid_argument — not fed into the XOR round
-     computation, where ε = 0 divides by zero and a NaN δ silently
-     passes positive-form comparisons. *)
-  let x = T.var ~name:"x" ~lo:0 ~hi:7 in
-  let f = T.ge (T.of_var x) (T.const 0) in
-  let expect_invalid name run =
-    match run () with
-    | exception Invalid_argument _ -> ()
-    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-  in
-  List.iter
-    (fun epsilon ->
-      expect_invalid
-        (Printf.sprintf "epsilon %f" epsilon)
-        (fun () -> Count.Approx.count ~epsilon f ~project:[ x ]))
-    [ 0.0; -1.0; Float.nan ];
-  List.iter
-    (fun delta ->
-      expect_invalid
-        (Printf.sprintf "delta %f" delta)
-        (fun () -> Count.Approx.count ~delta f ~project:[ x ]))
-    [ 0.0; 1.0; -0.5; 1.5; Float.nan ];
-  (* The boundary-legal parameters still work. *)
-  let r = Count.Approx.count ~epsilon:0.1 ~delta:0.99 f ~project:[ x ] in
-  Alcotest.(check bool) "legal parameters accepted" true
-    (r.Count.Approx.status = Count.Exact.Decided)
 
 (* ---------- parallel determinism ---------- *)
 
@@ -866,18 +762,12 @@ let prop_flip_mass_equals_brute =
 
 (* ---------- core surfaces ---------- *)
 
-let test_density_and_bias_mass () =
+let test_bias_masses_sum_to_flip_count () =
   let c = List.nth (cases ~n:6 ~seed:53) 1 in
   let inputs = [| (c.input, c.label) |] in
-  let d = Fannet.Density.adversarial ~jobs:2 c.net c.spec ~inputs in
-  Alcotest.(check int) "one report per input" 1
-    (Array.length d.Fannet.Density.per_input);
-  let r = d.Fannet.Density.per_input.(0) in
-  Alcotest.(check bool) "mean is the single probability" true
-    (abs_float (d.Fannet.Density.mean_probability -. r.Fannet.Robustness.probability)
-     < 1e-12);
-  Alcotest.(check int) "worst points at the only input" 0 d.Fannet.Density.worst;
-  (* Flip masses by class must sum to the flip count. *)
+  let r =
+    Fannet.Robustness.probability c.net c.spec ~input:c.input ~label:c.label
+  in
   match
     Fannet.Bias.flip_mass_by_class ~n_classes:(Nn.Qnet.out_dim c.net) c.net
       c.spec ~inputs
@@ -919,18 +809,6 @@ let () =
           Alcotest.test_case "small root: one enumeration" `Quick
             test_small_root_enumerated;
         ] );
-      ( "approx",
-        [
-          Alcotest.test_case "exact shortcut" `Quick test_approx_exact_shortcut;
-          Alcotest.test_case "(eps,delta) envelope" `Quick test_approx_envelope;
-          Alcotest.test_case "pinned-seed envelope" `Quick test_approx_pinned_seed_envelope;
-          Alcotest.test_case "tight ε on the network = exact" `Quick
-            test_approx_tight_epsilon_network;
-          Alcotest.test_case "rejects bad parameters" `Quick
-            test_approx_rejects_bad_parameters;
-          Alcotest.test_case "deterministic per seed" `Quick
-            test_approx_deterministic_per_seed;
-        ] );
       ( "resilience",
         [
           Alcotest.test_case "jobs determinism" `Quick test_jobs_determinism;
@@ -959,8 +837,8 @@ let () =
         ] );
       ( "surfaces",
         [
-          Alcotest.test_case "density and bias mass" `Quick
-            test_density_and_bias_mass;
+          Alcotest.test_case "bias masses sum to the flip count" `Quick
+            test_bias_masses_sum_to_flip_count;
           QCheck_alcotest.to_alcotest prop_flip_mass_equals_brute;
         ] );
     ]

@@ -191,23 +191,8 @@ let gen_query =
         (let+ spec = gen_spec in
          P.Certify { spec; input; label });
         (let* spec = gen_spec in
-         let+ mode =
-           oneof
-             [
-               map (fun certify -> P.Count_exact { certify }) bool;
-               (* Dyadic epsilon/delta survive the %.12g float printer. *)
-               (let* e16 = 1 -- 64 in
-                let* d16 = 1 -- 15 in
-                let+ seed = 0 -- 1000 in
-                P.Count_approx
-                  {
-                    epsilon = float_of_int e16 /. 16.;
-                    delta = float_of_int d16 /. 16.;
-                    seed;
-                  });
-             ]
-         in
-         P.Count { spec; input; label; mode });
+         let+ certify = bool in
+         P.Count { spec; input; label; certify });
       ])
 
 let gen_budget =
@@ -971,13 +956,8 @@ let direct_answer net (q : P.query) : P.answer =
   | P.Certify { spec; input; label } ->
       let cv = B.certified_exists_flip net spec ~input ~label in
       P.Certified { verdict = cv.B.cv_verdict; cert = cv.B.cv_cert }
-  | P.Count { spec; input; label; mode } ->
-      let mode =
-        match mode with
-        | P.Count_exact { certify } -> Fannet.Robustness.Exact_mode { certify }
-        | P.Count_approx { epsilon; delta; seed } ->
-            Fannet.Robustness.Approx_mode { epsilon; delta; seed }
-      in
+  | P.Count { spec; input; label; certify } ->
+      let mode = Fannet.Robustness.Exact_mode { certify } in
       let r = Fannet.Robustness.probability ~mode net spec ~input ~label in
       P.Counted
         (match r.Fannet.Robustness.status with
@@ -1003,16 +983,7 @@ let differential_queries net =
        certificate bytes. *)
     (let cspec = N.symmetric ~delta:3 ~bias_noise:false in
      ( "count exact certified",
-       P.Count { spec = cspec; input; label; mode = P.Count_exact { certify = true } } ));
-    (let cspec = N.symmetric ~delta:3 ~bias_noise:false in
-     ( "count approx",
-       P.Count
-         {
-           spec = cspec;
-           input;
-           label;
-           mode = P.Count_approx { epsilon = 0.8; delta = 0.2; seed = 7 };
-         } ));
+       P.Count { spec = cspec; input; label; certify = true } ));
   ]
 
 let answer_of_reply name = function
@@ -1073,7 +1044,7 @@ let test_differential_cache_hit_and_certificates () =
   (* The certified count crossed the wire too: its certificate must pass
      the independent count validator against the local model. *)
   (let cspec = N.symmetric ~delta:3 ~bias_noise:false in
-   let q = P.Count { spec = cspec; input; label; mode = P.Count_exact { certify = true } } in
+   let q = P.Count { spec = cspec; input; label; certify = true } in
    match ok (C.query c ~digest q) with
    | P.Answer { cached = true; answer = P.Counted (Ok { count_cert = Some cert; _ }) } -> (
        match Fannet.Robustness.check_certificate net cspec ~input ~label cert with
@@ -1091,6 +1062,59 @@ let test_differential_cache_hit_and_certificates () =
       | Ok () -> ()
       | Error e -> Alcotest.failf "wire-roundtripped certificate rejected: %s" e)
   | _ -> Alcotest.fail "expected a cached certified answer"
+
+(* A count request under the retired "approx" mode gets the reader's
+   typed Protocol_error naming the mode, and the same connection then
+   answers an exact count byte-identically to the direct library call. *)
+let test_retired_count_mode () =
+  let net = Fixture.small_qnet () in
+  with_daemon @@ fun d ->
+  with_client d @@ fun c ->
+  let digest = ok (C.load c net) in
+  let input = [| 112; 87 |] in
+  let label = Nn.Qnet.predict net input in
+  let q =
+    P.Count
+      {
+        spec = N.symmetric ~delta:3 ~bias_noise:false;
+        input;
+        label;
+        certify = false;
+      }
+  in
+  let exact =
+    P.encode_request
+      { P.rid = 5; request = P.Query { digest; query = q; budget = P.no_budget } }
+  in
+  let exact_mode = {|{"m":"exact","certify":false}|} in
+  let approx_mode = {|{"m":"approx","epsilon":0.8,"delta":0.2,"seed":7}|} in
+  (* The retired mode's request: the exact one with its mode object
+     swapped, so every other byte is a well-formed count query. *)
+  let approx =
+    let n = String.length exact_mode in
+    let rec find i =
+      if i + n > String.length exact then
+        Alcotest.failf "exact count request lacks %s: %s" exact_mode exact
+      else if String.sub exact i n = exact_mode then i
+      else find (i + 1)
+    in
+    let i = find 0 in
+    String.sub exact 0 i ^ approx_mode
+    ^ String.sub exact (i + n) (String.length exact - i - n)
+  in
+  C.send_raw c (W.encode approx);
+  (match C.read_reply c with
+  | Ok { P.reply = P.Protocol_error msg; _ } ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the mode: %s" msg)
+        true
+        (contains msg {|unknown count mode "approx"|})
+  | Ok r -> Alcotest.failf "wanted Protocol_error, got %s" (P.encode_reply r)
+  | Error e -> Alcotest.failf "reply unreadable: %s" e);
+  let _, answer = answer_of_reply "exact count" (ok (C.query c ~digest q)) in
+  Alcotest.(check string) "exact count = direct, byte for byte"
+    (P.encode_answer (direct_answer net q))
+    (P.encode_answer answer)
 
 (* Latency contrast on an SMT tolerance query, min of reps against
    scheduler noise: a cache hit must beat the cold bit-blast (cache off,
@@ -1876,6 +1900,8 @@ let () =
           Alcotest.test_case "cache hit bit-identical + certs" `Quick
             test_differential_cache_hit_and_certificates;
           Alcotest.test_case "cache hit beats cold" `Quick test_hit_beats_cold;
+          Alcotest.test_case "retired count mode: typed error" `Quick
+            test_retired_count_mode;
         ] );
       ( "soak",
         [
